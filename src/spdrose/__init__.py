@@ -23,6 +23,7 @@ from .errors import (
     ImageTooSmall,
     IndefiniteKernel,
     NonConvergence,
+    NonFiniteEntry,
     NotPositiveDefinite,
     NotSquare,
     ParseError,
@@ -47,8 +48,10 @@ from .manifold import (
     validate_spd,
 )
 from .stein import (
+    DivergenceTable,
     GramMatrix,
     KernelParams,
+    divergence_matrix,
     gram_matrix,
     gram_power,
     sigma_guarantees_psd,

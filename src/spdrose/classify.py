@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, EmptyTrain, ParseError, SingleClass
 from .seeding import keyed_generator
-from .stein import KernelParams, stein_divergence
+from .stein import DivergenceTable, divergence_matrix
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 1
@@ -237,15 +237,14 @@ def knn_stein(
     train_labels,
     test_points,
     n_neighbors: int = 1,
-    params: KernelParams = None,
+    table: DivergenceTable = None,
 ) -> np.ndarray:
     """Majority vote over nearest neighbors in log-det divergence.
 
     Distance ties are resolved by training order (stable sort) and vote
-    ties by the smaller label.  ``params`` is accepted for interface
-    symmetry; the divergence itself is parameter free.
+    ties by the smaller label.  ``table`` serves the query-to-training
+    divergences it holds.
     """
-    del params
     if len(train_points) == 0:
         raise EmptyTrain("no labeled points to vote with")
     labels = np.asarray(train_labels, dtype=np.int64)
@@ -257,12 +256,10 @@ def knn_stein(
         raise ValueError(
             f"n_neighbors must lie in [1, {len(train_points)}], got {n_neighbors}"
         )
-    out = np.empty(len(test_points), dtype=np.int64)
-    for i, point in enumerate(test_points):
-        divergences = np.array(
-            [stein_divergence(point, ref) for ref in train_points]
-        )
-        nearest = np.argsort(divergences, kind="stable")[:n_neighbors]
+    divergences = divergence_matrix(test_points, train_points, table)
+    out = np.empty(len(divergences), dtype=np.int64)
+    for i, row in enumerate(divergences):
+        nearest = np.argsort(row, kind="stable")[:n_neighbors]
         votes = labels[nearest]
         candidates, counts = np.unique(votes, return_counts=True)
         out[i] = int(candidates[np.argmax(counts)])

@@ -41,7 +41,7 @@ from .errors import ConfigError, SpdRoseError
 from .io import read_pgm, read_ppm
 from .pipeline import FEATURE_MODES, ExperimentConfig
 from .seeding import derive_seed
-from .stein import KernelParams
+from .stein import DivergenceTable, KernelParams
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
 _IMAGE_MODES = {name: spec for name, spec in FEATURE_MODES.items() if spec[1]}
@@ -116,6 +116,8 @@ def _cmd_train(args):
             direction_mode=args.direction_mode,
         )
         pool.extend(generate_synthetic(pool, config))
+    # Embedding the training points reuses the Gram matrix's divergences.
+    table = DivergenceTable(pool)
     k = args.k if args.k else pipeline.K_POLICIES[args.k_policy] * len(points)
     model = build_projection_model(
         pool,
@@ -124,8 +126,9 @@ def _cmd_train(args):
         t=args.t,
         exponent_mode=args.exponent_mode,
         seed=derive_seed(args.seed, 2),
+        table=table,
     )
-    embedded = np.array(embed_batch(model, points))
+    embedded = np.array(embed_batch(model, points, table=table))
     classifier = classify.train_ova_svm(
         embedded,
         labels,
@@ -226,13 +229,15 @@ def _cmd_jl_check(args):
     except ValueError as exc:
         raise ConfigError(f"k must be integers: {args.k!r}") from exc
     params = KernelParams(sigma=args.sigma, psd_policy=args.psd_policy)
+    # Every width reuses the same pairwise divergences.
+    table = DivergenceTable(points)
     records = []
     for k in ks:
         model = build_projection_model(
             points, k=k, params=params,
-            exponent_mode=args.exponent_mode, seed=args.seed,
+            exponent_mode=args.exponent_mode, seed=args.seed, table=table,
         )
-        report = jl_distortion_report(model, points, args.epsilon)
+        report = jl_distortion_report(model, points, args.epsilon, table)
         records.append(
             {
                 "pair_count": report.pair_count,

@@ -25,7 +25,7 @@ bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -36,14 +36,16 @@ from .manifold import SpdMatrix
 from .seeding import keyed_generator
 from .stein import (
     PSEUDO_INVERSE_RTOL,
+    DivergenceTable,
     GramMatrix,
     KernelParams,
+    divergence_matrix,
     gram_matrix,
     gram_power,
-    stein_kernel_value,
 )
 
-EXPONENT_MODES = ("whitening", "paper_literal")
+EXPONENTS = {"whitening": -0.5, "paper_literal": 0.5}
+EXPONENT_MODES = tuple(EXPONENTS)
 
 MODEL_FORMAT = "spdrose.projection_model"
 MODEL_FORMAT_VERSION = 1
@@ -58,22 +60,27 @@ def default_exemplar_count(p: int) -> int:
 class ProjectionModel:
     """Frozen state of a fitted embedding.
 
-    Holds the reference pool, its (repaired) Gram matrix, and the
-    ``p x k`` weight matrix whose columns are the hyperplanes.
+    Holds the reference pool and the ``p x k`` weight matrix whose
+    columns are the hyperplanes.  Embedding needs nothing else, so the
+    reference Gram matrix and its power are computed on first use;
+    ``fitted`` hands over the ``(gram, kernel_power)`` pair that
+    :func:`build_projection_model` already computed.
     """
 
     reference_points: tuple
     kernel_params: KernelParams
-    gram: GramMatrix
     weights: np.ndarray
     t: int
     exponent_mode: str
     seed: int
+    fitted: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, fitted):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        if fitted is not None:
+            self.__dict__["gram"], self.__dict__["kernel_power"] = fitted
 
     @property
     def p(self) -> int:
@@ -89,11 +96,16 @@ class ProjectionModel:
 
     @property
     def exponent(self) -> float:
-        return -0.5 if self.exponent_mode == "whitening" else 0.5
+        return EXPONENTS[self.exponent_mode]
 
     @property
     def clamped_mass(self) -> float:
         return self.gram.clamped_mass
+
+    @cached_property
+    def gram(self) -> GramMatrix:
+        """Repaired Gram matrix of the reference pool."""
+        return gram_matrix(self.reference_points, self.kernel_params)
 
     @cached_property
     def kernel_power(self) -> np.ndarray:
@@ -108,6 +120,7 @@ def build_projection_model(
     t: int | None = None,
     exponent_mode: str = "whitening",
     seed: int = 0,
+    table: DivergenceTable = None,
 ) -> ProjectionModel:
     """Fit the embedding on a reference pool.
 
@@ -124,6 +137,8 @@ def build_projection_model(
     exponent_mode : {"whitening", "paper_literal"}
     seed : int
         Master seed; hyperplane ``j`` uses ``seed XOR j``.
+    table : DivergenceTable, optional
+        Serves the pool's pairwise divergences it holds.
     """
     points = tuple(train_points)
     if len(points) < 2:
@@ -140,17 +155,8 @@ def build_projection_model(
     if t > p:
         raise TSampleTooLarge(f"t={t} exceeds the reference pool size p={p}")
 
-    gram = gram_matrix(points, params)
-    model_stub = ProjectionModel(
-        reference_points=points,
-        kernel_params=params,
-        gram=gram,
-        weights=np.zeros((p, 1)),
-        t=t,
-        exponent_mode=exponent_mode,
-        seed=seed,
-    )
-    powered = model_stub.kernel_power
+    gram = gram_matrix(points, params, table)
+    powered = gram_power(gram, EXPONENTS[exponent_mode])
 
     weights = np.empty((p, k))
     base = np.full(p, -1.0 / p)
@@ -161,28 +167,32 @@ def build_projection_model(
         alpha[chosen] += 1.0 / t
         weights[:, j] = powered @ alpha
 
-    model = ProjectionModel(
+    return ProjectionModel(
         reference_points=points,
         kernel_params=params,
-        gram=gram,
         weights=weights,
         t=t,
         exponent_mode=exponent_mode,
         seed=seed,
+        fitted=(gram, powered),
     )
-    model.__dict__["kernel_power"] = powered
-    return model
+
+
+def _kernel_rows(model: ProjectionModel, points, table=None) -> np.ndarray:
+    """Kernel values of each point against the reference pool, one row per point."""
+    points = list(points)
+    for x in points:
+        if x.dim != model.dim:
+            raise DimensionMismatch(
+                f"query dimension {x.dim} differs from model dimension {model.dim}"
+            )
+    divergences = divergence_matrix(points, model.reference_points, table)
+    return np.exp(-model.kernel_params.sigma * divergences)
 
 
 def kernel_vector(model: ProjectionModel, x: SpdMatrix) -> np.ndarray:
     """Kernel values of ``x`` against the reference pool, length ``p``."""
-    if x.dim != model.dim:
-        raise DimensionMismatch(
-            f"query dimension {x.dim} differs from model dimension {model.dim}"
-        )
-    return np.array(
-        [stein_kernel_value(ref, x, model.kernel_params) for ref in model.reference_points]
-    )
+    return _kernel_rows(model, [x])[0]
 
 
 def project_kernel_vector(model: ProjectionModel, kappa: np.ndarray) -> np.ndarray:
@@ -204,9 +214,12 @@ def embed(model: ProjectionModel, x: SpdMatrix) -> np.ndarray:
     return project_kernel_vector(model, kernel_vector(model, x))
 
 
-def embed_batch(model: ProjectionModel, points):
-    """Embed a sequence of points; equals the per-point loop bit-exactly."""
-    return [embed(model, x) for x in points]
+def embed_batch(model: ProjectionModel, points, table: DivergenceTable = None):
+    """Embed a sequence of points; equals the per-point loop bit-exactly.
+
+    ``table`` serves the point-to-reference divergences it holds.
+    """
+    return [project_kernel_vector(model, kappa) for kappa in _kernel_rows(model, points, table)]
 
 
 def binarize(coords: np.ndarray) -> np.ndarray:
@@ -263,7 +276,9 @@ class JlReport:
     k: int
 
 
-def jl_distortion_report(model: ProjectionModel, points, epsilon: float) -> JlReport:
+def jl_distortion_report(
+    model: ProjectionModel, points, epsilon: float, table: DivergenceTable = None
+) -> JlReport:
     """Check the two-sided distortion of embedded squared distances.
 
     For every pair the ``(1/k)``-scaled squared embedding distance is
@@ -271,20 +286,20 @@ def jl_distortion_report(model: ProjectionModel, points, epsilon: float) -> JlRe
     "within" when the ratio lies in ``[1 - epsilon, 1 + epsilon]``.
     Pairs whose target distance is zero count as within exactly when
     the embedded distance is zero too (identical points embed
-    identically, so a degenerate cloud reports fraction 1).
+    identically, so a degenerate cloud reports fraction 1).  ``table``
+    serves the point-to-reference divergences it holds.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    points = list(points)
-    embeddings = [embed(model, x) for x in points]
-    kappas = [kernel_vector(model, x) for x in points]
+    kappas = _kernel_rows(model, points, table)
+    embeddings = [project_kernel_vector(model, kappa) for kappa in kappas]
     k = model.k
 
     pair_count = 0
     within = 0
     ratios = []
-    for u in range(len(points)):
-        for v in range(u + 1, len(points)):
+    for u in range(len(kappas)):
+        for v in range(u + 1, len(kappas)):
             pair_count += 1
             gap = embeddings[u] - embeddings[v]
             observed = float(np.dot(gap, gap)) / k
@@ -326,9 +341,9 @@ def save_projection_model(path, model: ProjectionModel) -> None:
 def load_projection_model(path) -> ProjectionModel:
     """Load a model saved by :func:`save_projection_model`.
 
-    The Gram matrix is recomputed from the (exactly round-tripped)
-    reference points, so embeddings after a load are bit-identical to
-    the original model's.
+    Reference points and weights round-trip exactly, so embeddings
+    after a load are bit-identical to the original model's.  The Gram
+    matrix is not needed to embed and is recomputed only on first use.
     """
     path = Path(path)
     try:
@@ -357,11 +372,9 @@ def load_projection_model(path) -> ProjectionModel:
         )
     if exponent_mode not in EXPONENT_MODES:
         raise ParseError(f"{path}: unknown exponent_mode {exponent_mode!r}")
-    gram = gram_matrix(refs, params)
     return ProjectionModel(
         reference_points=refs,
         kernel_params=params,
-        gram=gram,
         weights=weights,
         t=t,
         exponent_mode=exponent_mode,

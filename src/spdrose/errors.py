@@ -15,6 +15,10 @@ class NotSquare(SpdRoseError):
     """Input matrix is not square."""
 
 
+class NonFiniteEntry(SpdRoseError):
+    """Input matrix holds a NaN or infinite entry."""
+
+
 class AsymmetryExceedsTolerance(SpdRoseError):
     """Matrix asymmetry exceeds the accepted relative tolerance."""
 

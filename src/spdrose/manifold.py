@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     AsymmetryExceedsTolerance,
     DimensionMismatch,
+    NonFiniteEntry,
     NotPositiveDefinite,
     NotSquare,
 )
@@ -48,8 +50,15 @@ def _as_square(raw) -> np.ndarray:
 
 
 def _relative_asymmetry(a: np.ndarray) -> float:
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    return float(np.abs(a - a.T).max()) / scale
+    """Asymmetry relative to the largest entry; NaN or inf is rejected first.
+
+    NaN fails every comparison the callers make, so without the check a
+    non-finite matrix would pass them all.
+    """
+    peak = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(peak):
+        raise NonFiniteEntry("matrix holds a NaN or infinite entry")
+    return float(np.abs(a - a.T).max()) / max(1.0, peak)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -71,10 +80,10 @@ class SpdMatrix:
     """A validated symmetric positive definite matrix.
 
     Construction symmetrizes the input exactly and checks, in order,
-    squareness, symmetry (relative tolerance ``SYMMETRY_RTOL``), strict
-    positivity of the spectrum, and the conditioning floor
-    ``lambda_min > EIGENVALUE_FLOOR_RTOL * lambda_max``.  Instances are
-    immutable; the wrapped array is read-only.
+    squareness, finiteness of every entry, symmetry (relative tolerance
+    ``SYMMETRY_RTOL``), strict positivity of the spectrum, and the
+    conditioning floor ``lambda_min > EIGENVALUE_FLOOR_RTOL * lambda_max``.
+    Instances are immutable; the wrapped array is read-only.
     """
 
     array: np.ndarray
@@ -146,7 +155,7 @@ def validate_spd(raw, tol: float = SYMMETRY_RTOL) -> SpdMatrix:
 
     Raises
     ------
-    NotSquare, AsymmetryExceedsTolerance, NotPositiveDefinite
+    NotSquare, NonFiniteEntry, AsymmetryExceedsTolerance, NotPositiveDefinite
     """
     a = _as_square(raw)
     gap = _relative_asymmetry(a)

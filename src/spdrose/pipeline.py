@@ -27,6 +27,15 @@ drawn from the surviving points, so its pool stays comparable as
 classes disappear.  With zero exclusions each arm reproduces
 ``run_experiment`` for the matching synthetic count bit for bit.
 
+The Stein divergence does not depend on sigma, so each repetition
+keeps one :class:`~spdrose.stein.DivergenceTable` over its points, with
+a row per training point.  The validation candidates, the final run,
+every exclusion pattern of both degradation arms and the kNN baseline
+read their real pairs from it, so each pair is computed at most once
+per repetition.  Synthetic points are new in every run: a run extends
+the table with them, so their pairs serve both the Gram matrix and the
+embedding of the training points, and are dropped with the run.
+
 Every stage draws randomness through the chain ``config.seed ->
 repetition -> stage``, so reports are identical across runs and
 machines once timing fields are stripped.  Accuracy values are
@@ -74,7 +83,7 @@ from .errors import (
 )
 from .io import read_matrix, read_pgm, read_ppm, write_matrix
 from .seeding import derive_seed
-from .stein import KernelParams
+from .stein import DivergenceTable, KernelParams
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
 MANIFEST_FORMAT = "spdrose.dataset"
@@ -620,8 +629,9 @@ def _stage(rep, name, fn, *args, **kwargs):
         ) from exc
 
 
-def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count,
+def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, table,
                 included_classes=None, with_knn=False) -> RepRecord:
+    """One pipeline run; ``table`` holds the repetition's real points."""
     classes = split.classes
     if included_classes is None:
         included_classes = classes
@@ -633,13 +643,18 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count,
     ]
     timings = []
     started = time.perf_counter()
+    synthetic = []
     if synth_count > 0:
         synth_config = SynthesisConfig(
             count=synth_count,
             seed=derive_seed(seed_root, _STAGE_SYNTH),
             direction_mode=config.direction_mode,
         )
-        pool.extend(_stage(rep, "synthesize", generate_synthetic, pool, synth_config))
+        synthetic = _stage(rep, "synthesize", generate_synthetic, pool, synth_config)
+        pool.extend(synthetic)
+    # The synthetic points' pairs serve both the Gram matrix and the
+    # embedding of the training points, then go with this run.
+    run_table = table.extended(synthetic)
     timings.append(("synthesize", time.perf_counter() - started))
     started = time.perf_counter()
     k = K_POLICIES[k_policy] * len(split.train_points)
@@ -649,11 +664,16 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count,
         pool, k=k, params=params,
         exponent_mode=config.exponent_mode,
         seed=derive_seed(seed_root, _STAGE_EMBED),
+        table=run_table,
     )
     timings.append(("build", time.perf_counter() - started))
     started = time.perf_counter()
-    train_embedded = np.array(_stage(rep, "embed", embed_batch, model, split.train_points))
-    test_embedded = np.array(_stage(rep, "embed", embed_batch, model, split.test_points))
+    train_embedded = np.array(
+        _stage(rep, "embed", embed_batch, model, split.train_points, table=run_table)
+    )
+    test_embedded = np.array(
+        _stage(rep, "embed", embed_batch, model, split.test_points, table=run_table)
+    )
     timings.append(("embed", time.perf_counter() - started))
     started = time.perf_counter()
     classifier = _stage(
@@ -675,7 +695,7 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count,
         knn_predictions = _stage(
             rep, "baseline", classify.knn_stein,
             split.train_points, split.train_labels, split.test_points,
-            n_neighbors=config.knn_neighbors,
+            n_neighbors=config.knn_neighbors, table=table,
         )
         knn_accuracy = classify.evaluate_accuracy(
             split.test_labels, knn_predictions
@@ -691,7 +711,7 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count,
         t=model.t,
         pool_size=model.p,
         accuracy=accuracy,
-        clamped_mass=model.gram.clamped_mass,
+        clamped_mass=model.clamped_mass,
         class_labels=classes,
         confusion=confusion,
         knn_accuracy=knn_accuracy,
@@ -703,31 +723,43 @@ def _grid(config, synth_choices):
     return list(itertools.product(config.sigma, config.k_policy, synth_choices))
 
 
-def _prepare_rep(points, labels, config, rep, synth_choices):
-    """Split, then pick (sigma, k_policy, synthetic) on a validation fold.
+def _split_rep(points, labels, config, rep):
+    """The repetition's seed, its train/test split and its divergence table.
+
+    Every real pair any run of the repetition needs has a training point
+    in it, so the table keeps training rows against all points.
+    """
+    rep_seed = derive_seed(config.seed, rep)
+    split = _split_per_class(points, labels, config, rep_seed)
+    table = DivergenceTable(
+        split.train_points + split.test_points, rows=len(split.train_points)
+    )
+    return rep_seed, split, table
+
+
+def _prepare_rep(split, config, rep, rep_seed, synth_choices, table):
+    """Pick (sigma, k_policy, synthetic) on a validation fold.
 
     Returns the effective split (training minus any validation fold)
     and the chosen combination.  With a single combination the fold is
     skipped and the full training split is kept.
     """
-    rep_seed = derive_seed(config.seed, rep)
-    split = _split_per_class(points, labels, config, rep_seed)
     grid = _grid(config, synth_choices)
     if len(grid) == 1:
-        return split, rep_seed, grid[0]
+        return split, grid[0]
     fold, effective = _carve_validation(split, config, rep_seed)
     best = None
     best_accuracy = -1.0
     for tag, combo in enumerate(grid):
         tag_seed = derive_seed(rep_seed, _STAGE_VALIDATION, tag)
         record = _run_single(
-            fold, config, rep, tag_seed, combo[0], combo[1], combo[2],
+            fold, config, rep, tag_seed, combo[0], combo[1], combo[2], table,
             with_knn=False,
         )
         if record.accuracy > best_accuracy:
             best_accuracy = record.accuracy
             best = combo
-    return effective, rep_seed, best
+    return effective, best
 
 
 def run_experiment(points, labels, config: ExperimentConfig) -> Report:
@@ -744,12 +776,13 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
             resolve_synthetic(v, len(classes), config.train_per_class)
             for v in config.synthetic
         )
-        effective, rep_seed, (sigma, k_policy, synth) = _prepare_rep(
-            points, labels, config, rep, synth_choices
+        rep_seed, split, table = _split_rep(points, labels, config, rep)
+        effective, (sigma, k_policy, synth) = _prepare_rep(
+            split, config, rep, rep_seed, synth_choices, table
         )
         records.append(
             _run_single(
-                effective, config, rep, rep_seed, sigma, k_policy, synth,
+                effective, config, rep, rep_seed, sigma, k_policy, synth, table,
                 with_knn=True,
             )
         )
@@ -859,16 +892,17 @@ def degradation_study(
         )
     records = []
     for rep in range(config.reps):
+        rep_seed, split, table = _split_rep(points, labels, config, rep)
         for arm, budget in ((MODE_PLAIN, 0), (MODE_AUGMENTED, synthetic_budget)):
-            effective, rep_seed, (sigma, k_policy, synth) = _prepare_rep(
-                points, labels, config, rep, (budget,)
+            effective, (sigma, k_policy, synth) = _prepare_rep(
+                split, config, rep, rep_seed, (budget,), table
             )
             for count in excluded_class_counts:
                 for excluded in itertools.combinations(classes, count):
                     included = tuple(c for c in classes if c not in excluded)
                     record = _run_single(
                         effective, config, rep, rep_seed, sigma, k_policy, synth,
-                        included_classes=included, with_knn=False,
+                        table, included_classes=included, with_knn=False,
                     )
                     records.append(
                         DegradationRecord(excluded=excluded, arm=arm, record=record)
@@ -884,11 +918,13 @@ def degradation_study(
 def jl_check(points, config: ExperimentConfig, k: int, epsilon: float):
     """Embedding fidelity report for a point pool at a given width."""
     params = KernelParams(sigma=config.sigma[0], psd_policy=config.psd_policy)
+    table = DivergenceTable(points)
     model = build_projection_model(
         points,
         k=k,
         params=params,
         exponent_mode=config.exponent_mode,
         seed=derive_seed(config.seed, _STAGE_EMBED),
+        table=table,
     )
-    return jl_distortion_report(model, points, epsilon)
+    return jl_distortion_report(model, points, epsilon, table)

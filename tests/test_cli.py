@@ -222,6 +222,16 @@ def test_run_corrupt_manifest_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_nan_matrix_exits_3(tmp_path, capsys):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    (tmp_path / "data" / "point_0000.txt").write_text(
+        "3\n1.0 nan 0.0\nnan 1.0 0.0\n0.0 0.0 1.0\n"
+    )
+    code = main(["run", "--data", str(manifest)])
+    assert code == 3
+    assert "point_0000.txt" in capsys.readouterr().err
+
+
 def test_degrade_report(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     config = write_config(tmp_path, reps=1, epochs=20)

@@ -314,31 +314,31 @@ def test_model_load_rejects_corruption(rng, tmp_path):
 
 
 def test_gram_assembly_kernel_call_count(rng, monkeypatch):
-    # Upper-triangle assembly: exactly p * (p - 1) / 2 kernel calls.
+    # Upper-triangle assembly: exactly p * (p - 1) / 2 divergences.
     calls = {"n": 0}
-    original = spdrose.stein.stein_kernel_value
+    original = spdrose.stein.stein_divergence
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spdrose.stein, "stein_kernel_value", counting)
+    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
     pool = small_pool(rng, count=9)
     build_projection_model(pool, 4, KernelParams(0.5))
     assert calls["n"] == 9 * 8 // 2
 
 
 def test_embed_kernel_call_count(rng, monkeypatch):
-    # One query costs exactly p kernel evaluations, independent of k.
+    # One query costs exactly p divergences, independent of k.
     pool = small_pool(rng, count=11)
     model = build_projection_model(pool, 64, KernelParams(0.5))
     calls = {"n": 0}
-    original = spdrose.embedding.stein_kernel_value
+    original = spdrose.stein.stein_divergence
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spdrose.embedding, "stein_kernel_value", counting)
+    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
     embed(model, random_spd(rng, 3))
     assert calls["n"] == 11

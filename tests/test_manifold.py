@@ -6,6 +6,7 @@ import pytest
 from spdrose import (
     AsymmetryExceedsTolerance,
     DimensionMismatch,
+    NonFiniteEntry,
     NotPositiveDefinite,
     NotSquare,
     SpdMatrix,
@@ -54,6 +55,17 @@ def test_spd_matrix_accepts_roundoff_asymmetry():
     wobble[0, 1] += wobble[0, 1] * SYMMETRY_RTOL * 0.1
     m = SpdMatrix(wobble)
     assert np.array_equal(m.array, m.array.T)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [[[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+    ids=["nan", "inf"],
+)
+@pytest.mark.parametrize("construct", [SpdMatrix, validate_spd])
+def test_spd_matrix_rejects_non_finite_entries(raw, construct):
+    with pytest.raises(NonFiniteEntry):
+        construct(np.array(raw))
 
 
 def test_spd_matrix_rejects_indefinite():

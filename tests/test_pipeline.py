@@ -1,12 +1,14 @@
 """Unit tests for manifests, configs, the experiment loop, and reports."""
 
 import json
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import spdrose.pipeline
+import spdrose.stein
 from spdrose import (
     ConfigError,
     DatasetManifest,
@@ -396,6 +398,41 @@ def test_timing_section_is_optional():
     stages = timed["records"][0]["stage_seconds"]
     assert set(stages) == {"synthesize", "build", "embed", "train"}
     assert all(v >= 0.0 for v in stages.values())
+
+
+def count_divergences(monkeypatch):
+    """Count ``stein_divergence`` calls per unordered pair of point objects."""
+    calls = Counter()
+    seen = []  # keeps every point alive, so no id is reused during the run
+    original = spdrose.stein.stein_divergence
+
+    def counting(x, y):
+        seen.append((x, y))
+        calls[frozenset((id(x), id(y)))] += 1
+        return original(x, y)
+
+    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
+    return calls
+
+
+def test_run_experiment_computes_each_pair_once(monkeypatch):
+    points, labels = benchmark_pool()
+    calls = count_divergences(monkeypatch)
+    config = quick_config(sigma=(0.5, 1.0), synthetic=4)
+    run_experiment(points, labels, config)
+    assert calls
+    assert max(calls.values()) == 1
+
+
+def test_degradation_study_computes_each_pair_once(monkeypatch):
+    points, labels = benchmark_pool(n_classes=3, per_class=10)
+    calls = count_divergences(monkeypatch)
+    degradation_study(
+        points, labels, quick_config(), excluded_class_counts=(0, 1),
+        synthetic_budget=4,
+    )
+    assert calls
+    assert max(calls.values()) == 1
 
 
 def test_degradation_structure_and_c0_equality():

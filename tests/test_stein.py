@@ -1,17 +1,22 @@
 """Unit tests for the Stein divergence, kernel, and Gram assembly."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spdrose.stein
 from spdrose import (
     DimensionMismatch,
+    DivergenceTable,
     EmptyInput,
     GramMatrix,
     IndefiniteKernel,
     KernelParams,
     SpdMatrix,
+    divergence_matrix,
     gram_matrix,
     gram_power,
     sigma_guarantees_psd,
@@ -21,7 +26,7 @@ from spdrose import (
 )
 from spdrose.stein import GRAM_PSD_RTOL
 
-from conftest import random_spd
+from conftest import random_orthogonal, random_spd
 
 # Eight 2x2 points whose kernel Gram at sigma=0.25 has smallest
 # eigenvalue about -0.0445.  Found by direct minimisation of the
@@ -232,3 +237,84 @@ def test_gram_matrix_wrapper_accepts_prebuilt_entries():
     g = GramMatrix(np.eye(3))
     assert g.size == 3
     assert g.clamped_mass == 0.0
+
+
+def pair_loop(rows, cols):
+    return np.array([[stein_divergence(x, y) for y in cols] for x in rows])
+
+
+@pytest.mark.parametrize("dim", [2, 6, 43])
+def test_divergence_matrix_equals_pair_loop(rng, dim):
+    points = [random_spd(rng, dim) for _ in range(6)]
+    others = [random_spd(rng, dim) for _ in range(4)]
+    assert np.array_equal(divergence_matrix(points, points), pair_loop(points, points))
+    assert np.array_equal(divergence_matrix(points, others), pair_loop(points, others))
+    table = DivergenceTable(points + others, rows=len(points))
+    for _ in range(2):  # the second pass reads what the first one kept
+        assert np.array_equal(
+            divergence_matrix(points, points, table), pair_loop(points, points)
+        )
+        assert np.array_equal(
+            divergence_matrix(others, points, table), pair_loop(others, points)
+        )
+
+
+def test_divergence_table_computes_each_kept_pair_once(rng, monkeypatch):
+    calls = Counter()
+    original = spdrose.stein.stein_divergence
+
+    def counting(x, y):
+        calls[frozenset((id(x), id(y)))] += 1
+        return original(x, y)
+
+    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
+    train = [random_spd(rng, 3) for _ in range(5)]
+    test = [random_spd(rng, 3) for _ in range(4)]
+    synthetic = [random_spd(rng, 3) for _ in range(3)]
+    table = DivergenceTable(train + test, rows=len(train))
+    run = table.extended(synthetic)
+    pool = train + synthetic
+    for _ in range(2):
+        divergence_matrix(pool, pool, run)
+        divergence_matrix(train + test, pool, run)
+        divergence_matrix(test, train, table)
+    assert max(calls.values()) == 1
+    # train pairs, train x test, synthetic pairs, synthetic x real
+    assert len(calls) == 10 + 20 + 3 + 3 * 9
+    # Pairs of two points past the kept rows are never stored.
+    divergence_matrix(test[:2], test[2:], table)
+    divergence_matrix(test[:2], test[2:], table)
+    assert max(calls.values()) == 2
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_DIMS = st.integers(2, 8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=_SEEDS, dim=_DIMS)
+def test_property_divergence_exactly_symmetric(seed, dim):
+    rng = np.random.default_rng(seed)
+    x, y = random_spd(rng, dim), random_spd(rng, dim)
+    assert stein_divergence(x, y) == stein_divergence(y, x)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=_SEEDS, dim=_DIMS)
+def test_property_divergence_of_a_point_with_itself_is_zero(seed, dim):
+    x = random_spd(np.random.default_rng(seed), dim)
+    assert stein_divergence(x, x) == 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=_SEEDS, dim=_DIMS)
+def test_property_divergence_congruence_invariant(seed, dim):
+    rng = np.random.default_rng(seed)
+    x, y = random_spd(rng, dim), random_spd(rng, dim)
+    # Condition number at most e^2, so the congruence loses little precision.
+    a = random_orthogonal(rng, dim) * np.exp(rng.uniform(-1.0, 1.0, size=dim))
+    xa = SpdMatrix(symmetrize(a @ x.array @ a.T))
+    ya = SpdMatrix(symmetrize(a @ y.array @ a.T))
+    assert stein_divergence(xa, ya) == pytest.approx(
+        stein_divergence(x, y), rel=1e-8, abs=1e-10
+    )
