@@ -84,7 +84,6 @@ from .embedding import (
     load_projection_model,
     project_kernel_vector,
     save_projection_model,
-    whitened_distance_sq,
 )
 from .descriptors import (
     ColorImage,
@@ -108,7 +107,6 @@ from .io import (
 )
 from .classify import (
     EvalResult,
-    LabeledVector,
     TrainedClassifier,
     decision_scores,
     evaluate_accuracy,
@@ -130,7 +128,8 @@ from .pipeline import (
     RepRecord,
     config_from_mapping,
     degradation_study,
-    jl_check,
+    fit_model,
+    image_descriptors,
     load_config,
     load_dataset,
     load_manifest,

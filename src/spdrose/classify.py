@@ -30,24 +30,6 @@ DEFAULT_EPOCHS = 200
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledVector:
-    """One embedded point with its class label."""
-
-    coords: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
-        if c.ndim != 1:
-            raise ValueError(f"coords must be a vector, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coords must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-        object.__setattr__(self, "label", int(self.label))
-
-
-@dataclass(frozen=True, eq=False)
 class TrainedClassifier:
     """Linear one-vs-all model with its standardization statistics."""
 
@@ -87,14 +69,6 @@ class TrainedClassifier:
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
-
-
-def _unpack_labeled(data):
-    if len(data) and isinstance(data[0], LabeledVector):
-        features = np.array([v.coords for v in data])
-        labels = np.array([v.label for v in data], dtype=np.int64)
-        return features, labels
-    return np.asarray(data, dtype=np.float64), None
 
 
 def _check_features(features, labels=None):
@@ -151,7 +125,7 @@ def _pegasos_binary(x, targets, lam, epochs, rng, record):
 
 def train_ova_svm(
     features,
-    labels=None,
+    labels,
     regularization: float = DEFAULT_LAMBDA,
     epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
@@ -159,17 +133,12 @@ def train_ova_svm(
 ) -> TrainedClassifier:
     """Train one averaged-Pegasos hyperplane per class.
 
-    ``features`` is either an (n, k) array with a matching ``labels``
-    argument, or a list of :class:`LabeledVector`.  Features are
-    z-scored first (zero-variance columns keep scale 1).  The bias term
+    ``features`` is an (n, k) array with one entry of ``labels`` per
+    row.  Features are z-scored first (zero-variance columns keep scale 1).  The bias term
     is unregularized.  With ``record_objective`` each class keeps its
     regularized hinge objective, evaluated on the averaged iterate
     after every epoch.
     """
-    if labels is None:
-        features, labels = _unpack_labeled(features)
-        if labels is None:
-            raise EmptyData("no labeled vectors to train on")
     x, y = _check_features(features, labels)
     if x.shape[0] == 0:
         raise EmptyData("no training vectors")

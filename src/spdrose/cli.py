@@ -8,14 +8,21 @@ protocols over a single labeled dataset (the config holds the split
 rule), and ``jl-check`` audits embedding fidelity.  Reports go to
 ``--out`` when given, otherwise to standard output.
 
-Exit codes: 0 on success, 2 for configuration and usage problems, 3 for
-malformed or unusable data.
+The commands call the library instead of repeating it: ``extract``
+describes each image with :func:`pipeline.image_descriptors`, as
+``load_dataset`` does for image manifests, and ``train`` is
+:func:`pipeline.fit_model` with ``--seed`` as the seed root, so it
+draws the same stage seeds as a ``run`` repetition.
+
+Exit codes: 0 on success, 2 for configuration and usage problems
+(out-of-range flag values included), 3 for malformed or unusable data.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -23,13 +30,7 @@ import sys
 import numpy as np
 
 from . import classify, pipeline
-from .descriptors import (
-    ColorImage,
-    GrayImage,
-    box_downsample,
-    DEFAULT_EPS_REL,
-    grid_covariances,
-)
+from .descriptors import DEFAULT_EPS_REL
 from .embedding import (
     build_projection_model,
     embed_batch,
@@ -38,13 +39,17 @@ from .embedding import (
     save_projection_model,
 )
 from .errors import ConfigError, SpdRoseError
-from .io import read_pgm, read_ppm
 from .pipeline import FEATURE_MODES, ExperimentConfig
-from .seeding import derive_seed
 from .stein import DivergenceTable, KernelParams
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
-_IMAGE_MODES = {name: spec for name, spec in FEATURE_MODES.items() if spec[1]}
+
+def _from_flags(factory, **values):
+    """``factory(**values)``, with a value the library rejects as a usage error."""
+    try:
+        return factory(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_labels(args, count):
@@ -60,29 +65,20 @@ def _parse_labels(args, count):
 
 
 def _cmd_extract(args):
-    kind, feature_map = _IMAGE_MODES[args.features]
     labels = _parse_labels(args, len(args.images))
+    if min(args.rows, args.cols, args.downsample) < 1:
+        raise ConfigError("--rows, --cols and --downsample must be at least 1")
+    suffix = ".pgm" if FEATURE_MODES[args.features][0] == "gray-image" else ".ppm"
     points, point_labels = [], []
     for image_path, label in zip(args.images, labels):
-        suffix = os.path.splitext(image_path)[1].lower()
-        if kind == "gray-image":
-            if suffix != ".pgm":
-                raise ConfigError(
-                    f"{args.features} features need a .pgm image, got {image_path}"
-                )
-            image = read_pgm(image_path)
-            if args.downsample > 1:
-                image = GrayImage(box_downsample(image.pixels, args.downsample))
-        else:
-            if suffix != ".ppm":
-                raise ConfigError(
-                    f"{args.features} features need a .ppm image, got {image_path}"
-                )
-            image = read_ppm(image_path)
-            if args.downsample > 1:
-                image = ColorImage(box_downsample(image.pixels, args.downsample))
-        features = feature_map(image)
-        cells = grid_covariances(features, args.rows, args.cols, args.eps_rel)
+        if os.path.splitext(image_path)[1].lower() != suffix:
+            raise ConfigError(
+                f"{args.features} features need a {suffix} image, got {image_path}"
+            )
+        cells = pipeline.image_descriptors(
+            image_path, args.features, (args.rows, args.cols), args.downsample,
+            args.eps_rel,
+        )
         points.extend(cells)
         point_labels.extend([label] * len(cells))
     manifest = pipeline.save_dataset(args.out, points, point_labels)
@@ -91,10 +87,11 @@ def _cmd_extract(args):
 
 
 def _cmd_synth(args):
-    points, _ = pipeline.load_dataset(args.data)
-    config = SynthesisConfig(
-        count=args.count, seed=args.seed, direction_mode=args.direction_mode
+    config = _from_flags(
+        SynthesisConfig,
+        count=args.count, seed=args.seed, direction_mode=args.direction_mode,
     )
+    points, _ = pipeline.load_dataset(args.data)
     synthetic = generate_synthetic(points, config)
     # Synthetic points are unlabeled; the placeholder label 0 keeps the
     # output manifest well-formed.
@@ -106,35 +103,22 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    points, labels = pipeline.load_dataset(args.train)
-    params = KernelParams(sigma=args.sigma, psd_policy=args.psd_policy)
-    pool = list(points)
-    if args.synthetic > 0:
-        config = SynthesisConfig(
-            count=args.synthetic,
-            seed=derive_seed(args.seed, 1),
-            direction_mode=args.direction_mode,
-        )
-        pool.extend(generate_synthetic(pool, config))
-    # Embedding the training points reuses the Gram matrix's divergences.
-    table = DivergenceTable(pool)
-    k = args.k if args.k else pipeline.K_POLICIES[args.k_policy] * len(points)
-    model = build_projection_model(
-        pool,
-        k=k,
-        params=params,
-        t=args.t,
+    config = ExperimentConfig(
+        sigma=args.sigma,
+        synthetic=args.synthetic,
         exponent_mode=args.exponent_mode,
-        seed=derive_seed(args.seed, 2),
-        table=table,
-    )
-    embedded = np.array(embed_batch(model, points, table=table))
-    classifier = classify.train_ova_svm(
-        embedded,
-        labels,
+        psd_policy=args.psd_policy,
+        direction_mode=args.direction_mode,
         regularization=args.regularization,
         epochs=args.epochs,
-        seed=derive_seed(args.seed, 3),
+    )
+    if args.k < 0:
+        raise ConfigError(f"k must be nonnegative, got {args.k}")
+    points, labels = pipeline.load_dataset(args.train)
+    k = args.k or pipeline.K_POLICIES[args.k_policy] * len(points)
+    model, classifier, _ = pipeline.fit_model(
+        points, points, labels, config, config.sigma[0], k, config.synthetic[0],
+        args.seed, DivergenceTable(points),
     )
     os.makedirs(args.out, exist_ok=True)
     save_projection_model(os.path.join(args.out, "model.json"), model)
@@ -175,25 +159,18 @@ def _load_run_config(args):
     return config
 
 
-def _emit_report(args, report):
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(report.to_json(include_timing=args.include_timing))
-            fh.write("\n")
-    else:
-        print(report.to_json(include_timing=args.include_timing))
-
-
 def _cmd_run(args):
     config = _load_run_config(args)
     points, labels = pipeline.load_dataset(args.data)
     report = pipeline.run_experiment(points, labels, config)
-    _emit_report(args, report)
     if args.out:
+        pipeline.save_report(args.out, report, args.include_timing)
         print(
             f"mean accuracy {report.mean_accuracy:.4f} over {config.reps} rep(s); "
             f"baseline {report.mean_knn_accuracy:.4f}; wrote {args.out}"
         )
+    else:
+        print(report.to_json(include_timing=args.include_timing))
     return 0
 
 
@@ -211,24 +188,30 @@ def _cmd_degrade(args):
         excluded_class_counts=counts,
         synthetic_budget=args.budget,
     )
-    _emit_report(args, report)
     if args.out:
+        pipeline.save_report(args.out, report, args.include_timing)
         plain = ", ".join(f"{m:.4f}" for m in report.arm_means(pipeline.MODE_PLAIN))
         augmented = ", ".join(
             f"{m:.4f}" for m in report.arm_means(pipeline.MODE_AUGMENTED)
         )
         print(f"{pipeline.MODE_PLAIN} means: {plain}")
         print(f"{pipeline.MODE_AUGMENTED} means: {augmented}")
+    else:
+        print(report.to_json(include_timing=args.include_timing))
     return 0
 
 
 def _cmd_jl_check(args):
-    points, _ = pipeline.load_dataset(args.data)
     try:
         ks = [int(v) for v in str(args.k).split(",")]
     except ValueError as exc:
         raise ConfigError(f"k must be integers: {args.k!r}") from exc
-    params = KernelParams(sigma=args.sigma, psd_policy=args.psd_policy)
+    if min(ks) < 1:
+        raise ConfigError(f"k must be at least 1, got {args.k!r}")
+    if not 0.0 < args.epsilon < 1.0:
+        raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon}")
+    params = _from_flags(KernelParams, sigma=args.sigma, psd_policy=args.psd_policy)
+    points, _ = pipeline.load_dataset(args.data)
     # Every width reuses the same pairwise divergences.
     table = DivergenceTable(points)
     records = []
@@ -259,10 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
         "hyperplane embeddings for SPD matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Whole flag names only, so a stale flag such as ``--t`` is rejected
+    # instead of being read as a prefix of ``--train``.
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("extract", help="images to covariance descriptors")
+    p = add_parser("extract", help="images to covariance descriptors")
     p.add_argument("images", nargs="+", help="PGM or PPM files")
-    p.add_argument("--features", choices=sorted(_IMAGE_MODES), default="intensity5")
+    image_modes = [m for m, (kind, _) in FEATURE_MODES.items() if kind != "matrix"]
+    p.add_argument("--features", choices=sorted(image_modes), default="intensity5")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
     p.add_argument("--eps-rel", type=float, default=DEFAULT_EPS_REL)
@@ -272,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("synth", help="generate unlabeled synthetic points")
+    p = add_parser("synth", help="generate unlabeled synthetic points")
     p.add_argument("--data", required=True, help="input dataset manifest")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--count", type=int, required=True)
@@ -281,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tangent_gaussian")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="fit projection model and classifier")
+    p = add_parser("train", help="fit projection model and classifier")
     p.add_argument("--train", required=True, help="training dataset manifest")
     p.add_argument("--out", required=True, help="output model directory")
     p.add_argument("--sigma", type=float, default=0.5)
@@ -289,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0,
                    help="hyperplane count (overrides --k-policy)")
     p.add_argument("--k-policy", choices=sorted(pipeline.K_POLICIES), default="2n")
-    p.add_argument("--t", type=int, default=None, help="exemplars per hyperplane")
     p.add_argument("--exponent-mode", choices=("whitening", "paper_literal"),
                    default="whitening")
     p.add_argument("--synthetic", type=int, default=0, help="synthetic pool budget")
@@ -300,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a trained model on a dataset")
+    p = add_parser("eval", help="score a trained model on a dataset")
     p.add_argument("--model", required=True, help="directory from `train`")
     p.add_argument("--test", required=True, help="test dataset manifest")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("run", help="full experiment protocol")
+    p = add_parser("run", help="full experiment protocol")
     p.add_argument("--data", required=True, help="labeled dataset manifest")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -313,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-timing", action="store_true")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("degrade", help="class-exclusion robustness study")
+    p = add_parser("degrade", help="class-exclusion robustness study")
     p.add_argument("--data", required=True, help="labeled dataset manifest")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -323,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-timing", action="store_true")
     p.set_defaults(func=_cmd_degrade)
 
-    p = sub.add_parser("jl-check", help="embedding distortion report")
+    p = add_parser("jl-check", help="embedding distortion report")
     p.add_argument("--data", required=True, help="dataset manifest")
     p.add_argument("--k", required=True, help="hyperplane count or comma list")
     p.add_argument("--epsilon", type=float, default=0.5)

@@ -35,7 +35,6 @@ from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
 from .stein import (
-    PSEUDO_INVERSE_RTOL,
     DivergenceTable,
     GramMatrix,
     KernelParams,
@@ -227,21 +226,6 @@ def binarize(coords: np.ndarray) -> np.ndarray:
     bits = (np.asarray(coords, dtype=np.float64) >= 0.0).astype(np.uint8)
     bits.setflags(write=False)
     return bits
-
-
-def whitened_distance_sq(gram: GramMatrix, kappa_u, kappa_v) -> float:
-    """Squared kernel-space distance after whitening by the reference pool.
-
-    Whitening the feature map by the pool's (pseudo-inverted) second
-    moment turns the squared distance between two points into
-    ``p * (kappa_u - kappa_v)^T K^{+2} (kappa_u - kappa_v)``.
-    """
-    delta = np.asarray(kappa_u, dtype=np.float64) - np.asarray(kappa_v, dtype=np.float64)
-    vals, vecs = np.linalg.eigh(gram.entries)
-    cutoff = PSEUDO_INVERSE_RTOL * max(float(vals[-1]), 0.0)
-    inverted = np.where(vals > cutoff, 1.0 / np.clip(vals, 1e-300, None), 0.0)
-    rotated = vecs.T @ delta
-    return gram.size * float(np.sum((inverted * rotated) ** 2))
 
 
 def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float:

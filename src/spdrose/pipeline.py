@@ -2,9 +2,10 @@
 
 A dataset manifest lists labeled entries that are either precomputed
 matrix files or images to be expanded into grid covariance descriptors
-at load time.  An experiment config holds the split rule (per-class
-train count, repetitions, seed), hyperparameter candidates, and
-classifier settings; its JSON file mirrors the dataclass field for
+at load time by :func:`image_descriptors`, the function ``spdrose
+extract`` calls too.  An experiment config holds the split rule
+(per-class train count, repetitions, seed), hyperparameter candidates,
+and classifier settings; its JSON file mirrors the dataclass field for
 field.
 
 Each repetition draws a fresh seeded per-class train/test split.  When
@@ -36,10 +37,14 @@ per repetition.  Synthetic points are new in every run: a run extends
 the table with them, so their pairs serve both the Gram matrix and the
 embedding of the training points, and are dropped with the run.
 
-Every stage draws randomness through the chain ``config.seed ->
+Each run fits through :func:`fit_model` (synthesis, hyperplanes,
+embedding of the training points, classifier) and then scores the test
+points.  Every stage draws randomness through the chain ``config.seed ->
 repetition -> stage``, so reports are identical across runs and
-machines once timing fields are stripped.  Accuracy values are
-serialized as exact decimal strings to keep report bytes stable.
+machines once timing fields are stripped.  ``spdrose train`` calls
+:func:`fit_model` with its ``--seed`` as the root of the same stage
+seeds.  Accuracy values are serialized as exact decimal strings to keep
+report bytes stable.
 """
 
 from __future__ import annotations
@@ -55,22 +60,16 @@ import numpy as np
 
 from . import classify
 from .descriptors import (
+    DEFAULT_EPS_REL,
     ColorImage,
     GrayImage,
-    RegionSpec,
     box_downsample,
     color_feature_map,
     gabor_feature_map,
     grid_covariances,
     intensity_feature_map,
-    region_covariance,
 )
-from .embedding import (
-    EXPONENT_MODES,
-    build_projection_model,
-    embed_batch,
-    jl_distortion_report,
-)
+from .embedding import EXPONENT_MODES, build_projection_model, embed_batch
 from .errors import (
     ConfigError,
     DimensionInconsistency,
@@ -225,6 +224,24 @@ def load_manifest(path) -> DatasetManifest:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def image_descriptors(path, feature_mode, grid, downsample, eps_rel=DEFAULT_EPS_REL):
+    """Grid covariance descriptors of one image file, in row-major cell order.
+
+    The image is read as the entry kind of ``feature_mode``, averaged
+    over ``downsample``-sized blocks and mapped to that mode's features.
+    ``grid`` is ``(rows, cols)``; ``None`` is the 1x1 grid, one
+    descriptor of the whole image.
+    """
+    kind, feature_map = FEATURE_MODES[feature_mode]
+    gray = kind == "gray-image"
+    image = read_pgm(path) if gray else read_ppm(path)
+    if downsample > 1:
+        pixels = box_downsample(image.pixels, downsample)
+        image = GrayImage(pixels) if gray else ColorImage(pixels)
+    rows, cols = grid or (1, 1)
+    return grid_covariances(feature_map(image), rows, cols, eps_rel)
+
+
 def load_dataset(manifest_path):
     """Load (points, labels); image entries expand into grid descriptors.
 
@@ -233,31 +250,15 @@ def load_dataset(manifest_path):
     """
     manifest = load_manifest(manifest_path)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    feature_map = FEATURE_MODES[manifest.feature_mode][1]
     points, labels = [], []
     for entry in manifest.entries:
         full = os.path.join(root, entry.path)
         if entry.kind == "matrix":
             descriptors = [read_matrix(full)]
         else:
-            if entry.kind == "gray-image":
-                image = read_pgm(full)
-                if manifest.downsample > 1:
-                    image = GrayImage(box_downsample(image.pixels, manifest.downsample))
-            else:
-                image = read_ppm(full)
-                if manifest.downsample > 1:
-                    image = ColorImage(
-                        box_downsample(image.pixels, manifest.downsample)
-                    )
-            features = feature_map(image)
-            if manifest.grid is None:
-                region = RegionSpec(0, 0, features.width - 1, features.height - 1)
-                descriptors = [region_covariance(features, region)]
-            else:
-                descriptors = grid_covariances(
-                    features, manifest.grid[0], manifest.grid[1]
-                )
+            descriptors = image_descriptors(
+                full, manifest.feature_mode, manifest.grid, manifest.downsample
+            )
         points.extend(descriptors)
         labels.extend([entry.label] * len(descriptors))
     dims = {p.dim for p in points}
@@ -314,15 +315,6 @@ class LabeledSplit:
         object.__setattr__(self, "test_points", tuple(self.test_points))
         object.__setattr__(self, "test_labels", te)
 
-    @classmethod
-    def from_benchmark(cls, benchmark) -> "LabeledSplit":
-        return cls(
-            train_points=benchmark.train_points,
-            train_labels=benchmark.train_labels,
-            test_points=benchmark.test_points,
-            test_labels=benchmark.test_labels,
-        )
-
     @property
     def classes(self) -> tuple:
         return tuple(sorted(set(self.train_labels.tolist())))
@@ -370,7 +362,7 @@ class ExperimentConfig:
             sigmas = tuple(float(s) for s in sigmas)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sigma candidates must be numbers: {sigmas}") from exc
-        if any(s <= 0.0 for s in sigmas):
+        if not all(s > 0.0 for s in sigmas):
             raise ConfigError(f"kernel widths must be positive, got {sigmas}")
         object.__setattr__(self, "sigma", sigmas)
         policies = _normalize_candidates(self.k_policy, "k_policy")
@@ -409,7 +401,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
-        if self.regularization <= 0.0:
+        if not self.regularization > 0.0:
             raise ConfigError(
                 f"regularization must be positive, got {self.regularization}"
             )
@@ -629,6 +621,60 @@ def _stage(rep, name, fn, *args, **kwargs):
         ) from exc
 
 
+def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
+              seed_root, table, rep=0):
+    """Fit a projection model and a classifier on one training set.
+
+    Hyperplanes are built from ``pool`` plus ``synth_count`` synthetic
+    points generated around it (ROSES; ROSE when the count is zero), and
+    the classifier trains on the embedded ``train_points``.  ``table``
+    holds the divergences of the real points.  Synthesis, hyperplanes
+    and classifier each draw from their own stage seed under
+    ``seed_root``; a failing stage raises :class:`StageFailure` for
+    repetition ``rep``.  Returns the model, the classifier and the
+    seconds spent per stage.
+    """
+    seconds = {}
+    started = time.perf_counter()
+    synthetic = []
+    if synth_count > 0:
+        synth_config = SynthesisConfig(
+            count=synth_count,
+            seed=derive_seed(seed_root, _STAGE_SYNTH),
+            direction_mode=config.direction_mode,
+        )
+        synthetic = _stage(rep, "synthesize", generate_synthetic, pool, synth_config)
+    # The synthetic points' pairs serve both the Gram matrix and the
+    # embedding of the training points, then go with this fit.
+    run_table = table.extended(synthetic)
+    seconds["synthesize"] = time.perf_counter() - started
+    started = time.perf_counter()
+    params = KernelParams(sigma=sigma, psd_policy=config.psd_policy)
+    model = _stage(
+        rep, "build", build_projection_model,
+        [*pool, *synthetic], k=k, params=params,
+        exponent_mode=config.exponent_mode,
+        seed=derive_seed(seed_root, _STAGE_EMBED),
+        table=run_table,
+    )
+    seconds["build"] = time.perf_counter() - started
+    started = time.perf_counter()
+    embedded = np.array(
+        _stage(rep, "embed", embed_batch, model, train_points, table=run_table)
+    )
+    seconds["embed"] = time.perf_counter() - started
+    started = time.perf_counter()
+    classifier = _stage(
+        rep, "train", classify.train_ova_svm,
+        embedded, train_labels,
+        regularization=config.regularization,
+        epochs=config.epochs,
+        seed=derive_seed(seed_root, _STAGE_CLASSIFIER),
+    )
+    seconds["train"] = time.perf_counter() - started
+    return model, classifier, seconds
+
+
 def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, table,
                 included_classes=None, with_knn=False) -> RepRecord:
     """One pipeline run; ``table`` holds the repetition's real points."""
@@ -641,50 +687,21 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
         for p, label in zip(split.train_points, split.train_labels)
         if int(label) in included
     ]
-    timings = []
-    started = time.perf_counter()
-    synthetic = []
-    if synth_count > 0:
-        synth_config = SynthesisConfig(
-            count=synth_count,
-            seed=derive_seed(seed_root, _STAGE_SYNTH),
-            direction_mode=config.direction_mode,
-        )
-        synthetic = _stage(rep, "synthesize", generate_synthetic, pool, synth_config)
-        pool.extend(synthetic)
-    # The synthetic points' pairs serve both the Gram matrix and the
-    # embedding of the training points, then go with this run.
-    run_table = table.extended(synthetic)
-    timings.append(("synthesize", time.perf_counter() - started))
-    started = time.perf_counter()
     k = K_POLICIES[k_policy] * len(split.train_points)
-    params = KernelParams(sigma=sigma, psd_policy=config.psd_policy)
-    model = _stage(
-        rep, "build", build_projection_model,
-        pool, k=k, params=params,
-        exponent_mode=config.exponent_mode,
-        seed=derive_seed(seed_root, _STAGE_EMBED),
-        table=run_table,
+    model, classifier, seconds = fit_model(
+        pool, split.train_points, split.train_labels, config, sigma, k, synth_count,
+        seed_root, table, rep,
     )
-    timings.append(("build", time.perf_counter() - started))
+    # Test points pair with synthetic points once each, so the repetition's
+    # table serves them as well as the fit's extension would.
     started = time.perf_counter()
-    train_embedded = np.array(
-        _stage(rep, "embed", embed_batch, model, split.train_points, table=run_table)
-    )
     test_embedded = np.array(
-        _stage(rep, "embed", embed_batch, model, split.test_points, table=run_table)
+        _stage(rep, "embed", embed_batch, model, split.test_points, table=table)
     )
-    timings.append(("embed", time.perf_counter() - started))
+    seconds["embed"] += time.perf_counter() - started
     started = time.perf_counter()
-    classifier = _stage(
-        rep, "train", classify.train_ova_svm,
-        train_embedded, split.train_labels,
-        regularization=config.regularization,
-        epochs=config.epochs,
-        seed=derive_seed(seed_root, _STAGE_CLASSIFIER),
-    )
     predictions = classify.predict(classifier, test_embedded)
-    timings.append(("train", time.perf_counter() - started))
+    seconds["train"] += time.perf_counter() - started
     evaluation = classify.evaluate_accuracy(
         split.test_labels, predictions, class_labels=classes
     )
@@ -715,7 +732,7 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
         class_labels=classes,
         confusion=confusion,
         knn_accuracy=knn_accuracy,
-        stage_seconds=tuple(timings),
+        stage_seconds=tuple(seconds.items()),
     )
 
 
@@ -913,18 +930,3 @@ def degradation_study(
         excluded_class_counts=excluded_class_counts,
         records=tuple(records),
     )
-
-
-def jl_check(points, config: ExperimentConfig, k: int, epsilon: float):
-    """Embedding fidelity report for a point pool at a given width."""
-    params = KernelParams(sigma=config.sigma[0], psd_policy=config.psd_policy)
-    table = DivergenceTable(points)
-    model = build_projection_model(
-        points,
-        k=k,
-        params=params,
-        exponent_mode=config.exponent_mode,
-        seed=derive_seed(config.seed, _STAGE_EMBED),
-        table=table,
-    )
-    return jl_distortion_report(model, points, epsilon, table)

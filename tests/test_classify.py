@@ -7,7 +7,6 @@ from spdrose import (
     DimensionMismatch,
     EmptyData,
     EmptyTrain,
-    LabeledVector,
     ParseError,
     SingleClass,
     SpdMatrix,
@@ -46,8 +45,6 @@ def test_single_class_and_empty_rejected():
         train_ova_svm(np.ones((5, 2)), np.zeros(5, dtype=int))
     with pytest.raises(EmptyData):
         train_ova_svm(np.empty((0, 2)), np.empty(0, dtype=int))
-    with pytest.raises(EmptyData):
-        train_ova_svm([])
 
 
 def test_training_is_deterministic():
@@ -58,26 +55,6 @@ def test_training_is_deterministic():
     assert np.array_equal(a.biases, b.biases)
     c = train_ova_svm(coords, labels, seed=8)
     assert not np.array_equal(a.weights, c.weights)
-
-
-def test_labeled_vector_input_matches_arrays():
-    coords, labels = toy_problem(spread=0.1)
-    data = [LabeledVector(c, l) for c, l in zip(coords, labels)]
-    a = train_ova_svm(data, seed=3)
-    b = train_ova_svm(coords, labels, seed=3)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.biases, b.biases)
-
-
-def test_labeled_vector_validation():
-    with pytest.raises(ValueError):
-        LabeledVector(np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError):
-        LabeledVector(np.array([np.nan]), 0)
-    v = LabeledVector([1.0, 2.0], np.int64(3))
-    assert v.label == 3
-    with pytest.raises(ValueError):
-        v.coords[0] = 5.0
 
 
 def test_zero_variance_column_is_handled():

@@ -9,7 +9,22 @@ import json
 import numpy as np
 import pytest
 
-from spdrose import load_dataset, make_benchmark, save_dataset, write_pgm, write_ppm
+import spdrose.pipeline
+from spdrose import (
+    DatasetManifest,
+    DivergenceTable,
+    ExperimentConfig,
+    ManifestEntry,
+    fit_model,
+    load_dataset,
+    make_benchmark,
+    save_classifier,
+    save_dataset,
+    save_manifest,
+    save_projection_model,
+    write_pgm,
+    write_ppm,
+)
 from spdrose.cli import main
 
 from conftest import random_spd
@@ -100,6 +115,56 @@ def test_extract_label_count_mismatch_exits_2(tmp_path, capsys):
     assert "1 image(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "features, kind, writer, shape",
+    [
+        ("intensity5", "gray-image", write_pgm, (13, 11)),
+        ("color11", "color-image", write_ppm, (13, 11, 3)),
+    ],
+)
+def test_extract_matches_image_manifest(
+    tmp_path, capsys, monkeypatch, features, kind, writer, shape
+):
+    rng = np.random.default_rng(6)
+    names = [f"{i}.{'pgm' if kind == 'gray-image' else 'ppm'}" for i in range(2)]
+    for name in names:
+        writer(tmp_path / name, rng.uniform(size=shape))
+    save_manifest(
+        tmp_path / "manifest.json",
+        DatasetManifest(
+            entries=(ManifestEntry(names[0], 0, kind), ManifestEntry(names[1], 1, kind)),
+            feature_mode=features,
+            grid=(2, 2),
+            downsample=2,
+        ),
+    )
+    # Both paths look the feature map up in the pipeline's table per image.
+    feature_map = spdrose.pipeline.FEATURE_MODES[features][1]
+    images = []
+
+    def counting(image):
+        images.append(image)
+        return feature_map(image)
+
+    monkeypatch.setitem(spdrose.pipeline.FEATURE_MODES, features, (kind, counting))
+    expected, expected_labels = load_dataset(tmp_path / "manifest.json")
+    code = main(
+        [
+            "extract", *(str(tmp_path / name) for name in names),
+            "--features", features,
+            "--rows", "2", "--cols", "2", "--downsample", "2",
+            "--labels", "0,1",
+            "--out", str(tmp_path / "data"),
+        ]
+    )
+    assert code == 0
+    assert len(images) == 4
+    points, labels = load_dataset(tmp_path / "data" / "manifest.json")
+    assert len(points) == 8
+    assert [p.array.tobytes() for p in points] == [p.array.tobytes() for p in expected]
+    assert labels.tolist() == expected_labels.tolist()
+
+
 def test_synth_writes_unlabeled_points(tmp_path, capsys):
     rng = np.random.default_rng(11)
     manifest = save_dataset(
@@ -159,6 +224,64 @@ def test_train_with_synthetic_pool(tmp_path, capsys):
     )
     assert code == 0
     assert "pool 20" in capsys.readouterr().out
+
+
+def test_train_is_fit_model_with_seed_root(tmp_path, capsys):
+    manifest = save_benchmark_dataset(tmp_path, "train", per_class=8)
+    code = main(
+        [
+            "train", "--train", str(manifest),
+            "--out", str(tmp_path / "model"),
+            "--synthetic", "4", "--k", "32", "--epochs", "30", "--seed", "7",
+        ]
+    )
+    assert code == 0
+    points, labels = load_dataset(manifest)
+    config = ExperimentConfig(synthetic=4, epochs=30)
+    model, classifier, _ = fit_model(
+        points, points, labels, config, 0.5, 32, 4, 7, DivergenceTable(points)
+    )
+    save_projection_model(tmp_path / "model.json", model)
+    save_classifier(tmp_path / "classifier.json", classifier)
+    for name in ("model.json", "classifier.json"):
+        written = (tmp_path / "model" / name).read_bytes()
+        assert written == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "train --sigma -1",
+        "train --sigma nan",
+        "train --epochs 0",
+        "train --k -3",
+        "train --t 0",
+        "train --regularization 0",
+        "jl-check --epsilon 2",
+        "jl-check --sigma 0",
+        "jl-check --k 0",
+        "synth --count -2",
+        "extract --rows 0",
+    ],
+)
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
+    command, *flags = argv.split()
+    manifest = str(save_benchmark_dataset(tmp_path, "data"))
+    image = tmp_path / "a.pgm"
+    write_pgm(image, np.random.default_rng(1).uniform(size=(8, 8)))
+    out = str(tmp_path / "out")
+    required = {
+        "train": ["--train", manifest, "--out", out],
+        "jl-check": ["--data", manifest, "--k", "8"],
+        "synth": ["--data", manifest, "--out", out, "--count", "3"],
+        "extract": [str(image), "--out", out],
+    }
+    try:
+        code = main([command, *required[command], *flags])
+    except SystemExit as exc:  # argparse rejects an unknown flag itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_writes_report(tmp_path, capsys):

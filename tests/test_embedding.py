@@ -21,14 +21,12 @@ from spdrose import (
     embed,
     embed_batch,
     expected_distance_sq,
-    gram_matrix,
     jl_distortion_report,
     kernel_vector,
     load_projection_model,
     project_kernel_vector,
     save_projection_model,
     stein_kernel_value,
-    whitened_distance_sq,
 )
 
 from conftest import random_spd, two_cluster_pool
@@ -183,24 +181,6 @@ def test_expected_distance_zero_cases(rng):
     assert expected_distance_sq(model, u, u) == 0.0
 
 
-def test_whitened_distance_full_rank_formula(rng):
-    pool = small_pool(rng, count=7)
-    gram = gram_matrix(pool, KernelParams(0.5))
-    u = rng.uniform(0.2, 1.0, 7)
-    v = rng.uniform(0.2, 1.0, 7)
-    inv = np.linalg.inv(gram.entries)
-    expected = 7 * float((u - v) @ inv @ inv @ (u - v))
-    assert whitened_distance_sq(gram, u, v) == pytest.approx(expected, rel=1e-8)
-
-
-def test_whitened_distance_singular_gram_is_finite(rng):
-    pool = small_pool(rng, count=5)
-    gram = gram_matrix(pool + [pool[0]], KernelParams(0.5))
-    value = whitened_distance_sq(gram, np.ones(6), np.arange(6.0))
-    assert np.isfinite(value)
-    assert value >= 0.0
-
-
 def test_median_deviation_shrinks_with_k():
     # 20 reference points in two clusters; the scaled squared embedding
     # gap must approach its expectation as hyperplanes accumulate.
@@ -244,6 +224,9 @@ def test_distortion_report_degenerate_cloud(rng):
     report = jl_distortion_report(model, [x, x, x], 0.3)
     assert report.pair_count == 3
     assert report.fraction_within == 1.0
+    # A model built on the degenerate cloud itself has a rank-one Gram.
+    model = build_projection_model([x] * 6, 16, KernelParams(0.5))
+    assert jl_distortion_report(model, [x] * 6, 0.3).fraction_within == 1.0
 
 
 def test_distortion_report_epsilon_validation(rng):

@@ -26,7 +26,6 @@ from spdrose import (
     config_from_mapping,
     degradation_study,
     intensity_feature_map,
-    jl_check,
     load_config,
     load_dataset,
     load_manifest,
@@ -41,6 +40,7 @@ from spdrose import (
     write_matrix,
     write_pgm,
 )
+from spdrose.cli import main
 
 from conftest import random_spd
 
@@ -502,11 +502,16 @@ def test_degradation_exclusion_bounds():
         )
 
 
-def test_jl_check_smoke(rng):
+def test_jl_check_smoke(rng, tmp_path, capsys):
     points = [random_spd(rng, 3) for _ in range(10)]
-    report = jl_check(points, quick_config(), k=32, epsilon=0.49)
-    assert report.k == 32
-    assert report.pair_count == 45
+    manifest = save_dataset(tmp_path / "pool", points, [0] * len(points))
+    argv = ["jl-check", "--data", str(manifest), "--k", "32", "--epsilon", "0.49"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["k"] == 32
+    assert report["pair_count"] == 45
     x = random_spd(rng, 3)
-    degenerate = jl_check([x] * 6, quick_config(), k=16, epsilon=0.3)
-    assert degenerate.fraction_within == 1.0
+    manifest = save_dataset(tmp_path / "degenerate", [x] * 6, [0] * 6)
+    argv = ["jl-check", "--data", str(manifest), "--k", "16", "--epsilon", "0.3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["fraction_within"] == 1.0
