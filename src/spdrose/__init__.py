@@ -107,6 +107,7 @@ from .io import (
 )
 from .classify import (
     EvalResult,
+    SolverRecord,
     TrainedClassifier,
     decision_scores,
     evaluate_accuracy,

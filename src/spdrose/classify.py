@@ -1,37 +1,59 @@
 """Classification of embedded SPD descriptors.
 
-The main classifier is a one-vs-all linear SVM trained with the Pegasos
-subgradient method on z-scored feature vectors; the returned model uses
-the averaged iterate, which converges far more smoothly than the last
-one.  A nearest-neighbor voter over the symmetrized log-det divergence
-is provided as a kernel-space baseline.
-
-All training randomness comes from counter-based generators keyed by
-``(seed, class_index)``, so per-class runs are order independent and
-reproducible.
+The main classifier is a one-vs-all linear SVM on z-scored features.
+Each class's hyperplane minimises the squared-hinge objective
+``lam/2 |w|^2 + mean_i max(0, 1 - y_i (w . z_i + b))^2`` (bias not
+regularized) by the primal Newton method of Chapelle, "Training a
+support vector machine in the primal" (2007), in its Newton-CG form:
+each step solves the Newton system of the active set (margin below 1)
+by conjugate gradients, then moves to the exact minimiser along the
+step.  It stops once the gradient norm falls to ``GRADIENT_RTOL`` times
+its value at zero, and raises :class:`~spdrose.errors.NonConvergence`
+after ``MAX_NEWTON_STEPS`` steps.  Training draws no random numbers and
+uses only matrix-vector products, whose bits do not depend on the BLAS
+thread count.  A nearest-neighbor voter over the symmetrized log-det
+divergence is the kernel-space baseline.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, EmptyTrain, ParseError, SingleClass
-from .seeding import keyed_generator
+from .errors import DimensionMismatch, EmptyData, EmptyTrain, NonConvergence
+from .errors import ParseError, SingleClass
+from .io import read_container
 from .stein import DivergenceTable, divergence_matrix
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
-CLASSIFIER_FORMAT_VERSION = 1
+CLASSIFIER_FORMAT_VERSION = 2
+# The fields a classifier file holds besides its format and version.
+_SAVED = ("classes", "weights", "biases", "feature_mean", "feature_scale",
+          "regularization")
 
 DEFAULT_LAMBDA = 1e-3
-DEFAULT_EPOCHS = 200
+GRADIENT_RTOL = 1e-8
+MAX_NEWTON_STEPS = 50
+# Conjugate gradients stop at this fraction of the gradient norm.
+_CG_RTOL = 0.01
+
+
+class SolverRecord(NamedTuple):
+    """How one class's solve ended; the gradient ratio is relative to zero."""
+
+    newton_steps: int
+    cg_steps: int
+    gradient_ratio: float
+    objective: float
 
 
 @dataclass(frozen=True, eq=False)
 class TrainedClassifier:
-    """Linear one-vs-all model with its standardization statistics."""
+    """Linear one-vs-all model, its standardization statistics and, after
+    training, each class's :class:`SolverRecord` (not saved)."""
 
     classes: tuple
     weights: np.ndarray
@@ -39,9 +61,7 @@ class TrainedClassifier:
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     regularization: float
-    epochs: int
-    seed: int
-    objective_history: tuple = None
+    convergence: tuple = ()
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -61,10 +81,6 @@ class TrainedClassifier:
         object.__setattr__(self, "biases", b)
         object.__setattr__(self, "feature_mean", mu)
         object.__setattr__(self, "feature_scale", sc)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
 
     @property
     def n_features(self) -> int:
@@ -87,57 +103,85 @@ def _check_features(features, labels=None):
     return x, y.astype(np.int64)
 
 
-def _standardize_stats(x):
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return mean, scale
+def _step_length(gap, along, slope, curvature, n):
+    """Exact minimiser ``t > 0`` of the objective along a descent step.
+
+    With ``gap`` = 1 - margin and ``along`` its rate of change, the
+    derivative ``slope + t curvature - (2/n) sum along_i max(0, gap_i -
+    t along_i)`` is nondecreasing and linear between the kinks where
+    points join or leave the active set; walk them to its root.
+    """
+    c = 2.0 / n
+    active = (gap > 0.0) | ((gap == 0.0) & (along < 0.0))
+    ahead = np.flatnonzero(gap * along > 0.0)
+    ahead = ahead[np.argsort(gap[ahead] / along[ahead], kind="stable")]
+    kinks = gap[ahead] / along[ahead]
+    joins = np.where(gap[ahead] > 0.0, -c, c)  # active points leave
+    # On segment j (after j kinks) the derivative is intercept[j] + t * rate[j].
+    d_intercept = np.cumsum(joins * along[ahead] * gap[ahead])
+    d_rate = np.cumsum(joins * along[ahead] ** 2)
+    intercept = slope - c * along[active] @ gap[active] - np.append(0.0, d_intercept)
+    rate = curvature + c * along[active] @ along[active] + np.append(0.0, d_rate)
+    j = np.argmax(np.append(intercept[:-1] + rate[:-1] * kinks >= 0.0, True))
+    return -intercept[j] / rate[j]
 
 
-def _pegasos_binary(x, targets, lam, epochs, rng, record):
+def _newton_binary(x, y, lam):
+    """Solve one class's objective; ``x`` ends in a column of ones for b.
+
+    Returns ``(w, b)`` as one vector, and the solve's record.
+    """
     n, dim = x.shape
-    w = np.zeros(dim)
-    b = 0.0
-    w_sum = np.zeros(dim)
-    b_sum = 0.0
-    history = []
-    step = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            step += 1
-            eta = 1.0 / (lam * step)
-            margin = targets[i] * (float(w @ x[i]) + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += (eta * targets[i]) * x[i]
-                b += eta * targets[i]
-            w_sum += w
-            b_sum += b
-        if record:
-            wa = w_sum / step
-            ba = b_sum / step
-            hinge = np.maximum(0.0, 1.0 - targets * (x @ wa + ba))
-            history.append(
-                0.5 * lam * float(wa @ wa) + float(hinge.mean())
+    penalty = np.append(np.full(dim - 1, lam), 0.0)
+    theta, gap, cg_steps = np.zeros(dim), np.ones(n), 0
+    for steps in range(MAX_NEWTON_STEPS + 1):
+        xa = x[gap > 0.0]
+        grad = penalty * theta - (2.0 / n) * (xa.T @ (y * gap)[gap > 0.0])
+        norm = float(np.sqrt(grad @ grad))
+        initial = norm if steps == 0 else initial
+        if norm <= GRADIENT_RTOL * initial:
+            break
+        if steps == MAX_NEWTON_STEPS:
+            raise NonConvergence(
+                f"gradient ratio {norm / initial:.3e} after {steps} Newton steps "
+                f"(tol {GRADIENT_RTOL:.0e})",
+                iterate=theta, residual=norm / initial, iterations=steps,
             )
-    return w_sum / step, b_sum / step, history
+        # Conjugate gradients on H s = -grad, H d = penalty d + (2/n) xa'xa d.
+        s, r = np.zeros(dim), -grad
+        p, rr = r.copy(), r @ r
+        for _ in range(dim):
+            hp = penalty * p + (2.0 / n) * (xa.T @ (xa @ p))
+            alpha = rr / (p @ hp)
+            s, r = s + alpha * p, r - alpha * hp
+            rr, rr_prev = r @ r, rr
+            cg_steps += 1
+            if rr <= (_CG_RTOL * norm) ** 2:
+                break
+            p = r + (rr / rr_prev) * p
+        t = _step_length(gap, y * (x @ s), (penalty * theta) @ s, (penalty * s) @ s, n)
+        theta = theta + t * s
+        gap = 1.0 - y * (x @ theta)
+    hinge = np.maximum(gap, 0.0)
+    objective = float(0.5 * (penalty * theta) @ theta + hinge @ hinge / n)
+    ratio = norm / initial if initial else 0.0
+    return theta, SolverRecord(steps, cg_steps, ratio, objective)
 
 
 def train_ova_svm(
     features,
     labels,
     regularization: float = DEFAULT_LAMBDA,
-    epochs: int = DEFAULT_EPOCHS,
-    seed: int = 0,
-    record_objective: bool = False,
 ) -> TrainedClassifier:
-    """Train one averaged-Pegasos hyperplane per class.
+    """Train one squared-hinge SVM hyperplane per class, one vs. all.
 
     ``features`` is an (n, k) array with one entry of ``labels`` per
-    row.  Features are z-scored first (zero-variance columns keep scale 1).  The bias term
-    is unregularized.  With ``record_objective`` each class keeps its
-    regularized hinge objective, evaluated on the averaged iterate
-    after every epoch.
+    row.  Features are z-scored first (zero-variance columns keep scale
+    1).  Each class minimises ``regularization/2 |w|^2 + mean_i max(0,
+    1 - y_i (w . z_i + b))^2`` by Newton-CG until the gradient norm is
+    at most ``GRADIENT_RTOL`` times its value at zero, and raises
+    :class:`NonConvergence` if ``MAX_NEWTON_STEPS`` steps do not get
+    there.  The result keeps each class's :class:`SolverRecord`.
     """
     x, y = _check_features(features, labels)
     if x.shape[0] == 0:
@@ -145,34 +189,23 @@ def train_ova_svm(
     classes = tuple(sorted(int(c) for c in set(y.tolist())))
     if len(classes) < 2:
         raise SingleClass(f"training set holds only class {classes}")
-    if regularization <= 0.0:
+    if not regularization > 0.0:
         raise ValueError(f"regularization must be positive, got {regularization}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
-    mean, scale = _standardize_stats(x)
-    z = (x - mean) / scale
-    weights = np.zeros((len(classes), x.shape[1]))
-    biases = np.zeros(len(classes))
-    histories = []
-    for ci, cls in enumerate(classes):
-        targets = np.where(y == cls, 1.0, -1.0)
-        rng = keyed_generator(seed, ci)
-        w, b, history = _pegasos_binary(
-            z, targets, regularization, epochs, rng, record_objective
-        )
-        weights[ci] = w
-        biases[ci] = b
-        histories.append(tuple(history))
+    mean, scale = x.mean(axis=0), x.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])
+    solved = [
+        _newton_binary(design, np.where(y == c, 1.0, -1.0), regularization)
+        for c in classes
+    ]
     return TrainedClassifier(
         classes=classes,
-        weights=weights,
-        biases=biases,
+        weights=np.array([theta[:-1] for theta, _ in solved]),
+        biases=np.array([theta[-1] for theta, _ in solved]),
         feature_mean=mean,
         feature_scale=scale,
         regularization=regularization,
-        epochs=epochs,
-        seed=seed,
-        objective_history=tuple(histories) if record_objective else None,
+        convergence=tuple(record for _, record in solved),
     )
 
 
@@ -288,45 +321,18 @@ def evaluate_accuracy(true_labels, predicted_labels, class_labels=None) -> EvalR
 
 def save_classifier(path, model: TrainedClassifier) -> None:
     """Write the model as JSON; float round trips are bit exact."""
-    payload = {
-        "format": CLASSIFIER_FORMAT,
-        "version": CLASSIFIER_FORMAT_VERSION,
-        "classes": list(model.classes),
-        "weights": [[float(v) for v in row] for row in model.weights],
-        "biases": [float(v) for v in model.biases],
-        "feature_mean": [float(v) for v in model.feature_mean],
-        "feature_scale": [float(v) for v in model.feature_scale],
-        "regularization": model.regularization,
-        "epochs": model.epochs,
-        "seed": model.seed,
-    }
+    payload = {name: np.asarray(getattr(model, name)).tolist() for name in _SAVED}
+    payload.update(format=CLASSIFIER_FORMAT, version=CLASSIFIER_FORMAT_VERSION)
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_classifier(path) -> TrainedClassifier:
+    payload = read_container(path, CLASSIFIER_FORMAT, CLASSIFIER_FORMAT_VERSION)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if payload.get("format") != CLASSIFIER_FORMAT:
-        raise ParseError(f"{path}: not a classifier file")
-    if payload.get("version") != CLASSIFIER_FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported version {payload.get('version')}"
-        )
-    try:
-        return TrainedClassifier(
-            classes=tuple(payload["classes"]),
-            weights=np.array(payload["weights"], dtype=np.float64),
-            biases=np.array(payload["biases"], dtype=np.float64),
-            feature_mean=np.array(payload["feature_mean"], dtype=np.float64),
-            feature_scale=np.array(payload["feature_scale"], dtype=np.float64),
-            regularization=float(payload["regularization"]),
-            epochs=int(payload["epochs"]),
-            seed=int(payload["seed"]),
-        )
+        fields = {name: payload[name] for name in _SAVED}
+        fields["regularization"] = float(fields["regularization"])
+        return TrainedClassifier(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed classifier payload") from exc

@@ -110,7 +110,6 @@ def _cmd_train(args):
         psd_policy=args.psd_policy,
         direction_mode=args.direction_mode,
         regularization=args.regularization,
-        epochs=args.epochs,
     )
     if args.k < 0:
         raise ConfigError(f"k must be nonnegative, got {args.k}")
@@ -282,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction-mode", choices=DIRECTION_MODES,
                    default="tangent_gaussian")
     p.add_argument("--regularization", type=float, default=classify.DEFAULT_LAMBDA)
-    p.add_argument("--epochs", type=int, default=classify.DEFAULT_EPOCHS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
+from .io import read_container
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
 from .stein import (
@@ -329,17 +330,9 @@ def load_projection_model(path) -> ProjectionModel:
     after a load are bit-identical to the original model's.  The Gram
     matrix is not needed to embed and is recomputed only on first use.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read projection model ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ParseError(f"{path}: not a projection model container")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported format_version {payload.get('format_version')!r}"
-        )
+    payload = read_container(
+        path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
+    )
     try:
         params = KernelParams(payload["sigma"], payload["psd_policy"])
         refs = tuple(SpdMatrix(np.array(m, dtype=np.float64)) for m in payload["reference_points"])

@@ -1,4 +1,4 @@
-"""File formats: SPD matrix text files and binary PGM/PPM images.
+"""File formats: SPD matrix text files, binary PGM/PPM images and JSON.
 
 A matrix file holds one SPD matrix: the first line is the dimension
 ``d`` and each of the next ``d`` lines holds ``d`` whitespace-separated
@@ -6,17 +6,41 @@ floats.  Values are written with ``repr`` so a write/read round trip is
 bit exact.
 
 Images are binary netpbm: P5 (grayscale) and P6 (RGB), maxval 255 only.
-Pixel bytes are normalized to [0, 1] by dividing by 255.  All parse
-failures raise :class:`ParseError` naming the offending path.
+Pixel bytes are normalized to [0, 1] by dividing by 255.  JSON
+containers name their format and version and may not hold ``NaN`` or
+``Infinity``.  All parse failures raise :class:`ParseError` naming the
+offending path.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 from .descriptors import ColorImage, GrayImage
 from .errors import ParseError
 from .manifold import SpdMatrix, validate_spd
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+def read_container(path, fmt, version, version_key="version"):
+    """Payload of a JSON container file after checking its format and version."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ParseError(f"{path}: not a {fmt} file")
+    if payload.get(version_key) != version:
+        raise ParseError(
+            f"{path}: unsupported {version_key} {payload.get(version_key)!r}"
+        )
+    return payload
 
 
 def write_matrix(path, matrix: SpdMatrix) -> None:

@@ -2,8 +2,8 @@
 
 Counter-based generators (Philox) keyed by explicit integers make every
 random draw in the package replayable: the same master seed always
-produces the same splits, hyperplanes, synthetic points and classifier
-shuffles, independent of evaluation order.
+produces the same splits, hyperplanes and synthetic points, independent
+of evaluation order.
 """
 
 from __future__ import annotations

@@ -1,12 +1,20 @@
 """Unit tests for the linear one-vs-all SVM and the divergence baseline."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import spdrose
+import spdrose.classify
 from spdrose import (
     DimensionMismatch,
     EmptyData,
     EmptyTrain,
+    NonConvergence,
     ParseError,
     SingleClass,
     SpdMatrix,
@@ -34,7 +42,7 @@ def toy_problem(spread=0.0, seed=0):
 
 def test_toy_problem_separates():
     coords, labels = toy_problem()
-    model = train_ova_svm(coords, labels, epochs=100, seed=0)
+    model = train_ova_svm(coords, labels)
     assert np.array_equal(predict(model, coords), labels)
     assert predict(model, coords[0]) == 0
     assert predict(model, coords[-1]) == 1
@@ -49,18 +57,87 @@ def test_single_class_and_empty_rejected():
 
 def test_training_is_deterministic():
     coords, labels = toy_problem(spread=0.2)
-    a = train_ova_svm(coords, labels, seed=7)
-    b = train_ova_svm(coords, labels, seed=7)
+    a = train_ova_svm(coords, labels)
+    b = train_ova_svm(coords, labels)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.biases, b.biases)
-    c = train_ova_svm(coords, labels, seed=8)
-    assert not np.array_equal(a.weights, c.weights)
+
+
+# Trains on a 48 x 96 problem, the shape of 48 descriptors embedded with
+# k = 2n hyperplanes, and writes the saved classifier file.
+_THREADED_TRAINING = """
+import sys
+import numpy as np
+from spdrose import save_classifier, train_ova_svm
+rng = np.random.default_rng(5)
+labels = np.repeat(np.arange(4), 12)
+coords = rng.normal(size=(48, 96)) + 0.8 * rng.normal(size=(4, 96))[labels]
+save_classifier(sys.argv[1], train_ova_svm(coords, labels))
+"""
+
+
+def test_training_is_identical_across_blas_thread_counts(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spdrose.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run(
+            [sys.executable, "-c", _THREADED_TRAINING, str(out)],
+            env=env, check=True, timeout=120,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def squared_hinge_gradient(z, targets, w, b, lam):
+    """Gradient of lam/2 |w|^2 + mean max(0, 1 - y (w.z + b))^2 in (w, b)."""
+    gap = np.maximum(0.0, 1.0 - targets * (z @ w + b))
+    scaled = (2.0 / len(targets)) * targets * gap
+    return np.append(lam * w - z.T @ scaled, -scaled.sum()), gap
+
+
+@pytest.mark.parametrize("spread", [0.2, 1.5])
+def test_solution_meets_gradient_tolerance(spread):
+    rng = np.random.default_rng(3)
+    labels = np.repeat(np.arange(3), 10)
+    coords = rng.normal(scale=spread, size=(30, 5)) + 2.0 * np.eye(3, 5)[labels]
+    model = train_ova_svm(coords, labels)
+    z = (coords - model.feature_mean) / model.feature_scale
+    lam = model.regularization
+    assert len(model.convergence) == 3
+    for ci, cls in enumerate(model.classes):
+        targets = np.where(labels == cls, 1.0, -1.0)
+        grad, gap = squared_hinge_gradient(
+            z, targets, model.weights[ci], model.biases[ci], lam
+        )
+        start, _ = squared_hinge_gradient(z, targets, np.zeros(5), 0.0, lam)
+        ratio = np.linalg.norm(grad) / np.linalg.norm(start)
+        assert ratio <= spdrose.classify.GRADIENT_RTOL
+        record = model.convergence[ci]
+        assert record.gradient_ratio <= spdrose.classify.GRADIENT_RTOL
+        assert 1 <= record.newton_steps <= spdrose.classify.MAX_NEWTON_STEPS
+        assert record.cg_steps >= record.newton_steps
+        objective = 0.5 * lam * model.weights[ci] @ model.weights[ci] + np.mean(gap**2)
+        assert record.objective == pytest.approx(objective, rel=1e-12)
+
+
+def test_newton_step_cap_raises_nonconvergence(monkeypatch):
+    coords, labels = toy_problem(spread=0.25, seed=2)
+    monkeypatch.setattr(spdrose.classify, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(NonConvergence) as info:
+        train_ova_svm(coords, labels)
+    assert info.value.iterations == 1
+    assert info.value.residual > spdrose.classify.GRADIENT_RTOL
 
 
 def test_zero_variance_column_is_handled():
     coords = np.array([[-1.0, 5.0], [-1.1, 5.0], [1.0, 5.0], [1.2, 5.0]])
     labels = np.array([0, 0, 1, 1])
-    model = train_ova_svm(coords, labels, epochs=50)
+    model = train_ova_svm(coords, labels)
     assert model.feature_scale[1] == 1.0
     assert np.array_equal(predict(model, coords), labels)
 
@@ -85,8 +162,6 @@ def test_zero_weights_predict_class_zero_by_tie_rule():
         feature_mean=np.zeros(2),
         feature_scale=np.ones(2),
         regularization=1e-3,
-        epochs=1,
-        seed=0,
     )
     assert predict(model, np.array([0.4, -0.7])) == 0
     assert np.array_equal(predict(model, np.ones((4, 2))), np.zeros(4))
@@ -110,24 +185,13 @@ def test_prediction_invariant_to_feature_rescaling():
     )
     labels = np.array([0] * 12 + [1] * 12)
     queries = rng.normal(0.0, 2.0, (30, 3))
-    model = train_ova_svm(coords, labels, seed=5)
+    model = train_ova_svm(coords, labels)
     scale = np.array([3.5, 0.2, 11.0])
     shift = np.array([-4.0, 0.7, 2.5])
-    rescaled_model = train_ova_svm(coords * scale + shift, labels, seed=5)
+    rescaled_model = train_ova_svm(coords * scale + shift, labels)
     assert np.array_equal(
         predict(model, queries), predict(rescaled_model, queries * scale + shift)
     )
-
-
-def test_objective_history_non_increasing():
-    coords, labels = toy_problem(spread=0.25, seed=2)
-    model = train_ova_svm(coords, labels, epochs=60, record_objective=True)
-    assert len(model.objective_history) == 2
-    for history in model.objective_history:
-        assert len(history) == 60
-        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-    silent = train_ova_svm(coords, labels, epochs=5)
-    assert silent.objective_history is None
 
 
 def test_knn_recovers_training_point(rng):
@@ -208,7 +272,7 @@ def test_classifier_round_trip_preserves_predictions(tmp_path):
     rng = np.random.default_rng(9)
     coords = np.vstack([rng.normal(-1, 0.4, (8, 4)), rng.normal(1, 0.4, (8, 4))])
     labels = np.array([0] * 8 + [1] * 8)
-    model = train_ova_svm(coords, labels, seed=2)
+    model = train_ova_svm(coords, labels)
     path = tmp_path / "clf.json"
     save_classifier(path, model)
     loaded = load_classifier(path)
@@ -231,8 +295,6 @@ def test_classifier_load_rejects_corruption(tmp_path):
     with pytest.raises(ParseError):
         load_classifier(bad)
 
-    import json
-
     payload = json.loads(path.read_text())
     payload["format"] = "other"
     bad.write_text(json.dumps(payload))
@@ -250,3 +312,34 @@ def test_classifier_load_rejects_corruption(tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
         load_classifier(bad)
+
+
+def saved_classifier(tmp_path):
+    coords, labels = toy_problem(spread=0.2)
+    path = tmp_path / "clf.json"
+    save_classifier(path, train_ova_svm(coords, labels))
+    return path
+
+
+def test_classifier_load_rejects_version_1(tmp_path):
+    path = saved_classifier(tmp_path)
+    payload = json.loads(path.read_text())
+    payload.update(version=1, epochs=200, seed=0)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_classifier(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", np.nan), ("biases", np.inf), ("feature_mean", -np.inf)],
+)
+def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
+    path = saved_classifier(tmp_path)
+    payload = json.loads(path.read_text())
+    row = payload[field][0] if field == "weights" else payload[field]
+    row[0] = value
+    # json writes these values as the bare tokens NaN, Infinity, -Infinity.
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_classifier(path)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import spdrose.classify
 import spdrose.pipeline
 from spdrose import (
     DatasetManifest,
@@ -40,7 +41,7 @@ def save_benchmark_dataset(tmp_path, name, n_classes=2, per_class=12, seed=0):
 
 
 def write_config(tmp_path, **overrides):
-    payload = dict(reps=2, train_per_class=8, epochs=25, seed=3)
+    payload = dict(reps=2, train_per_class=8, seed=3)
     payload.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -196,7 +197,7 @@ def test_train_eval_round_trip(tmp_path, capsys):
         [
             "train", "--train", str(train_manifest),
             "--out", str(tmp_path / "model"),
-            "--k", "48", "--epochs", "60", "--seed", "5",
+            "--k", "48", "--seed", "5",
         ]
     )
     assert code == 0
@@ -219,7 +220,7 @@ def test_train_with_synthetic_pool(tmp_path, capsys):
         [
             "train", "--train", str(manifest),
             "--out", str(tmp_path / "model"),
-            "--synthetic", "4", "--k", "32", "--epochs", "30",
+            "--synthetic", "4", "--k", "32",
         ]
     )
     assert code == 0
@@ -232,12 +233,12 @@ def test_train_is_fit_model_with_seed_root(tmp_path, capsys):
         [
             "train", "--train", str(manifest),
             "--out", str(tmp_path / "model"),
-            "--synthetic", "4", "--k", "32", "--epochs", "30", "--seed", "7",
+            "--synthetic", "4", "--k", "32", "--seed", "7",
         ]
     )
     assert code == 0
     points, labels = load_dataset(manifest)
-    config = ExperimentConfig(synthetic=4, epochs=30)
+    config = ExperimentConfig(synthetic=4)
     model, classifier, _ = fit_model(
         points, points, labels, config, 0.5, 32, 4, 7, DivergenceTable(points)
     )
@@ -246,6 +247,39 @@ def test_train_is_fit_model_with_seed_root(tmp_path, capsys):
     for name in ("model.json", "classifier.json"):
         written = (tmp_path / "model" / name).read_bytes()
         assert written == (tmp_path / name).read_bytes()
+
+
+def test_train_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
+    manifest = save_benchmark_dataset(tmp_path, "train")
+    monkeypatch.setattr(spdrose.classify, "MAX_NEWTON_STEPS", 1)
+    code = main(
+        ["train", "--train", str(manifest), "--out", str(tmp_path / "model")]
+    )
+    assert code == 3
+    assert "stage train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["classifier.json", "model.json"])
+def test_eval_non_finite_model_file_exits_3(tmp_path, capsys, field):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / field
+    payload = json.loads(path.read_text())
+    payload["weights"][0][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+def test_run_config_with_epochs_exits_2(tmp_path, capsys):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = write_config(tmp_path, epochs=200)
+    code = main(["run", "--data", str(manifest), "--config", str(config)])
+    assert code == 2
+    assert "epochs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -357,7 +391,7 @@ def test_run_nan_matrix_exits_3(tmp_path, capsys):
 
 def test_degrade_report(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
-    config = write_config(tmp_path, reps=1, epochs=20)
+    config = write_config(tmp_path, reps=1)
     out = tmp_path / "degradation.json"
     code = main(
         [

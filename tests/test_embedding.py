@@ -296,6 +296,19 @@ def test_model_load_rejects_corruption(rng, tmp_path):
         load_projection_model(other)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_load_rejects_non_finite_numbers(rng, tmp_path, value):
+    model = build_projection_model(small_pool(rng), 3, KernelParams(0.5))
+    path = tmp_path / "model.json"
+    save_projection_model(path, model)
+    payload = json.loads(path.read_text())
+    payload["weights"][0][0] = value
+    # json writes these values as the bare tokens NaN and Infinity.
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError):
+        load_projection_model(path)
+
+
 def test_gram_assembly_kernel_call_count(rng, monkeypatch):
     # Upper-triangle assembly: exactly p * (p - 1) / 2 divergences.
     calls = {"n": 0}

@@ -46,7 +46,7 @@ from conftest import random_spd
 
 
 def quick_config(**overrides):
-    base = dict(reps=1, train_per_class=8, epochs=25, seed=3)
+    base = dict(reps=1, train_per_class=8, seed=3)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -258,7 +258,6 @@ def test_config_validation():
         dict(psd_policy="warn"),
         dict(direction_mode="spiral"),
         dict(regularization=0.0),
-        dict(epochs=0),
         dict(knn_neighbors=0),
         dict(validation_fraction=1.0),
     ]
@@ -437,7 +436,7 @@ def test_degradation_study_computes_each_pair_once(monkeypatch):
 
 def test_degradation_structure_and_c0_equality():
     points, labels = benchmark_pool()
-    config = quick_config(epochs=20)
+    config = quick_config()
     study = degradation_study(
         points, labels, config, excluded_class_counts=(0, 1), synthetic_budget=5
     )
@@ -474,7 +473,7 @@ def test_degradation_structure_and_c0_equality():
 
 def test_degradation_means_and_payload():
     points, labels = benchmark_pool()
-    config = quick_config(epochs=15)
+    config = quick_config()
     study = degradation_study(
         points, labels, config, excluded_class_counts=(0, 1), synthetic_budget=4
     )
