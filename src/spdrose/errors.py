@@ -6,6 +6,8 @@ Every error raised on purpose by this package derives from
 code 2 and data errors to exit code 3.
 """
 
+import numbers
+
 
 class SpdRoseError(Exception):
     """Base class for all library-specific errors."""
@@ -120,3 +122,9 @@ class StageFailure(SpdRoseError):
         super().__init__(message)
         self.repetition = repetition
         self.stage = stage
+
+
+def require_integer(value, name, error=ValueError):
+    """Raise ``error`` unless ``value`` is an integer (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

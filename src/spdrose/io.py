@@ -27,11 +27,16 @@ def _reject_constant(token):
     raise ValueError(f"non-finite number {token}")
 
 
+def load_json(path):
+    """Parsed ASCII JSON file; ``NaN`` and ``Infinity`` raise ``ValueError``."""
+    with open(path, "r", encoding="ascii") as fh:
+        return json.load(fh, parse_constant=_reject_constant)
+
+
 def read_container(path, fmt, version, version_key="version"):
     """Payload of a JSON container file after checking its format and version."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
+        payload = load_json(path)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != fmt:

@@ -38,8 +38,8 @@ EIGENVALUE_FLOOR_RTOL = 1e-12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part ``(a + a.T) / 2`` of a square array."""
-    return (a + a.T) / 2.0
+    """Exactly symmetric part ``(a + a.T) / 2`` of a square array or of each in a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def _as_square(raw) -> np.ndarray:
@@ -49,8 +49,8 @@ def _as_square(raw) -> np.ndarray:
     return a
 
 
-def _relative_asymmetry(a: np.ndarray) -> float:
-    """Asymmetry relative to the largest entry; NaN or inf is rejected first.
+def _finite_peak(a: np.ndarray) -> float:
+    """Largest entry magnitude; NaN or inf raises ``NonFiniteEntry``.
 
     NaN fails every comparison the callers make, so without the check a
     non-finite matrix would pass them all.
@@ -58,7 +58,28 @@ def _relative_asymmetry(a: np.ndarray) -> float:
     peak = float(np.abs(a).max()) if a.size else 0.0
     if not math.isfinite(peak):
         raise NonFiniteEntry("matrix holds a NaN or infinite entry")
+    return peak
+
+
+def _relative_asymmetry(a: np.ndarray) -> float:
+    """Asymmetry relative to the largest entry; NaN or inf is rejected first."""
+    peak = _finite_peak(a)
     return float(np.abs(a - a.T).max()) / max(1.0, peak)
+
+
+def _check_spectrum(lo: float, hi: float) -> None:
+    """Reject a spectrum ``[lo, hi]`` that is not positive or too ill-conditioned."""
+    if lo <= 0.0:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {lo:.6e} is not positive",
+            smallest_eigenvalue=lo,
+        )
+    if lo <= EIGENVALUE_FLOOR_RTOL * hi:
+        raise NotPositiveDefinite(
+            f"eigenvalue ratio {lo / hi:.3e} at or below the "
+            f"{EIGENVALUE_FLOOR_RTOL:.1e} conditioning floor",
+            smallest_eigenvalue=lo,
+        )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -97,18 +118,7 @@ class SpdMatrix:
             )
         a = _readonly(symmetrize(a))
         vals = np.linalg.eigvalsh(a)
-        lo, hi = float(vals[0]), float(vals[-1])
-        if lo <= 0.0:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lo:.6e} is not positive",
-                smallest_eigenvalue=lo,
-            )
-        if lo <= EIGENVALUE_FLOOR_RTOL * hi:
-            raise NotPositiveDefinite(
-                f"eigenvalue ratio {lo / hi:.3e} at or below the "
-                f"{EIGENVALUE_FLOOR_RTOL:.1e} conditioning floor",
-                smallest_eigenvalue=lo,
-            )
+        _check_spectrum(float(vals[0]), float(vals[-1]))
         object.__setattr__(self, "array", a)
         object.__setattr__(self, "_eigvals", _readonly(vals))
 
@@ -235,17 +245,55 @@ def _check_same_dim(x: SpdMatrix, y: SpdMatrix):
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
 
 
+def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
+    """Tangent-space logarithms at ``pole`` of a stack of SPD arrays.
+
+    For each ``x`` of the ``(n, d, d)`` stack computes
+    ``pole^{1/2} log(pole^{-1/2} x pole^{-1/2}) pole^{1/2}`` from one
+    batched eigensolve of the whitened points, whose spectra also give
+    the squared geodesic distances ``sum(log(w)^2)``.  Each whitened
+    point gets the checks of :class:`SpdMatrix` (finite entries, a
+    positive spectrum above the conditioning floor) and each tangent
+    the finiteness check of :class:`TangentVector`, with the same
+    errors.  Eigenpairs are taken in descending order, as in
+    :attr:`SpdMatrix.eigen`, so one point gives the bits of the
+    single-matrix path.
+
+    Returns
+    -------
+    (ndarray of shape (n, d, d), ndarray of shape (n,))
+        Exactly symmetric tangent values and squared distances.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1:] != (pole.dim, pole.dim):
+        raise DimensionMismatch(
+            f"expected a stack of {pole.dim}x{pole.dim} matrices, got shape {stack.shape}"
+        )
+    isq = pole.inv_sqrt_array
+    sq = pole.sqrt_array
+    inner = symmetrize(isq @ stack @ isq)
+    _finite_peak(inner)
+    vals, vecs = np.linalg.eigh(inner)
+    for lo, hi in zip(vals[:, 0].tolist(), vals[:, -1].tolist()):
+        _check_spectrum(lo, hi)
+    # np.log may round a strided view differently from contiguous input,
+    # so take it on the contiguous spectra before reversing their order.
+    logs = np.log(vals)[:, ::-1]
+    vecs = np.ascontiguousarray(vecs[:, :, ::-1])
+    flat = symmetrize((vecs * logs[:, None, :]) @ np.swapaxes(vecs, -1, -2))
+    values = symmetrize(sq @ flat @ sq)
+    _finite_peak(values)
+    return values, np.sum(logs * logs, axis=1)
+
+
 def airm_log_map(pole: SpdMatrix, x: SpdMatrix) -> TangentVector:
     """Tangent-space logarithm of ``x`` at ``pole``.
 
-    Computes ``pole^{1/2} log(pole^{-1/2} x pole^{-1/2}) pole^{1/2}``.
+    Computes ``pole^{1/2} log(pole^{-1/2} x pole^{-1/2}) pole^{1/2}``
+    through :func:`airm_log_map_stack` with a stack of one.
     """
-    _check_same_dim(pole, x)
-    isq = pole.inv_sqrt_array
-    sq = pole.sqrt_array
-    inner = SpdMatrix(symmetrize(isq @ x.array @ isq))
-    value = symmetrize(sq @ spd_log(inner) @ sq)
-    return TangentVector(pole, value)
+    values, _ = airm_log_map_stack(pole, x.array[None])
+    return TangentVector(pole, values[0])
 
 
 def airm_exp_map(tangent: TangentVector) -> SpdMatrix:

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -79,8 +80,9 @@ from .errors import (
     SingleClass,
     SpdRoseError,
     StageFailure,
+    require_integer,
 )
-from .io import read_container, read_matrix, read_pgm, read_ppm, write_matrix
+from .io import load_json, read_container, read_matrix, read_pgm, read_ppm, write_matrix
 from .seeding import derive_seed
 from .stein import DivergenceTable, KernelParams
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
@@ -352,8 +354,8 @@ class ExperimentConfig:
             sigmas = tuple(float(s) for s in sigmas)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sigma candidates must be numbers: {sigmas}") from exc
-        if not all(s > 0.0 for s in sigmas):
-            raise ConfigError(f"kernel widths must be positive, got {sigmas}")
+        if not all(0.0 < s < math.inf for s in sigmas):
+            raise ConfigError(f"kernel widths must be positive and finite, got {sigmas}")
         object.__setattr__(self, "sigma", sigmas)
         policies = _normalize_candidates(self.k_policy, "k_policy")
         for policy in policies:
@@ -372,13 +374,15 @@ class ExperimentConfig:
                     )
                 cleaned.append(value)
             else:
-                count = int(value)
-                if count < 0:
+                require_integer(value, "synthetic count", ConfigError)
+                if value < 0:
                     raise ConfigError(
-                        f"synthetic counts must be nonnegative, got {count}"
+                        f"synthetic counts must be nonnegative, got {value}"
                     )
-                cleaned.append(count)
+                cleaned.append(int(value))
         object.__setattr__(self, "synthetic", tuple(cleaned))
+        for name in ("seed", "reps", "train_per_class", "knn_neighbors"):
+            require_integer(getattr(self, name), name, ConfigError)
         if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps}")
         if self.train_per_class < 2:
@@ -391,9 +395,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
-        if not self.regularization > 0.0:
+        if not 0.0 < self.regularization < math.inf:
             raise ConfigError(
-                f"regularization must be positive, got {self.regularization}"
+                f"regularization must be positive and finite, got {self.regularization}"
             )
         if self.knn_neighbors < 1:
             raise ConfigError(
@@ -427,9 +431,8 @@ def config_from_mapping(payload) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = load_json(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config_from_mapping(payload)
 

@@ -11,16 +11,24 @@ Every synthetic point therefore stays inside the training ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionMismatch, EmptyInput, NonConvergence
+from .errors import (
+    DegenerateDirection,
+    DimensionMismatch,
+    EmptyInput,
+    NonConvergence,
+    require_integer,
+)
 from .manifold import (
     SpdMatrix,
     TangentVector,
     airm_exp_map,
-    airm_log_map,
+    airm_log_map_stack,
+    airm_norm,
     geodesic_distance,
     spd_power,
     symmetrize,
@@ -30,6 +38,9 @@ from .seeding import keyed_generator
 
 DEGENERATE_DISTANCE = 1e-12
 MAX_DIRECTION_RETRIES = 100
+# Karcher step control: sufficient-decrease constant and halvings per step.
+ARMIJO_SLOPE = 1e-4
+MAX_STEP_HALVINGS = 30
 
 DIRECTION_MODES = ("tangent_gaussian", "training_point")
 
@@ -52,31 +63,56 @@ class SynthesisConfig:
     karcher_max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("count", "seed", "karcher_max_iter"):
+            require_integer(getattr(self, name), name)
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
-        if not (self.karcher_tol > 0.0):
-            raise ValueError("karcher_tol must be positive")
+        if not 0.0 < self.karcher_tol < math.inf:
+            raise ValueError("karcher_tol must be positive and finite")
         if self.karcher_max_iter < 1:
             raise ValueError("karcher_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
+    """How a Karcher mean iteration ended.
+
+    ``iterations`` counts accepted steps, ``residual`` is the Frobenius
+    norm of the last mean tangent, and ``halvings`` counts the step
+    halvings the descent check forced over the whole run.
+    """
+
     converged: bool
     iterations: int
     residual: float
+    halvings: int
 
 
 def karcher_mean_info(points, tol: float = 1e-8, max_iter: int = 100):
     """Karcher mean with its convergence record, never raising on a stall.
 
-    Fixed-point iteration: map all points to the tangent space at the
-    current estimate, average, and exponentiate back (unit step).  The
-    start value is the arithmetic mean, which is already SPD.  Stops
-    when the Frobenius norm of the mean tangent drops to
-    ``tol * (1 + ||M||_F)``.
+    Riemannian gradient descent on ``f(M) = mean_i d(M, X_i)^2 / 2``,
+    whose descent direction is the mean tangent ``g`` of the points at
+    ``M``.  The start value is the arithmetic mean, which is already
+    SPD.  Each iteration whitens every point at the current estimate
+    and solves all of them in one batched eigensolve
+    (:func:`airm_log_map_stack`), which yields the tangents and ``f``
+    together.  The step tries ``t = 1`` first, the classic fixed-point
+    update, and halves ``t`` until the Armijo decrease
+    ``f(exp_M(t g)) <= f(M) - ARMIJO_SLOPE * t * ||M^{-1/2} g M^{-1/2}||_F^2``
+    holds, or until the slope of ``f`` at the trial point shows that the
+    step stops short of the minimum along the geodesic, which still
+    decides near the mean, where ``f`` rounds away the decrease.  The
+    unit step alone can diverge on widely spread points (Bini &
+    Iannazzo, LAA 2013).  Where every unit step passes the Armijo test,
+    the iterates are those of the fixed-point iteration, bit for bit.
+
+    Stops, converged, when the Frobenius norm of the mean tangent drops
+    to ``tol * (1 + ||M||_F)``; stops unconverged after ``max_iter``
+    accepted steps, or when ``MAX_STEP_HALVINGS`` halvings of one step
+    find no acceptable step.
 
     Returns
     -------
@@ -90,18 +126,46 @@ def karcher_mean_info(points, tol: float = 1e-8, max_iter: int = 100):
         if p.dim != dim:
             raise DimensionMismatch(f"points mix dimensions {dim} and {p.dim}")
 
-    current = validate_spd(sum(p.array for p in points) / len(points))
-    iterations = 0
+    stack = np.stack([p.array for p in points])
+    current = validate_spd(sum(stack) / len(points))
+    mean_tangent, objective = _mean_tangent_and_objective(current, stack)
+    iterations = halvings = 0
     while True:
-        mean_tangent = sum(airm_log_map(current, p).value for p in points) / len(points)
         residual = float(np.linalg.norm(mean_tangent, "fro"))
         scale = 1.0 + float(np.linalg.norm(current.array, "fro"))
         if residual <= tol * scale:
-            return current, ConvergenceRecord(True, iterations, residual)
+            return current, ConvergenceRecord(True, iterations, residual, halvings)
         if iterations >= max_iter:
-            return current, ConvergenceRecord(False, iterations, residual)
-        current = airm_exp_map(TangentVector(current, mean_tangent))
+            return current, ConvergenceRecord(False, iterations, residual, halvings)
+        decrease = ARMIJO_SLOPE * airm_norm(TangentVector(current, mean_tangent)) ** 2
+        isq = current.inv_sqrt_array
+        pull = isq @ isq @ mean_tangent
+        step = 1.0
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            trial = airm_exp_map(TangentVector(current, step * mean_tangent))
+            trial_tangent, trial_objective = _mean_tangent_and_objective(trial, stack)
+            if trial_objective <= objective - step * decrease:
+                break
+            # The slope of f along the geodesic at the trial point P is
+            # -trace(P^{-1} g_P M^{-1} g).  If f still falls there, the step
+            # stops short of the minimum on the geodesic, and f, convex
+            # along it, has decreased even where rounding hides that.
+            trial_isq = trial.inv_sqrt_array
+            if np.sum((trial_isq @ trial_isq @ trial_tangent) * pull.T) >= 0.0:
+                break
+            step /= 2.0
+            halvings += 1
+        else:
+            return current, ConvergenceRecord(False, iterations, residual, halvings)
+        current, mean_tangent, objective = trial, trial_tangent, trial_objective
         iterations += 1
+
+
+def _mean_tangent_and_objective(pole: SpdMatrix, stack: np.ndarray):
+    """Mean log map of the stacked points at ``pole`` and ``mean(d^2) / 2``."""
+    tangents, dist_sq = airm_log_map_stack(pole, stack)
+    # Summed in point order, as a loop over the points would.
+    return sum(tangents) / len(stack), float(np.sum(dist_sq)) / (2.0 * len(stack))
 
 
 def karcher_mean(points, tol: float = 1e-8, max_iter: int = 100) -> SpdMatrix:
@@ -118,7 +182,8 @@ def karcher_mean(points, tol: float = 1e-8, max_iter: int = 100) -> SpdMatrix:
     if not record.converged:
         raise NonConvergence(
             f"Karcher mean residual {record.residual:.3e} after "
-            f"{record.iterations} iterations (tol {tol:.1e})",
+            f"{record.iterations} iterations and {record.halvings} step "
+            f"halvings (tol {tol:.1e})",
             iterate=mean,
             residual=record.residual,
             iterations=record.iterations,

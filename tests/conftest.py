@@ -1,13 +1,20 @@
 """Shared generators for the test suite.
 
 All randomness is drawn from explicitly seeded generators so every
-test is reproducible in isolation.
+test is reproducible in isolation; ``hypothesis`` runs under one
+derandomized profile.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spdrose.manifold import SpdMatrix, symmetrize
+
+# Property tests draw the same examples on every run, take as long as they
+# need, and write no example database to disk.
+settings.register_profile("spdrose", derandomize=True, deadline=None, database=None)
+settings.load_profile("spdrose")
 
 
 def random_orthogonal(rng, dim):

@@ -185,6 +185,32 @@ def test_synth_writes_unlabeled_points(tmp_path, capsys):
     assert labels.tolist() == [0] * 5
 
 
+def test_synth_converges_on_gabor43_textures(tmp_path, capsys):
+    # Oriented smoothed-noise textures give widely spread d=43 descriptors,
+    # on which the unit-step Karcher iteration diverges.
+    rng = np.random.default_rng(0)
+    freq = np.fft.fftfreq(64)
+    paths = []
+    for i in range(8):
+        theta = np.pi * (i % 4) / 4
+        along = freq[None, :] * np.cos(theta) + freq[:, None] * np.sin(theta)
+        across = -freq[None, :] * np.sin(theta) + freq[:, None] * np.cos(theta)
+        noise = np.fft.fft2(rng.standard_normal((64, 64)))
+        smooth = np.real(np.fft.ifft2(noise * np.exp(-(400.0 * along**2 + 40.0 * across**2))))
+        paths.append(str(tmp_path / f"t{i}.pgm"))
+        write_pgm(paths[-1], 0.5 + 0.15 * smooth / smooth.std())
+    data = tmp_path / "data"
+    assert main(["extract", *paths, "--features", "gabor43", "--out", str(data)]) == 0
+    code = main(
+        ["synth", "--data", str(data / "manifest.json"), "--count", "6",
+         "--out", str(tmp_path / "aug")]
+    )
+    assert code == 0, capsys.readouterr().err
+    points, _ = load_dataset(tmp_path / "aug" / "manifest.json")
+    assert len(points) == 6
+    assert all(p.dim == 43 for p in points)
+
+
 def test_train_eval_round_trip(tmp_path, capsys):
     bench = make_benchmark(2, 3, 12, 10, separation=2.5, spread=0.08, seed=1)
     train_manifest = save_dataset(
@@ -280,6 +306,28 @@ def test_run_config_with_epochs_exits_2(tmp_path, capsys):
     code = main(["run", "--data", str(manifest), "--config", str(config)])
     assert code == 2
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '"reps": 1.5',
+        '"reps": NaN',
+        '"train_per_class": NaN',
+        '"synthetic": 1.5',
+        '"synthetic": [0, 2.5]',
+        '"seed": 1.5',
+        '"knn_neighbors": 1.5',
+        '"sigma": Infinity',
+    ],
+)
+def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = tmp_path / "config.json"
+    config.write_text('{"train_per_class": 8, ' + entry + "}")
+    code = main(["run", "--data", str(manifest), "--config", str(config)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

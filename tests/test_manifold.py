@@ -22,7 +22,7 @@ from spdrose import (
     symmetrize,
     validate_spd,
 )
-from spdrose.manifold import EIGENVALUE_FLOOR_RTOL, SYMMETRY_RTOL
+from spdrose.manifold import EIGENVALUE_FLOOR_RTOL, SYMMETRY_RTOL, airm_log_map_stack
 
 from conftest import random_spd, random_symmetric
 
@@ -165,6 +165,31 @@ def test_tangent_vector_requires_matching_dim(rng):
         airm_log_map(pole, random_spd(rng, 4))
     with pytest.raises(DimensionMismatch):
         TangentVector(pole, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("dim", [2, 6, 43])
+def test_log_map_stack_equals_per_point_maps(rng, dim):
+    pole = random_spd(rng, dim)
+    points = [random_spd(rng, dim) for _ in range(5)]
+    values, dist_sq = airm_log_map_stack(pole, np.stack([p.array for p in points]))
+    for value, d2, x in zip(values, dist_sq, points):
+        assert value.tobytes() == airm_log_map(pole, x).value.tobytes()
+        assert d2 == pytest.approx(geodesic_distance_sq(pole, x), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.diag([1.0, np.nan, 1.0]), NonFiniteEntry),
+        (np.diag([1.0, -1.0, 1.0]), NotPositiveDefinite),
+        (np.diag([1.0, 1.0, EIGENVALUE_FLOOR_RTOL / 2.0]), NotPositiveDefinite),
+    ],
+    ids=["nan", "indefinite", "below-floor"],
+)
+def test_log_map_stack_checks_every_point(bad, error):
+    good = np.eye(3)
+    with pytest.raises(error):
+        airm_log_map_stack(SpdMatrix(good), np.stack([good, bad, good]))
 
 
 def test_distance_identity_to_diagonal():

@@ -260,6 +260,16 @@ def test_config_validation():
         dict(regularization=0.0),
         dict(knn_neighbors=0),
         dict(validation_fraction=1.0),
+        dict(sigma=float("inf")),
+        dict(regularization=float("inf")),
+        dict(synthetic=1.5),
+        dict(synthetic=[0, 2.5]),
+        dict(reps=1.5),
+        dict(reps=float("nan")),
+        dict(reps=True),
+        dict(train_per_class=float("nan")),
+        dict(knn_neighbors=1.5),
+        dict(seed=1.5),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
@@ -282,6 +292,10 @@ def test_config_file_round_trip(tmp_path):
     path.write_text("{oops")
     with pytest.raises(ConfigError):
         load_config(path)
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path.write_text('{"sigma": %s}' % token)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(path)
 
 
 def test_resolve_synthetic():

@@ -291,7 +291,7 @@ _SEEDS = st.integers(0, 2**32 - 1)
 _DIMS = st.integers(2, 8)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=_SEEDS, dim=_DIMS)
 def test_property_divergence_exactly_symmetric(seed, dim):
     rng = np.random.default_rng(seed)
@@ -299,14 +299,14 @@ def test_property_divergence_exactly_symmetric(seed, dim):
     assert stein_divergence(x, y) == stein_divergence(y, x)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=_SEEDS, dim=_DIMS)
 def test_property_divergence_of_a_point_with_itself_is_zero(seed, dim):
     x = random_spd(np.random.default_rng(seed), dim)
     assert stein_divergence(x, x) == 0.0
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=_SEEDS, dim=_DIMS)
 def test_property_divergence_congruence_invariant(seed, dim):
     rng = np.random.default_rng(seed)

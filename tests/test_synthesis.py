@@ -1,9 +1,15 @@
 """Unit tests for Karcher means, training balls, and synthetic points."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import spdrose
 from spdrose import (
     DegenerateDirection,
     DimensionMismatch,
@@ -11,6 +17,9 @@ from spdrose import (
     NonConvergence,
     SpdMatrix,
     SynthesisConfig,
+    TangentVector,
+    airm_exp_map,
+    airm_log_map,
     ball_around,
     generate_synthetic,
     geodesic_distance,
@@ -20,9 +29,25 @@ from spdrose import (
     spd_power,
     symmetrize,
     training_ball,
+    validate_spd,
 )
 
-from conftest import random_spd
+from conftest import random_orthogonal, random_spd, two_cluster_pool
+
+
+def unit_step_karcher(points, tol=1e-8, max_iter=100):
+    """Reference fixed-point iteration: unit steps, one log map per point."""
+    current = validate_spd(sum(p.array for p in points) / len(points))
+    iterations = 0
+    while True:
+        mean_tangent = sum(airm_log_map(current, p).value for p in points) / len(points)
+        residual = float(np.linalg.norm(mean_tangent, "fro"))
+        if residual <= tol * (1.0 + float(np.linalg.norm(current.array, "fro"))):
+            return current, iterations, True
+        if iterations >= max_iter:
+            return current, iterations, False
+        current = airm_exp_map(TangentVector(current, mean_tangent))
+        iterations += 1
 
 
 def test_mean_of_single_point_is_the_point(rng):
@@ -79,11 +104,109 @@ def test_mean_nonconvergence_carries_state(rng):
     assert isinstance(err.iterate, SpdMatrix)
 
 
+@pytest.mark.parametrize(
+    "pool",
+    [
+        two_cluster_pool(6, 10, 0.1, 7, [1.0, -1.0, 0.8, -0.6, 0.4, 0.2]),
+        [random_spd(np.random.default_rng(4), 4) for _ in range(8)],
+    ],
+    ids=["two-cluster-d6", "random-d4"],
+)
+def test_mean_equals_unit_step_reference_bit_for_bit(pool):
+    # Where every unit step passes the Armijo test, the step rule never
+    # halves and the stacked iteration reproduces the per-point loop exactly.
+    expected, iterations, converged = unit_step_karcher(pool)
+    assert converged
+    mean, record = karcher_mean_info(pool)
+    assert record.halvings == 0
+    assert record.iterations == iterations
+    assert mean.array.tobytes() == expected.array.tobytes()
+
+
+def test_mean_converges_where_unit_step_diverges():
+    # Eigenvalues spread over exp(+-5): the unit step overshoots and its
+    # residual grows instead of shrinking.
+    rng = np.random.default_rng(0)
+    points = [random_spd(rng, 5, log_spread=5.0) for _ in range(10)]
+    _, _, unit_converged = unit_step_karcher(points)
+    assert not unit_converged
+    mean, record = karcher_mean_info(points)
+    assert record.converged
+    assert record.halvings > 0
+    assert record.iterations <= 30
+    assert record.residual <= 1e-8 * (1.0 + np.linalg.norm(mean.array, "fro"))
+
+
+# Synthesizes points around 12 d=43 matrices (the descriptor size of
+# gabor43) spread so widely that the Karcher step rule halves steps, and
+# writes them; prints whether the mean converged and how many halvings.
+_THREADED_SYNTHESIS = """
+import sys
+import numpy as np
+from spdrose import SpdMatrix, SynthesisConfig, generate_synthetic, karcher_mean_info
+rng = np.random.default_rng(8)
+points = []
+for _ in range(12):
+    q, _ = np.linalg.qr(rng.standard_normal((43, 43)))
+    points.append(SpdMatrix((q * np.exp(rng.uniform(-5.0, 5.0, 43))) @ q.T))
+_, record = karcher_mean_info(points)
+out = generate_synthetic(points, SynthesisConfig(count=4, seed=1))
+np.save(sys.argv[1], np.stack([p.array for p in out]))
+print(record.converged, record.halvings)
+"""
+
+
+def test_synthesis_is_identical_across_blas_thread_counts(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spdrose.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads{threads}.npy"
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADED_SYNTHESIS, str(out)],
+            env=env, check=True, timeout=120, capture_output=True, text=True,
+        )
+        written.append((out.read_bytes(), run.stdout))
+    converged, halvings = written[0][1].split()
+    assert converged == "True" and int(halvings) > 0
+    assert written[0] == written[1]
+
+
 def test_mean_input_validation(rng):
     with pytest.raises(EmptyInput):
         karcher_mean([])
     with pytest.raises(DimensionMismatch):
         karcher_mean([random_spd(rng, 2), random_spd(rng, 3)])
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=25)
+@given(seed=_SEEDS, dim=st.integers(2, 5), count=st.integers(2, 6))
+def test_property_mean_congruence_equivariant(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    points = [random_spd(rng, dim) for _ in range(count)]
+    # Condition number at most e^2, so the congruence loses little precision.
+    a = random_orthogonal(rng, dim) * np.exp(rng.uniform(-1.0, 1.0, size=dim))
+    moved = [SpdMatrix(symmetrize(a @ p.array @ a.T)) for p in points]
+    mean = karcher_mean(points).array
+    expected = symmetrize(a @ mean @ a.T)
+    scale = np.linalg.norm(expected)
+    assert np.linalg.norm(karcher_mean(moved).array - expected) <= 1e-6 * scale
+
+
+@settings(max_examples=50)
+@given(seed=_SEEDS, dim=st.integers(2, 6), fraction=st.floats(0.0, 2.0))
+def test_property_rescale_hits_target_distance(seed, dim, fraction):
+    rng = np.random.default_rng(seed)
+    pole, x = random_spd(rng, dim), random_spd(rng, dim)
+    zeta = fraction * geodesic_distance(pole, x)
+    moved = geodesic_rescale(x, pole, zeta)
+    assert geodesic_distance(pole, moved) == pytest.approx(zeta, rel=1e-8, abs=1e-7)
 
 
 def test_training_ball_radius_covers_points(rng):
@@ -185,6 +308,23 @@ def test_synthetic_count_zero_and_validation(rng):
         SynthesisConfig(count=-1)
     with pytest.raises(ValueError):
         SynthesisConfig(direction_mode="bogus")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(count=1.5),
+        dict(count=float("nan")),
+        dict(count=True),
+        dict(seed=2.5),
+        dict(karcher_max_iter=2.5),
+        dict(karcher_tol=float("inf")),
+        dict(karcher_tol=float("nan")),
+    ],
+)
+def test_synthesis_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(ValueError):
+        SynthesisConfig(**kwargs)
 
 
 def test_training_point_mode_uses_training_directions(rng):
