@@ -10,7 +10,10 @@ matrix even for flat regions.
 Derivatives use central differences ([-1/2, 0, 1/2] and [1, -2, 1])
 with replicate padding at the borders.  Gabor filters are complex,
 zero-DC corrected, with one-octave bandwidth; their responses enter as
-magnitudes.
+magnitudes.  The bank works in the frequency domain: the image is
+edge-padded by half the largest support and transformed once, at a length
+where the circular wrap misses the kept window; each filter then costs one
+spectrum product and one inverse transform, written into the feature tensor.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .errors import GridTooFine, ImageTooSmall, RegionTooSmall
 from .manifold import SpdMatrix, symmetrize, validate_spd
@@ -44,6 +47,7 @@ def _check_pixels(pixels, channels):
         raise ValueError("pixel values must be finite")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("pixel values must lie in [0, 1]")
+    a = a.copy() if a.flags.writeable else a  # the caller's array stays writable
     a.setflags(write=False)
     return a
 
@@ -101,6 +105,7 @@ class FeatureImage:
             raise ValueError(
                 f"{v.shape[2]} channels but {len(self.channel_tags)} tags"
             )
+        v = v.copy() if v.flags.writeable else v  # the caller's array stays writable
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "channel_tags", tuple(self.channel_tags))
@@ -225,13 +230,13 @@ def _bandwidth_sigma_factor(octaves: float) -> float:
     return math.sqrt(math.log(2.0) / 2.0) / math.pi * (span + 1.0) / (span - 1.0)
 
 
-def _gabor_kernel(wavelength, theta, octaves, aspect, truncate):
-    sigma = wavelength * _bandwidth_sigma_factor(octaves)
-    half = int(math.ceil(truncate * sigma))
+def _gabor_kernel(wavelength, theta):
+    sigma = wavelength * _bandwidth_sigma_factor(GABOR_BANDWIDTH_OCTAVES)
+    half = int(math.ceil(GABOR_TRUNCATE * sigma))
     y, x = np.mgrid[-half : half + 1, -half : half + 1]
     xr = x * math.cos(theta) + y * math.sin(theta)
     yr = -x * math.sin(theta) + y * math.cos(theta)
-    envelope = np.exp(-(xr**2 + (aspect * yr) ** 2) / (2.0 * sigma**2))
+    envelope = np.exp(-(xr**2 + (GABOR_ASPECT * yr) ** 2) / (2.0 * sigma**2))
     kernel = envelope * np.exp(1j * (2.0 * math.pi / wavelength) * xr)
     # Zero-DC correction: remove the envelope-weighted mean so a constant
     # image produces (numerically) zero response.
@@ -239,26 +244,19 @@ def _gabor_kernel(wavelength, theta, octaves, aspect, truncate):
     return kernel
 
 
-@lru_cache(maxsize=4)
-def _gabor_bank(wavelengths, n_orientations, octaves, aspect, truncate):
+@lru_cache(maxsize=1)
+def _gabor_bank():
+    """The default bank's kernels, wavelength-major."""
     bank = []
-    for wl in wavelengths:
-        for v in range(n_orientations):
-            theta = v * math.pi / n_orientations
-            bank.append(_gabor_kernel(wl, theta, octaves, aspect, truncate))
+    for wl in GABOR_WAVELENGTHS:
+        for v in range(GABOR_ORIENTATIONS):
+            bank.append(_gabor_kernel(wl, v * math.pi / GABOR_ORIENTATIONS))
     return tuple(bank)
 
 
 def gabor_support() -> int:
     """Side length of the largest filter in the default Gabor bank."""
-    sigma = max(GABOR_WAVELENGTHS) * _bandwidth_sigma_factor(GABOR_BANDWIDTH_OCTAVES)
-    return 2 * int(math.ceil(GABOR_TRUNCATE * sigma)) + 1
-
-
-def _convolve_replicate(pixels, kernel):
-    kh, kw = kernel.shape
-    padded = np.pad(pixels, ((kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
-    return fftconvolve(padded, kernel, mode="valid")
+    return max(kernel.shape[0] for kernel in _gabor_bank())
 
 
 def gabor_feature_map(image: GrayImage) -> FeatureImage:
@@ -269,28 +267,30 @@ def gabor_feature_map(image: GrayImage) -> FeatureImage:
     x, normalized y, then scale-major magnitudes ``|G_uv|``.
     """
     support = gabor_support()
-    if image.height < support or image.width < support:
+    h, w = image.height, image.width
+    if h < support or w < support:
         raise ImageTooSmall(
-            f"{image.height}x{image.width} image is smaller than the "
-            f"{support}x{support} filter support"
+            f"{h}x{w} image is smaller than the {support}x{support} filter support"
         )
-    x, y = _coordinate_channels(image.height, image.width)
-    channels = [image.pixels, x, y]
+    bank = _gabor_bank()
+    values = np.empty((h, w, 3 + len(bank)))
+    values[:, :, 0] = image.pixels
+    values[:, :, 1], values[:, :, 2] = _coordinate_channels(h, w)
+    half = support // 2
+    padded = np.pad(image.pixels, half, mode="edge")
+    # No shorter than the padded image, so no wrap reaches the kept window.
+    shape = (fft.next_fast_len(h + 2 * half), fft.next_fast_len(w + 2 * half))
+    spectrum = fft.fft2(padded, s=shape)
+    for i, kernel in enumerate(bank):
+        # Pixel (r, c) is output (r + at, c + at): padding plus kernel half.
+        at = half + kernel.shape[0] // 2
+        response = fft.ifft2(spectrum * fft.fft2(kernel, s=shape))
+        np.abs(response[at : at + h, at : at + w], out=values[:, :, 3 + i])
     tags = ["I", "x", "y"]
-    bank = _gabor_bank(
-        GABOR_WAVELENGTHS,
-        GABOR_ORIENTATIONS,
-        GABOR_BANDWIDTH_OCTAVES,
-        GABOR_ASPECT,
-        GABOR_TRUNCATE,
-    )
-    index = 0
     for u in range(len(GABOR_WAVELENGTHS)):
-        for v in range(GABOR_ORIENTATIONS):
-            channels.append(np.abs(_convolve_replicate(image.pixels, bank[index])))
-            tags.append(f"|G_{u}{v}|")
-            index += 1
-    return FeatureImage(np.stack(channels, axis=2), tuple(tags))
+        tags.extend(f"|G_{u}{v}|" for v in range(GABOR_ORIENTATIONS))
+    values.setflags(write=False)  # so FeatureImage keeps it without a copy
+    return FeatureImage(values, tuple(tags))
 
 
 def region_covariance(

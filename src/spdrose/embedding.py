@@ -320,7 +320,7 @@ def save_projection_model(path, model: ProjectionModel) -> None:
         "reference_points": [ref.array.tolist() for ref in model.reference_points],
         "weights": model.weights.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    Path(path).write_text(json.dumps(payload))
 
 
 def load_projection_model(path) -> ProjectionModel:

@@ -52,7 +52,7 @@ def write_matrix(path, matrix: SpdMatrix) -> None:
     d = matrix.dim
     lines = [str(d)]
     for row in matrix.array:
-        lines.append(" ".join(repr(float(v)) for v in row))
+        lines.append(" ".join(map(repr, row.tolist())))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

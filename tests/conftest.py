@@ -5,16 +5,29 @@ test is reproducible in isolation; ``hypothesis`` runs under one
 derandomized profile.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import spdrose
 from spdrose.manifold import SpdMatrix, symmetrize
 
 # Property tests draw the same examples on every run, take as long as they
 # need, and write no example database to disk.
 settings.register_profile("spdrose", derandomize=True, deadline=None, database=None)
 settings.load_profile("spdrose")
+
+
+def blas_thread_env(threads):
+    """Child-process environment: ``threads`` BLAS threads, this ``spdrose``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spdrose.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def random_orthogonal(rng, dim):

@@ -1,14 +1,12 @@
 """Unit tests for the linear one-vs-all SVM and the divergence baseline."""
 
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import spdrose
 import spdrose.classify
 from spdrose import (
     DimensionMismatch,
@@ -28,7 +26,7 @@ from spdrose import (
     train_ova_svm,
 )
 
-from conftest import random_spd
+from conftest import blas_thread_env, random_spd
 
 
 def toy_problem(spread=0.0, seed=0):
@@ -77,17 +75,12 @@ save_classifier(sys.argv[1], train_ova_svm(coords, labels))
 
 
 def test_training_is_identical_across_blas_thread_counts(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spdrose.__file__)))
     written = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )
         out = tmp_path / f"threads{threads}.json"
         subprocess.run(
             [sys.executable, "-c", _THREADED_TRAINING, str(out)],
-            env=env, check=True, timeout=120,
+            env=blas_thread_env(threads), check=True, timeout=120,
         )
         written.append(out.read_bytes())
     assert written[0] == written[1]

@@ -5,6 +5,8 @@ output can be checked without spawning interpreters.
 """
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from spdrose import (
 )
 from spdrose.cli import main
 
-from conftest import random_spd
+from conftest import blas_thread_env, random_spd
 
 
 def save_benchmark_dataset(tmp_path, name, n_classes=2, per_class=12, seed=0):
@@ -185,20 +187,26 @@ def test_synth_writes_unlabeled_points(tmp_path, capsys):
     assert labels.tolist() == [0] * 5
 
 
-def test_synth_converges_on_gabor43_textures(tmp_path, capsys):
-    # Oriented smoothed-noise textures give widely spread d=43 descriptors,
-    # on which the unit-step Karcher iteration diverges.
+def write_textures(directory, count, size=64):
+    """Oriented smoothed-noise PGMs; texture i is oriented at (i % 4) * pi / 4."""
     rng = np.random.default_rng(0)
-    freq = np.fft.fftfreq(64)
+    freq = np.fft.fftfreq(size)
     paths = []
-    for i in range(8):
+    for i in range(count):
         theta = np.pi * (i % 4) / 4
         along = freq[None, :] * np.cos(theta) + freq[:, None] * np.sin(theta)
         across = -freq[None, :] * np.sin(theta) + freq[:, None] * np.cos(theta)
-        noise = np.fft.fft2(rng.standard_normal((64, 64)))
+        noise = np.fft.fft2(rng.standard_normal((size, size)))
         smooth = np.real(np.fft.ifft2(noise * np.exp(-(400.0 * along**2 + 40.0 * across**2))))
-        paths.append(str(tmp_path / f"t{i}.pgm"))
+        paths.append(str(directory / f"t{i}.pgm"))
         write_pgm(paths[-1], 0.5 + 0.15 * smooth / smooth.std())
+    return paths
+
+
+def test_synth_converges_on_gabor43_textures(tmp_path, capsys):
+    # Oriented smoothed-noise textures give widely spread d=43 descriptors,
+    # on which the unit-step Karcher iteration diverges.
+    paths = write_textures(tmp_path, 8)
     data = tmp_path / "data"
     assert main(["extract", *paths, "--features", "gabor43", "--out", str(data)]) == 0
     code = main(
@@ -209,6 +217,30 @@ def test_synth_converges_on_gabor43_textures(tmp_path, capsys):
     points, _ = load_dataset(tmp_path / "aug" / "manifest.json")
     assert len(points) == 6
     assert all(p.dim == 43 for p in points)
+
+
+_THREADED_EXTRACT = """
+import sys
+from spdrose.cli import main
+out, images = sys.argv[1], sys.argv[2:]
+sys.exit(main(["extract", *images, "--features", "gabor43", "--out", out]))
+"""
+
+
+def test_gabor43_extract_is_identical_across_blas_thread_counts(tmp_path):
+    # The covariance GEMM is the step of extract that uses BLAS threads.
+    paths = write_textures(tmp_path, 4, size=96)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-c", _THREADED_EXTRACT, str(out), *paths],
+            env=blas_thread_env(threads), check=True, timeout=120, capture_output=True,
+        )
+        matrices = sorted(p for p in out.iterdir() if p.suffix != ".json")
+        written.append({p.name: p.read_bytes() for p in matrices})
+    assert len(written[0]) == 16
+    assert written[0] == written[1]
 
 
 def test_train_eval_round_trip(tmp_path, capsys):

@@ -18,7 +18,13 @@ from spdrose import (
     intensity_feature_map,
     region_covariance,
 )
-from spdrose.descriptors import ABSOLUTE_RIDGE, gabor_support
+from spdrose.descriptors import (
+    ABSOLUTE_RIDGE,
+    GABOR_ORIENTATIONS,
+    GABOR_WAVELENGTHS,
+    _gabor_bank,
+    gabor_support,
+)
 
 
 def gray(values):
@@ -38,6 +44,23 @@ def test_image_validation():
     assert (img.height, img.width) == (3, 4)
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 0.9
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (GrayImage, (3, 3)),
+        (ColorImage, (3, 3, 3)),
+        (lambda a: FeatureImage(a, ("a", "b")), (3, 3, 2)),
+    ],
+)
+def test_images_leave_the_callers_array_writable(make, shape):
+    a = np.zeros(shape)
+    image = make(a)
+    a[0, 0] = 1.0
+    frozen = image.values if isinstance(image, FeatureImage) else image.pixels
+    assert not frozen.flags.writeable
+    assert np.all(frozen == 0.0)
 
 
 def test_feature_image_tag_count_must_match():
@@ -169,6 +192,51 @@ def test_gabor_sinusoid_orientation_selectivity():
     orthogonal = fi.values[size // 2, size // 2, tags.index("|G_24|")]
     assert aligned > 10.0 * orthogonal
     assert aligned > 0.01
+
+
+def spatial_gabor_magnitude(pixels, kernel, r, c):
+    """|(image * kernel)(r, c)| as an explicit window sum, borders replicated."""
+    h, w = pixels.shape
+    half = kernel.shape[0] // 2
+    offsets = np.arange(-half, half + 1)
+    # Convolution flips the kernel: kernel[half + i, half + j] weighs
+    # pixel (r - i, c - j), clamped into the image.
+    rows = np.clip(r - offsets, 0, h - 1)
+    cols = np.clip(c - offsets, 0, w - 1)
+    return abs(np.sum(kernel * pixels[np.ix_(rows, cols)]))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (47, 60),  # height equal to the largest support, not square
+        (50, 80),  # padded to 96x126, already a fast FFT length
+    ],
+)
+def test_gabor_magnitudes_match_spatial_window_sums(shape):
+    rng = np.random.default_rng(7)
+    pixels = rng.uniform(size=shape)
+    fi = gabor_feature_map(gray(pixels))
+    bank = _gabor_bank()
+    expected_tags = ["I", "x", "y"] + [
+        f"|G_{u}{v}|"
+        for u in range(len(GABOR_WAVELENGTHS))
+        for v in range(GABOR_ORIENTATIONS)
+    ]
+    assert list(fi.channel_tags) == expected_tags
+    assert len(bank) == fi.channels - 3
+    h, w = shape
+    probes = [
+        (0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+        (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1),
+        (h // 2, w // 2),
+    ]
+    for i, kernel in enumerate(bank):
+        # Pixels lie in [0, 1], so sum |kernel| bounds every response.
+        scale = float(np.sum(np.abs(kernel)))
+        for r, c in probes:
+            expected = spatial_gabor_magnitude(pixels, kernel, r, c)
+            assert abs(fi.values[r, c, 3 + i] - expected) <= 1e-12 * scale, (i, r, c)
 
 
 def test_region_covariance_constant_region():

@@ -35,6 +35,27 @@ def test_matrix_file_layout(tmp_path):
     assert len(lines) == 3
 
 
+def test_matrix_file_bytes_are_repr_per_value(tmp_path):
+    # Off-diagonal -0.0 keeps its sign; 0.1 + 0.2 and 1 + 2**-52 need all
+    # 17 significant digits to round-trip.
+    a = np.array([
+        [0.1 + 0.2, -0.0, 1e-3],
+        [-0.0, 1.0 + 2.0**-52, -0.0],
+        [1e-3, -0.0, 2.0 / 3.0],
+    ])
+    path = tmp_path / "m.txt"
+    write_matrix(path, SpdMatrix(a))
+    assert path.read_bytes() == (
+        b"3\n"
+        b"0.30000000000000004 -0.0 0.001\n"
+        b"-0.0 1.0000000000000002 -0.0\n"
+        b"0.001 -0.0 0.6666666666666666\n"
+    )
+    back = read_matrix(path).array
+    assert np.array_equal(back, a)
+    assert np.array_equal(np.signbit(back), np.signbit(a))
+
+
 def test_read_matrix_accepts_blank_lines(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2\n\n1.0 0.0\n\n0.0 1.0\n")

@@ -318,3 +318,45 @@ def test_property_divergence_congruence_invariant(seed, dim):
     assert stein_divergence(xa, ya) == pytest.approx(
         stein_divergence(x, y), rel=1e-8, abs=1e-10
     )
+
+
+# Points at least this AIRM distance apart have J bounded away from zero.
+_MIN_DISTANCE = 0.5
+
+
+@settings(max_examples=40)
+@given(
+    seed=_SEEDS,
+    dim=_DIMS,
+    distance=st.floats(_MIN_DISTANCE, 4.0),
+)
+def test_property_divergence_positive_off_the_diagonal(seed, dim, distance):
+    rng = np.random.default_rng(seed)
+    x = random_spd(rng, dim)
+    # y = x^1/2 exp(S) x^1/2 lies at AIRM distance ||S||_F = distance from x,
+    # and J(x, y) = sum_i log cosh(s_i / 2) over the eigenvalues s_i of S.
+    s = rng.standard_normal(dim)
+    s *= distance / np.linalg.norm(s)
+    q = random_orthogonal(rng, dim)
+    y = SpdMatrix(symmetrize(x.sqrt_array @ (q * np.exp(s)) @ q.T @ x.sqrt_array))
+    # The largest |s_i| is at least distance / sqrt(dim).
+    floor = math.log(math.cosh(distance / (2.0 * math.sqrt(dim))))
+    assert stein_divergence(x, y) >= 0.5 * floor > 0.0
+
+
+@settings(max_examples=40)
+@given(
+    seed=_SEEDS,
+    dim=_DIMS,
+    sigma=st.floats(0.01, 10.0),
+    log_spread=st.floats(0.1, 3.0),
+)
+def test_property_kernel_value_in_unit_interval(seed, dim, sigma, log_spread):
+    # Each term of J is at most |log lambda_i(x^-1 y)| / 2 <= log_spread, so
+    # sigma * J <= 10 * 8 * 3 = 240, far from where exp(-sigma * J)
+    # underflows to zero (about 745).
+    rng = np.random.default_rng(seed)
+    x = random_spd(rng, dim, log_spread)
+    y = random_spd(rng, dim, log_spread)
+    k = stein_kernel_value(x, y, KernelParams(sigma))
+    assert 0.0 < k <= 1.0

@@ -1,6 +1,5 @@
 """Unit tests for Karcher means, training balls, and synthetic points."""
 
-import os
 import subprocess
 import sys
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-import spdrose
 from spdrose import (
     DegenerateDirection,
     DimensionMismatch,
@@ -32,7 +30,7 @@ from spdrose import (
     validate_spd,
 )
 
-from conftest import random_orthogonal, random_spd, two_cluster_pool
+from conftest import blas_thread_env, random_orthogonal, random_spd, two_cluster_pool
 
 
 def unit_step_karcher(points, tol=1e-8, max_iter=100):
@@ -157,17 +155,13 @@ print(record.converged, record.halvings)
 
 
 def test_synthesis_is_identical_across_blas_thread_counts(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spdrose.__file__)))
     written = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        )
         out = tmp_path / f"threads{threads}.npy"
         run = subprocess.run(
             [sys.executable, "-c", _THREADED_SYNTHESIS, str(out)],
-            env=env, check=True, timeout=120, capture_output=True, text=True,
+            env=blas_thread_env(threads), check=True, timeout=120,
+            capture_output=True, text=True,
         )
         written.append((out.read_bytes(), run.stdout))
     converged, halvings = written[0][1].split()
