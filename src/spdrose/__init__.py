@@ -62,11 +62,8 @@ from .seeding import derive_seed, keyed_generator
 from .synthesis import (
     ConvergenceRecord,
     SynthesisConfig,
-    TrainingBall,
-    ball_around,
     generate_synthetic,
     geodesic_rescale,
-    karcher_mean,
     karcher_mean_info,
     training_ball,
 )
@@ -76,13 +73,10 @@ from .embedding import (
     binarize,
     build_projection_model,
     default_exemplar_count,
-    embed,
     embed_batch,
     expected_distance_sq,
     jl_distortion_report,
-    kernel_vector,
     load_projection_model,
-    project_kernel_vector,
     save_projection_model,
 )
 from .descriptors import (

@@ -210,27 +210,19 @@ def train_ova_svm(
 
 
 def decision_scores(model: TrainedClassifier, features) -> np.ndarray:
-    """Per-class margins: (n_classes,) for one vector, (n, n_classes) else."""
-    single = np.asarray(features).ndim == 1
-    x, _ = _check_features([features] if single else features)
+    """Per-class margins of an (n, k) feature batch, shape (n, n_classes)."""
+    x, _ = _check_features(features)
     if x.shape[1] != model.n_features:
         raise DimensionMismatch(
             f"{x.shape[1]} features but the model expects {model.n_features}"
         )
     z = (x - model.feature_mean) / model.feature_scale
-    scores = z @ model.weights.T + model.biases
-    return scores[0] if single else scores
+    return z @ model.weights.T + model.biases
 
 
-def predict(model: TrainedClassifier, features):
-    """Argmax over decision scores; ties go to the smaller class label.
-
-    Accepts one vector (returns an int) or a batch (returns an array).
-    """
-    scores = decision_scores(model, features)
-    if scores.ndim == 1:
-        return int(model.classes[int(np.argmax(scores))])
-    picks = np.argmax(scores, axis=1)
+def predict(model: TrainedClassifier, features) -> np.ndarray:
+    """Class labels of an (n, k) feature batch; score ties go to the smaller label."""
+    picks = np.argmax(decision_scores(model, features), axis=1)
     return np.array([model.classes[i] for i in picks], dtype=np.int64)
 
 
@@ -282,9 +274,6 @@ class EvalResult:
     by_class: tuple
     class_labels: tuple
     confusion: tuple
-
-    def per_class(self) -> dict:
-        return {cls: acc for cls, acc in self.by_class}
 
 
 def evaluate_accuracy(true_labels, predicted_labels, class_labels=None) -> EvalResult:

@@ -24,10 +24,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import classify, pipeline
 from .descriptors import DEFAULT_EPS_REL
@@ -68,6 +67,8 @@ def _cmd_extract(args):
     labels = _parse_labels(args, len(args.images))
     if min(args.rows, args.cols, args.downsample) < 1:
         raise ConfigError("--rows, --cols and --downsample must be at least 1")
+    if not 0.0 <= args.eps_rel < math.inf:
+        raise ConfigError(f"--eps-rel must be finite and nonnegative, got {args.eps_rel}")
     suffix = ".pgm" if FEATURE_MODES[args.features][0] == "gray-image" else ".ppm"
     points, point_labels = [], []
     for image_path, label in zip(args.images, labels):
@@ -133,8 +134,7 @@ def _cmd_eval(args):
     model = load_projection_model(os.path.join(args.model, "model.json"))
     classifier = classify.load_classifier(os.path.join(args.model, "classifier.json"))
     points, labels = pipeline.load_dataset(args.test)
-    embedded = np.array(embed_batch(model, points))
-    predictions = classify.predict(classifier, embedded)
+    predictions = classify.predict(classifier, embed_batch(model, points))
     result = classify.evaluate_accuracy(labels, predictions)
     print(
         json.dumps(
@@ -219,15 +219,8 @@ def _cmd_jl_check(args):
             points, k=k, params=params,
             exponent_mode=args.exponent_mode, seed=args.seed, table=table,
         )
-        report = jl_distortion_report(model, points, args.epsilon, table)
         records.append(
-            {
-                "pair_count": report.pair_count,
-                "fraction_within": report.fraction_within,
-                "median_distortion": report.median_distortion,
-                "epsilon": report.epsilon,
-                "k": report.k,
-            }
+            dataclasses.asdict(jl_distortion_report(model, points, args.epsilon, table))
         )
     payload = records[0] if len(records) == 1 else records
     print(json.dumps(payload, indent=1, sort_keys=True))

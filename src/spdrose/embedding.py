@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
+from .errors import EmptyInput, ParseError, TSampleTooLarge
 from .io import read_container
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
@@ -180,46 +180,28 @@ def build_projection_model(
 
 def _kernel_rows(model: ProjectionModel, points, table=None) -> np.ndarray:
     """Kernel values of each point against the reference pool, one row per point."""
-    points = list(points)
-    for x in points:
-        if x.dim != model.dim:
-            raise DimensionMismatch(
-                f"query dimension {x.dim} differs from model dimension {model.dim}"
-            )
-    divergences = divergence_matrix(points, model.reference_points, table)
+    divergences = divergence_matrix(list(points), model.reference_points, table)
     return np.exp(-model.kernel_params.sigma * divergences)
 
 
-def kernel_vector(model: ProjectionModel, x: SpdMatrix) -> np.ndarray:
-    """Kernel values of ``x`` against the reference pool, length ``p``."""
-    return _kernel_rows(model, [x])[0]
-
-
-def project_kernel_vector(model: ProjectionModel, kappa: np.ndarray) -> np.ndarray:
-    """Apply the hyperplanes to a precomputed kernel vector."""
-    kappa = np.asarray(kappa, dtype=np.float64)
-    if kappa.shape != (model.p,):
-        raise DimensionMismatch(
-            f"kernel vector has shape {kappa.shape}, expected ({model.p},)"
-        )
-    coords = model.weights.T @ kappa
+def _project(model: ProjectionModel, kappas: np.ndarray) -> np.ndarray:
+    """Hyperplane responses to each kernel row, as a read-only ``(n, k)`` array."""
+    # One product per row: a single kappas @ weights GEMM rounds differently.
+    coords = np.array([model.weights.T @ kappa for kappa in kappas]).reshape(-1, model.k)
     if not np.all(np.isfinite(coords)):
         raise ValueError("embedding produced non-finite coordinates")
     coords.setflags(write=False)
     return coords
 
 
-def embed(model: ProjectionModel, x: SpdMatrix) -> np.ndarray:
-    """Embed one SPD matrix into ``k`` coordinates."""
-    return project_kernel_vector(model, kernel_vector(model, x))
+def embed_batch(model: ProjectionModel, points, table: DivergenceTable = None) -> np.ndarray:
+    """Embed SPD points into the rows of a read-only ``(n, k)`` array.
 
-
-def embed_batch(model: ProjectionModel, points, table: DivergenceTable = None):
-    """Embed a sequence of points; equals the per-point loop bit-exactly.
-
+    Row ``i`` is ``weights.T @ kappa(points[i])``.  A point whose
+    dimension differs from the model's raises :class:`DimensionMismatch`.
     ``table`` serves the point-to-reference divergences it holds.
     """
-    return [project_kernel_vector(model, kappa) for kappa in _kernel_rows(model, points, table)]
+    return _project(model, _kernel_rows(model, points, table))
 
 
 def binarize(coords: np.ndarray) -> np.ndarray:
@@ -237,8 +219,9 @@ def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float:
     ``t`` of ``p`` indices without replacement gives ``alpha`` the
     covariance ``(p - t) / (t p (p - 1)) * (I - J/p)``, so the mean of
     the squared gap over hyperplanes has this closed form.  It is the
-    deterministic target that ``(1/k) * ||embed(u) - embed(v)||^2``
-    converges to as ``k`` grows.
+    deterministic target that ``(1/k) * ||e_u - e_v||^2`` converges to
+    as ``k`` grows, for the two points' rows ``e_u``, ``e_v`` of
+    :func:`embed_batch`.
     """
     p, t = model.p, model.t
     if t >= p:
@@ -277,7 +260,7 @@ def jl_distortion_report(
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     kappas = _kernel_rows(model, points, table)
-    embeddings = [project_kernel_vector(model, kappa) for kappa in kappas]
+    embeddings = _project(model, kappas)
     k = model.k
 
     pair_count = 0

@@ -42,13 +42,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _as_square(raw) -> np.ndarray:
-    a = np.asarray(raw, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def _finite_peak(a: np.ndarray) -> float:
     """Largest entry magnitude; NaN or inf raises ``NonFiniteEntry``.
 
@@ -61,10 +54,22 @@ def _finite_peak(a: np.ndarray) -> float:
     return peak
 
 
-def _relative_asymmetry(a: np.ndarray) -> float:
-    """Asymmetry relative to the largest entry; NaN or inf is rejected first."""
+def _symmetric(raw) -> np.ndarray:
+    """The exact symmetric part of a square, finite, nearly symmetric matrix.
+
+    Checks, in order, squareness, finiteness of every entry and the
+    asymmetry relative to the largest entry (at most ``SYMMETRY_RTOL``).
+    """
+    a = np.asarray(raw, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
     peak = _finite_peak(a)
-    return float(np.abs(a - a.T).max()) / max(1.0, peak)
+    gap = float(np.abs(a - a.T).max()) / max(1.0, peak)
+    if gap > SYMMETRY_RTOL:
+        raise AsymmetryExceedsTolerance(
+            f"relative asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e}"
+        )
+    return symmetrize(a)
 
 
 def _check_spectrum(lo: float, hi: float) -> None:
@@ -88,14 +93,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Spectral factorization ``U diag(w) U^T`` with eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """A validated symmetric positive definite matrix.
@@ -110,13 +107,7 @@ class SpdMatrix:
     array: np.ndarray
 
     def __post_init__(self):
-        a = _as_square(self.array)
-        gap = _relative_asymmetry(a)
-        if gap > SYMMETRY_RTOL:
-            raise AsymmetryExceedsTolerance(
-                f"relative asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-            )
-        a = _readonly(symmetrize(a))
+        a = _readonly(_symmetric(self.array))
         vals = np.linalg.eigvalsh(a)
         _check_spectrum(float(vals[0]), float(vals[-1]))
         object.__setattr__(self, "array", a)
@@ -132,9 +123,10 @@ class SpdMatrix:
         return float(np.sum(np.log(self._eigvals)))
 
     @cached_property
-    def eigen(self) -> EigenPair:
+    def eigen(self) -> tuple:
+        """``(values, vectors)`` of ``U diag(w) U^T``, eigenvalues descending."""
         vals, vecs = np.linalg.eigh(self.array)
-        return EigenPair(_readonly(vals[::-1]), _readonly(vecs[:, ::-1]))
+        return _readonly(vals[::-1]), _readonly(vecs[:, ::-1])
 
     @cached_property
     def sqrt_array(self) -> np.ndarray:
@@ -148,16 +140,14 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def validate_spd(raw, tol: float = SYMMETRY_RTOL) -> SpdMatrix:
+def validate_spd(raw) -> SpdMatrix:
     """Validate a raw square array as SPD and wrap it.
 
     Parameters
     ----------
     raw : array-like of shape (d, d)
-        Candidate matrix.
-    tol : float
-        Relative asymmetry accepted before rejection.  Inputs within
-        tolerance are replaced by their exact symmetric part.
+        Candidate matrix.  An input within ``SYMMETRY_RTOL`` relative
+        asymmetry is replaced by its exact symmetric part.
 
     Returns
     -------
@@ -167,20 +157,12 @@ def validate_spd(raw, tol: float = SYMMETRY_RTOL) -> SpdMatrix:
     ------
     NotSquare, NonFiniteEntry, AsymmetryExceedsTolerance, NotPositiveDefinite
     """
-    a = _as_square(raw)
-    gap = _relative_asymmetry(a)
-    if gap > tol:
-        raise AsymmetryExceedsTolerance(
-            f"relative asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
-        )
-    return SpdMatrix(symmetrize(a))
+    return SpdMatrix(raw)
 
 
 def _spectral_apply(x: SpdMatrix, fn) -> np.ndarray:
-    pair = x.eigen
-    transformed = fn(pair.eigenvalues)
-    out = (pair.eigenvectors * transformed) @ pair.eigenvectors.T
-    return symmetrize(out)
+    vals, vecs = x.eigen
+    return symmetrize((vecs * fn(vals)) @ vecs.T)
 
 
 def spd_log(x: SpdMatrix) -> np.ndarray:
@@ -188,22 +170,15 @@ def spd_log(x: SpdMatrix) -> np.ndarray:
     return _spectral_apply(x, np.log)
 
 
-def spd_exp(s, tol: float = SYMMETRY_RTOL) -> SpdMatrix:
+def spd_exp(s) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix, returned as SPD.
 
     Parameters
     ----------
     s : array-like of shape (d, d)
-        Symmetric matrix (checked against ``tol`` relative asymmetry).
+        Symmetric matrix (checked against ``SYMMETRY_RTOL`` relative asymmetry).
     """
-    a = _as_square(s)
-    gap = _relative_asymmetry(a)
-    if gap > tol:
-        raise AsymmetryExceedsTolerance(
-            f"relative asymmetry {gap:.3e} exceeds tolerance {tol:.1e}"
-        )
-    a = symmetrize(a)
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(_symmetric(s))
     out = (vecs * np.exp(vals)) @ vecs.T
     return SpdMatrix(symmetrize(out))
 
@@ -222,18 +197,13 @@ class TangentVector:
     value: np.ndarray
 
     def __post_init__(self):
-        v = _as_square(self.value)
+        v = _symmetric(self.value)
         if v.shape[0] != self.pole.dim:
             raise DimensionMismatch(
                 f"tangent value is {v.shape[0]}x{v.shape[0]} but the pole is "
                 f"{self.pole.dim}x{self.pole.dim}"
             )
-        gap = _relative_asymmetry(v)
-        if gap > SYMMETRY_RTOL:
-            raise AsymmetryExceedsTolerance(
-                f"tangent value asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-            )
-        object.__setattr__(self, "value", _readonly(symmetrize(v)))
+        object.__setattr__(self, "value", _readonly(v))
 
     @property
     def dim(self) -> int:

@@ -122,6 +122,7 @@ class ManifestEntry:
     def __post_init__(self):
         if self.kind not in ENTRY_KINDS:
             raise ConfigError(f"unknown entry kind {self.kind!r}")
+        require_integer(self.label, "label", ConfigError)
         if self.label < 0:
             raise ConfigError(f"labels must be nonnegative, got {self.label}")
 
@@ -160,13 +161,16 @@ class DatasetManifest:
         if labels != list(range(len(labels))):
             raise ConfigError(f"labels must be dense 0..L-1, got {labels}")
         if self.grid is not None:
-            grid = tuple(int(v) for v in self.grid)
+            grid = tuple(self.grid)
+            for value in grid:
+                require_integer(value, "grid size", ConfigError)
             if len(grid) != 2 or min(grid) < 1:
                 raise ConfigError(f"grid must be [rows, cols], got {self.grid}")
-            object.__setattr__(self, "grid", grid)
+            object.__setattr__(self, "grid", tuple(int(v) for v in grid))
         if self.feature_mode == "precomputed" and self.grid is not None:
             raise ConfigError("precomputed datasets take no grid")
-        if int(self.downsample) < 1:
+        require_integer(self.downsample, "downsample", ConfigError)
+        if self.downsample < 1:
             raise ConfigError(
                 f"downsample must be at least 1, got {self.downsample}"
             )
@@ -199,7 +203,7 @@ def load_manifest(path) -> DatasetManifest:
         entries = tuple(
             ManifestEntry(
                 path=str(e["path"]),
-                label=int(e["label"]),
+                label=e["label"],
                 kind=str(e.get("kind", "matrix")),
             )
             for e in payload["entries"]
@@ -209,7 +213,7 @@ def load_manifest(path) -> DatasetManifest:
             entries=entries,
             feature_mode=str(payload.get("feature_mode", "precomputed")),
             grid=tuple(grid) if grid else None,
-            downsample=int(payload.get("downsample", 1)),
+            downsample=payload.get("downsample", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed manifest: {exc}") from exc
@@ -467,25 +471,16 @@ class RepRecord:
     stage_seconds: tuple = ()
 
     def to_payload(self, include_timing: bool) -> dict:
-        payload = {
-            "rep": self.rep,
-            "rep_seed": self.rep_seed,
-            "mode": self.mode,
-            "sigma": self.sigma,
-            "k_policy": self.k_policy,
-            "synthetic": self.synthetic,
-            "k": self.k,
-            "t": self.t,
-            "pool_size": self.pool_size,
-            "accuracy": repr(self.accuracy),
-            "clamped_mass": self.clamped_mass,
-            "class_labels": list(self.class_labels),
-            "confusion": [list(row) for row in self.confusion],
-        }
-        if self.knn_accuracy is not None:
-            payload["knn_accuracy"] = repr(self.knn_accuracy)
+        """Every field; accuracies as ``repr`` strings, kNN only when it ran,
+        stage seconds only with ``include_timing``."""
+        payload = asdict(self)
+        payload["accuracy"] = repr(self.accuracy)
+        knn = payload.pop("knn_accuracy")
+        if knn is not None:
+            payload["knn_accuracy"] = repr(knn)
+        stage_seconds = payload.pop("stage_seconds")
         if include_timing:
-            payload["stage_seconds"] = {k: v for k, v in self.stage_seconds}
+            payload["stage_seconds"] = dict(stage_seconds)
         return payload
 
 
@@ -573,16 +568,18 @@ def _split_per_class(points, labels, config, rep_seed):
     )
 
 
+def _validation_count(config, size) -> int:
+    """Points of a class with ``size`` training points held out for validation."""
+    return min(max(1, int(config.validation_fraction * size)), size - 1)
+
+
 def _carve_validation(split, config, rep_seed):
     rng = np.random.default_rng(derive_seed(rep_seed, _STAGE_VALIDATION))
     groups = _class_groups(split.train_labels)
     holdout = set()
     for cls in sorted(groups):
         members = groups[cls]
-        if members.size < 2:
-            continue
-        count = max(1, int(config.validation_fraction * members.size))
-        count = min(count, members.size - 1)
+        count = _validation_count(config, members.size)
         holdout.update(rng.choice(members, size=count, replace=False).tolist())
     fit_idx = [i for i in range(len(split.train_points)) if i not in holdout]
     val_idx = [i for i in range(len(split.train_points)) if i in holdout]
@@ -650,9 +647,7 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     )
     seconds["build"] = time.perf_counter() - started
     started = time.perf_counter()
-    embedded = np.array(
-        _stage(rep, "embed", embed_batch, model, train_points, table=run_table)
-    )
+    embedded = _stage(rep, "embed", embed_batch, model, train_points, table=run_table)
     seconds["embed"] = time.perf_counter() - started
     started = time.perf_counter()
     classifier = _stage(
@@ -684,9 +679,7 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
     # Test points pair with synthetic points once each, so the repetition's
     # table serves them as well as the fit's extension would.
     started = time.perf_counter()
-    test_embedded = np.array(
-        _stage(rep, "embed", embed_batch, model, split.test_points, table=table)
-    )
+    test_embedded = _stage(rep, "embed", embed_batch, model, split.test_points, table=table)
     seconds["embed"] += time.perf_counter() - started
     started = time.perf_counter()
     predictions = classify.predict(classifier, test_embedded)
@@ -725,10 +718,6 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
     )
 
 
-def _grid(config, synth_choices):
-    return list(itertools.product(config.sigma, config.k_policy, synth_choices))
-
-
 def _split_rep(points, labels, config, rep):
     """The repetition's seed, its train/test split and its divergence table.
 
@@ -750,7 +739,7 @@ def _prepare_rep(split, config, rep, rep_seed, synth_choices, table):
     and the chosen combination.  With a single combination the fold is
     skipped and the full training split is kept.
     """
-    grid = _grid(config, synth_choices)
+    grid = list(itertools.product(config.sigma, config.k_policy, synth_choices))
     if len(grid) == 1:
         return split, grid[0]
     fold, effective = _carve_validation(split, config, rep_seed)
@@ -768,20 +757,38 @@ def _prepare_rep(split, config, rep, rep_seed, synth_choices, table):
     return effective, best
 
 
-def run_experiment(points, labels, config: ExperimentConfig) -> Report:
-    """Run every repetition over seeded per-class splits."""
+def _dataset_classes(points, labels):
+    """Labels as an int64 array and the sorted class list of a usable dataset."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) == 0:
         raise EmptyData("dataset holds no points")
     classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise SingleClass(f"dataset holds only class {classes}")
+    return labels, classes
+
+
+def run_experiment(points, labels, config: ExperimentConfig) -> Report:
+    """Run every repetition over seeded per-class splits.
+
+    ``knn_neighbors`` larger than the kNN baseline's training points
+    (the split less any validation fold) raises :class:`ConfigError` first.
+    """
+    labels, classes = _dataset_classes(points, labels)
+    synth_choices = tuple(
+        resolve_synthetic(v, len(classes), config.train_per_class)
+        for v in config.synthetic
+    )
+    per_class = config.train_per_class
+    if len(config.sigma) * len(config.k_policy) * len(synth_choices) > 1:
+        per_class -= _validation_count(config, per_class)
+    if config.knn_neighbors > len(classes) * per_class:
+        raise ConfigError(
+            f"knn_neighbors={config.knn_neighbors} exceeds the "
+            f"{len(classes) * per_class} training points the kNN baseline votes with"
+        )
     records = []
     for rep in range(config.reps):
-        synth_choices = tuple(
-            resolve_synthetic(v, len(classes), config.train_per_class)
-            for v in config.synthetic
-        )
         rep_seed, split, table = _split_rep(points, labels, config, rep)
         effective, (sigma, k_policy, synth) = _prepare_rep(
             split, config, rep, rep_seed, synth_choices, table
@@ -872,12 +879,7 @@ def degradation_study(
     classes survive.  With ``c = 0`` each arm matches
     ``run_experiment`` for the corresponding synthetic count.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(points) == 0:
-        raise EmptyData("dataset holds no points")
-    classes = sorted(set(labels.tolist()))
-    if len(classes) < 2:
-        raise SingleClass(f"dataset holds only class {classes}")
+    labels, classes = _dataset_classes(points, labels)
     if excluded_class_counts is None:
         excluded_class_counts = tuple(range(len(classes)))
     excluded_class_counts = tuple(int(c) for c in excluded_class_counts)

@@ -50,8 +50,8 @@ class KernelParams:
     psd_policy: str = "clamp"
 
     def __post_init__(self):
-        if not (float(self.sigma) > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < float(self.sigma) < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.psd_policy not in ("clamp", "strict"):
             raise ValueError(f"unknown psd_policy {self.psd_policy!r}")
 
@@ -193,17 +193,13 @@ def gram_matrix(points, params: KernelParams, table: DivergenceTable = None) -> 
     exactly symmetric with a unit diagonal.  The spectrum is then
     checked: negative eigenvalues below ``-GRAM_PSD_RTOL * lambda_max``
     raise under the strict policy; under the clamp policy all negative
-    eigenvalues are zeroed and their total magnitude recorded.
+    eigenvalues are zeroed and their total magnitude recorded.  Points
+    of mixed dimensions raise :class:`DimensionMismatch` from
+    :func:`stein_divergence`.
     """
     points = list(points)
     if not points:
         raise EmptyInput("gram_matrix needs at least one point")
-    dim = points[0].dim
-    for p in points[1:]:
-        if p.dim != dim:
-            raise DimensionMismatch(
-                f"points mix dimensions {dim} and {p.dim}"
-            )
     k = np.exp(-params.sigma * divergence_matrix(points, points, table))
 
     vals, vecs = np.linalg.eigh(k)

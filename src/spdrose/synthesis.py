@@ -120,7 +120,7 @@ def karcher_mean_info(points, tol: float = 1e-8, max_iter: int = 100):
     """
     points = list(points)
     if not points:
-        raise EmptyInput("karcher_mean needs at least one point")
+        raise EmptyInput("karcher_mean_info needs at least one point")
     dim = points[0].dim
     for p in points[1:]:
         if p.dim != dim:
@@ -168,50 +168,28 @@ def _mean_tangent_and_objective(pole: SpdMatrix, stack: np.ndarray):
     return sum(tangents) / len(stack), float(np.sum(dist_sq)) / (2.0 * len(stack))
 
 
-def karcher_mean(points, tol: float = 1e-8, max_iter: int = 100) -> SpdMatrix:
-    """Karcher mean under the affine-invariant metric.
+def training_ball(points, config: SynthesisConfig = SynthesisConfig()):
+    """Karcher mean of a training set and its covering radius, as ``(mean, radius)``.
 
-    Raises
-    ------
-    NonConvergence
-        When ``max_iter`` steps do not meet the stopping rule; the
-        exception carries the last iterate and residual so the caller
-        can decide whether to keep it.
+    The radius is the largest geodesic distance from the mean to a point.
+    Raises :class:`NonConvergence`, carrying the last iterate and
+    residual, when the mean misses the stopping rule of
+    :func:`karcher_mean_info` within ``config.karcher_max_iter`` steps.
     """
-    mean, record = karcher_mean_info(points, tol=tol, max_iter=max_iter)
+    points = list(points)
+    mean, record = karcher_mean_info(
+        points, tol=config.karcher_tol, max_iter=config.karcher_max_iter
+    )
     if not record.converged:
         raise NonConvergence(
             f"Karcher mean residual {record.residual:.3e} after "
             f"{record.iterations} iterations and {record.halvings} step "
-            f"halvings (tol {tol:.1e})",
+            f"halvings (tol {config.karcher_tol:.1e})",
             iterate=mean,
             residual=record.residual,
             iterations=record.iterations,
         )
-    return mean
-
-
-@dataclass(frozen=True)
-class TrainingBall:
-    """Karcher mean plus the largest geodesic distance to a training point."""
-
-    mean: SpdMatrix
-    radius: float
-
-
-def ball_around(mean: SpdMatrix, points) -> TrainingBall:
-    """Ball with a given center; radius recomputed from the points."""
-    radius = max(geodesic_distance(mean, p) for p in points)
-    return TrainingBall(mean, radius)
-
-
-def training_ball(points, config: SynthesisConfig = SynthesisConfig()) -> TrainingBall:
-    """Karcher mean and covering radius of a training set."""
-    points = list(points)
-    mean = karcher_mean(
-        points, tol=config.karcher_tol, max_iter=config.karcher_max_iter
-    )
-    return ball_around(mean, points)
+    return mean, max(geodesic_distance(mean, p) for p in points)
 
 
 def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
@@ -273,15 +251,15 @@ def generate_synthetic(training, config: SynthesisConfig):
     training = list(training)
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
-    ball = training_ball(training, config)
+    mean, radius = training_ball(training, config)
     out = []
     for index in range(config.count):
         rng = keyed_generator(config.seed, index)
         for _ in range(MAX_DIRECTION_RETRIES):
             try:
-                direction = _draw_direction(rng, ball.mean, training, config.direction_mode)
+                direction = _draw_direction(rng, mean, training, config.direction_mode)
                 delta = float(rng.uniform())
-                out.append(geodesic_rescale(direction, ball.mean, delta * ball.radius))
+                out.append(geodesic_rescale(direction, mean, delta * radius))
                 break
             except DegenerateDirection:
                 continue

@@ -42,8 +42,6 @@ def test_toy_problem_separates():
     coords, labels = toy_problem()
     model = train_ova_svm(coords, labels)
     assert np.array_equal(predict(model, coords), labels)
-    assert predict(model, coords[0]) == 0
-    assert predict(model, coords[-1]) == 1
 
 
 def test_single_class_and_empty_rejected():
@@ -138,13 +136,16 @@ def test_zero_variance_column_is_handled():
 def test_scores_shapes_and_dimension_check():
     coords, labels = toy_problem()
     model = train_ova_svm(coords, labels)
-    single = decision_scores(model, coords[0])
-    assert single.shape == (2,)
     batch = decision_scores(model, coords)
     assert batch.shape == (20, 2)
-    assert np.array_equal(batch[0], single)
+    assert np.array_equal(decision_scores(model, coords[:1]), batch[:1])
+    # Scores and predictions take a batch only; one vector is a (1, k) batch.
+    with pytest.raises(ValueError):
+        decision_scores(model, coords[0])
+    with pytest.raises(ValueError):
+        predict(model, coords[0])
     with pytest.raises(DimensionMismatch):
-        decision_scores(model, np.zeros(3))
+        decision_scores(model, np.zeros((1, 3)))
 
 
 def test_zero_weights_predict_class_zero_by_tie_rule():
@@ -156,7 +157,7 @@ def test_zero_weights_predict_class_zero_by_tie_rule():
         feature_scale=np.ones(2),
         regularization=1e-3,
     )
-    assert predict(model, np.array([0.4, -0.7])) == 0
+    assert predict(model, np.array([[0.4, -0.7]])).tolist() == [0]
     assert np.array_equal(predict(model, np.ones((4, 2))), np.zeros(4))
 
 
@@ -234,7 +235,7 @@ def test_evaluate_accuracy_basics():
     assert result.total == 4
     assert result.correct == 3
     assert result.accuracy == 0.75
-    assert result.per_class() == {0: 0.5, 1: 1.0}
+    assert result.by_class == ((0, 0.5), (1, 1.0))
     assert result.confusion == ((1, 1), (0, 2))
     assert sum(sum(row) for row in result.confusion) == result.total
 

@@ -373,9 +373,14 @@ def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):
         "train --regularization 0",
         "jl-check --epsilon 2",
         "jl-check --sigma 0",
+        "jl-check --sigma inf",
         "jl-check --k 0",
         "synth --count -2",
         "extract --rows 0",
+        "extract --eps-rel nan",
+        "extract --eps-rel inf",
+        "extract --eps-rel -1",
+        "extract --eps-rel=-1e-7",
     ],
 )
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
@@ -396,6 +401,15 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_knn_neighbors_beyond_training_split_exits_2(tmp_path, capsys):
+    # Two classes of 5 training points: the baseline votes with 10 points.
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = write_config(tmp_path, train_per_class=5, knn_neighbors=50)
+    code = main(["run", "--data", str(manifest), "--config", str(config)])
+    assert code == 2
+    assert "knn_neighbors=50 exceeds the 10 training points" in capsys.readouterr().err
 
 
 def test_run_writes_report(tmp_path, capsys):

@@ -18,14 +18,12 @@ from spdrose import (
     binarize,
     build_projection_model,
     default_exemplar_count,
-    embed,
     embed_batch,
     expected_distance_sq,
     jl_distortion_report,
-    kernel_vector,
     load_projection_model,
-    project_kernel_vector,
     save_projection_model,
+    sigma_guarantees_psd,
     stein_kernel_value,
 )
 
@@ -34,6 +32,13 @@ from conftest import random_spd, two_cluster_pool
 
 def small_pool(rng, count=8, dim=3):
     return [random_spd(rng, dim, log_spread=1.0) for _ in range(count)]
+
+
+def kernel_row(model, x):
+    """Kernel values of ``x`` against the model's reference pool."""
+    return np.array(
+        [stein_kernel_value(ref, x, model.kernel_params) for ref in model.reference_points]
+    )
 
 
 def test_default_exemplar_count():
@@ -79,7 +84,7 @@ def test_identical_references_give_zero_weights(rng):
     for mode in ("whitening", "paper_literal"):
         model = build_projection_model(pool, 5, KernelParams(0.5), exponent_mode=mode)
         assert np.allclose(model.weights, 0.0, atol=1e-12)
-        assert np.allclose(embed(model, random_spd(rng, 3)), 0.0, atol=1e-12)
+        assert np.allclose(embed_batch(model, [random_spd(rng, 3)]), 0.0, atol=1e-12)
 
 
 def test_full_exemplar_sample_gives_exact_zero_weights(rng):
@@ -89,7 +94,7 @@ def test_full_exemplar_sample_gives_exact_zero_weights(rng):
             pool, 4, KernelParams(0.5), t=6, exponent_mode=mode
         )
         assert np.array_equal(model.weights, np.zeros((6, 4)))
-        assert np.array_equal(embed(model, pool[0]), np.zeros(4))
+        assert np.array_equal(embed_batch(model, pool[:1]), np.zeros((1, 4)))
 
 
 def test_build_is_deterministic(rng):
@@ -112,38 +117,29 @@ def test_embed_is_weighted_kernel_vector(rng):
     pool = small_pool(rng, count=9)
     model = build_projection_model(pool, 5, KernelParams(0.5), seed=2)
     x = random_spd(rng, 3)
-    kappa = np.array(
-        [stein_kernel_value(ref, x, model.kernel_params) for ref in pool]
-    )
-    assert np.array_equal(kernel_vector(model, x), kappa)
-    assert np.array_equal(embed(model, x), model.weights.T @ kappa)
-
-
-def test_embedding_is_linear_in_kernel_vector(rng):
-    pool = small_pool(rng)
-    model = build_projection_model(pool, 6, KernelParams(0.5))
-    u = rng.uniform(0.1, 1.0, size=model.p)
-    v = rng.uniform(0.1, 1.0, size=model.p)
-    lhs = project_kernel_vector(model, 2.0 * u + v)
-    rhs = 2.0 * project_kernel_vector(model, u) + project_kernel_vector(model, v)
-    assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+    kappa = kernel_row(model, x)
+    assert np.array_equal(embed_batch(model, [x]), (model.weights.T @ kappa)[None])
 
 
 def test_embed_batch_matches_loop(rng):
+    # Each row equals the point embedded alone, in a read-only (n, k) array.
     pool = small_pool(rng)
     model = build_projection_model(pool, 4, KernelParams(0.5))
     queries = [random_spd(rng, 3) for _ in range(5)]
     batch = embed_batch(model, queries)
+    assert batch.shape == (5, 4)
+    assert not batch.flags.writeable
     for got, x in zip(batch, queries):
-        assert np.array_equal(got, embed(model, x))
+        assert np.array_equal(got, embed_batch(model, [x])[0])
+    assert embed_batch(model, []).shape == (0, 4)
 
 
 def test_embed_rejects_wrong_dimension(rng):
     model = build_projection_model(small_pool(rng, dim=3), 4, KernelParams(0.5))
     with pytest.raises(DimensionMismatch):
-        embed(model, random_spd(rng, 4))
+        embed_batch(model, [random_spd(rng, 4)])
     with pytest.raises(DimensionMismatch):
-        project_kernel_vector(model, np.ones(3))
+        embed_batch(model, [random_spd(rng, 3), random_spd(rng, 2)])
 
 
 def test_binarize_sign_convention():
@@ -157,8 +153,8 @@ def test_expected_distance_matches_exhaustive_enumeration(rng):
     # must equal the exact average of the squared hyperplane response.
     pool = small_pool(rng, count=5)
     model = build_projection_model(pool, 1, KernelParams(0.5), t=2)
-    u = kernel_vector(model, random_spd(rng, 3))
-    v = kernel_vector(model, random_spd(rng, 3))
+    u = kernel_row(model, random_spd(rng, 3))
+    v = kernel_row(model, random_spd(rng, 3))
     h = model.kernel_power @ (u - v)
     p = 5
     responses = []
@@ -174,8 +170,8 @@ def test_expected_distance_matches_exhaustive_enumeration(rng):
 def test_expected_distance_zero_cases(rng):
     pool = small_pool(rng, count=6)
     model = build_projection_model(pool, 2, KernelParams(0.5), t=6)
-    u = kernel_vector(model, pool[0])
-    v = kernel_vector(model, pool[1])
+    u = kernel_row(model, pool[0])
+    v = kernel_row(model, pool[1])
     assert expected_distance_sq(model, u, v) == 0.0
     model = build_projection_model(pool, 2, KernelParams(0.5), t=2)
     assert expected_distance_sq(model, u, u) == 0.0
@@ -189,7 +185,7 @@ def test_median_deviation_shrinks_with_k():
     medians = []
     for k in (16, 64, 256):
         model = build_projection_model(pool, k, params, seed=7)
-        kappas = [kernel_vector(model, x) for x in pool]
+        kappas = [kernel_row(model, x) for x in pool]
         embeddings = [model.weights.T @ kp for kp in kappas]
         deviations = []
         for u in range(len(pool)):
@@ -245,8 +241,8 @@ def test_paper_literal_mode_differs_but_embeds(rng):
     whi = build_projection_model(pool, 6, KernelParams(0.5), seed=4)
     assert lit.exponent == 0.5
     assert not np.allclose(lit.weights, whi.weights)
-    coords = embed(lit, random_spd(rng, 3))
-    assert coords.shape == (6,)
+    coords = embed_batch(lit, [random_spd(rng, 3)])
+    assert coords.shape == (1, 6)
     assert np.all(np.isfinite(coords))
 
 
@@ -260,9 +256,8 @@ def test_model_round_trip_is_bit_exact(rng, tmp_path):
     assert loaded.seed == model.seed
     assert loaded.kernel_params == model.kernel_params
     assert np.array_equal(loaded.weights, model.weights)
-    for _ in range(5):
-        x = random_spd(rng, 3)
-        assert np.array_equal(embed(loaded, x), embed(model, x))
+    queries = [random_spd(rng, 3) for _ in range(5)]
+    assert np.array_equal(embed_batch(loaded, queries), embed_batch(model, queries))
 
 
 def test_model_load_rejects_corruption(rng, tmp_path):
@@ -336,5 +331,26 @@ def test_embed_kernel_call_count(rng, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
-    embed(model, random_spd(rng, 3))
+    embed_batch(model, [random_spd(rng, 3)])
     assert calls["n"] == 11
+
+
+@pytest.mark.parametrize("mode", ["whitening", "paper_literal"])
+@pytest.mark.parametrize("sigma", [0.5, 1.5, 0.25, 2.5])
+def test_rank_deficient_gram_under_strict_policy(rng, sigma, mode):
+    # Duplicated points give a rank-2 Gram whose zero eigenvalues come out
+    # of eigh as roundoff of either sign (about 1e-15).  The strict policy
+    # must accept that, on and off the PSD grid of sigma, and the
+    # pseudo-inverse powers must keep the embeddings finite.
+    a, b = random_spd(rng, 4), random_spd(rng, 4)
+    points = [a] * 5 + [b] * 3
+    assert sigma_guarantees_psd(sigma, 4) == (sigma in (0.5, 1.5))
+    model = build_projection_model(
+        points, 16, KernelParams(sigma, psd_policy="strict"), exponent_mode=mode, seed=3
+    )
+    vals = np.linalg.eigvalsh(model.gram.entries)
+    assert np.sum(vals > 1e-10 * vals[-1]) == 2
+    assert 0.0 <= model.clamped_mass < 1e-12
+    coords = embed_batch(model, points + [random_spd(rng, 4)])
+    assert np.all(np.isfinite(coords))
+    assert np.array_equal(coords[0], coords[4]) and np.array_equal(coords[5], coords[7])

@@ -90,12 +90,25 @@ def test_eigenvalue_floor_scales_with_largest():
     assert EIGENVALUE_FLOOR_RTOL == 1e-12
 
 
-def test_validate_spd_custom_tolerance():
-    near = np.array([[1.0, 0.3], [0.3 + 5e-5, 1.0]])
+@pytest.mark.parametrize(
+    "construct",
+    [SpdMatrix, validate_spd, spd_exp, lambda a: TangentVector(SpdMatrix(np.eye(2)), a)],
+    ids=["SpdMatrix", "validate_spd", "spd_exp", "TangentVector"],
+)
+def test_symmetric_inputs_share_one_set_of_checks(construct):
+    # Every symmetric-matrix input is checked for shape, finiteness and
+    # asymmetry at the same SYMMETRY_RTOL, then replaced by its exact
+    # symmetric part.
+    with pytest.raises(NotSquare):
+        construct(np.ones((2, 3)))
+    with pytest.raises(NonFiniteEntry):
+        construct(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(AsymmetryExceedsTolerance):
-        validate_spd(near)
-    m = validate_spd(near, tol=1e-3)
-    assert np.array_equal(m.array, m.array.T)
+        construct(np.array([[1.0, 0.3], [0.3 + 50.0 * SYMMETRY_RTOL, 1.0]]))
+    near = np.array([[1.0, 0.3], [0.3 + 0.1 * SYMMETRY_RTOL, 1.0]])
+    out = construct(near)
+    value = out.value if isinstance(out, TangentVector) else out.array
+    assert np.array_equal(value, value.T)
 
 
 def test_spd_matrix_array_is_read_only():

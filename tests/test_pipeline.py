@@ -134,6 +134,35 @@ def test_manifest_load_rejections(tmp_path):
     assert "m.json" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("grid", [2.9, 1]), ("downsample", 1.7), ("label", 1.6), ("label", True)],
+)
+def test_manifest_load_rejects_non_integers(tmp_path, field, value):
+    # int() would truncate these to grid (2, 1), downsample 1 and label 1.
+    payload = {
+        "format": "spdrose.dataset",
+        "version": 1,
+        "feature_mode": "intensity5",
+        "grid": [2, 1],
+        "downsample": 1,
+        "entries": [
+            {"path": "a.pgm", "label": 0, "kind": "gray-image"},
+            {"path": "b.pgm", "label": 1, "kind": "gray-image"},
+        ],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    assert load_manifest(path).grid == (2, 1)
+    if field == "label":
+        payload["entries"][1]["label"] = value
+    else:
+        payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="must be an integer"):
+        load_manifest(path)
+
+
 def test_dataset_round_trip(tmp_path, rng):
     points = [random_spd(rng, 3) for _ in range(6)]
     labels = [0, 0, 1, 1, 2, 2]
@@ -384,6 +413,19 @@ def test_run_experiment_guards():
         run_experiment(points[:5], np.zeros(5, dtype=int), quick_config())
     with pytest.raises(ConfigError):
         run_experiment(points, labels, quick_config(train_per_class=12))
+
+
+@pytest.mark.parametrize("sigma, voters", [(0.5, 16), ([0.5, 1.0], 14)])
+def test_knn_neighbors_bounded_by_the_baseline_training_points(monkeypatch, sigma, voters):
+    # Two classes of 8 training points; comparing two candidates holds
+    # out int(0.2 * 8) = 1 point per class for validation.
+    points, labels = benchmark_pool()
+    report = run_experiment(points, labels, quick_config(sigma=sigma, knn_neighbors=voters))
+    assert report.records[0].knn_accuracy is not None
+    # One neighbour more is rejected before any repetition starts.
+    monkeypatch.setattr(spdrose.pipeline, "_split_rep", None)
+    with pytest.raises(ConfigError, match=f"exceeds the {voters} training points"):
+        run_experiment(points, labels, quick_config(sigma=sigma, knn_neighbors=voters + 1))
 
 
 def test_stage_failures_are_tagged(monkeypatch):

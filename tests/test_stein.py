@@ -109,6 +109,10 @@ def test_kernel_params_validation():
         KernelParams(sigma=0.0)
     with pytest.raises(ValueError):
         KernelParams(sigma=-1.0)
+    # An infinite width would put inf * 0 = NaN on the Gram diagonal.
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            KernelParams(sigma=sigma)
     with pytest.raises(ValueError):
         KernelParams(sigma=0.5, psd_policy="ignore")
 

@@ -18,11 +18,9 @@ from spdrose import (
     TangentVector,
     airm_exp_map,
     airm_log_map,
-    ball_around,
     generate_synthetic,
     geodesic_distance,
     geodesic_rescale,
-    karcher_mean,
     karcher_mean_info,
     spd_power,
     symmetrize,
@@ -48,9 +46,15 @@ def unit_step_karcher(points, tol=1e-8, max_iter=100):
         iterations += 1
 
 
+def converged_mean(points):
+    mean, record = karcher_mean_info(points)
+    assert record.converged
+    return mean
+
+
 def test_mean_of_single_point_is_the_point(rng):
     x = random_spd(rng, 3)
-    mean = karcher_mean([x])
+    mean = converged_mean([x])
     assert np.allclose(mean.array, x.array, atol=1e-10)
 
 
@@ -59,7 +63,7 @@ def test_mean_of_commuting_family_is_geometric(rng):
     # mean of the diagonals.
     diags = np.exp(rng.uniform(-1.5, 1.5, size=(6, 4)))
     points = [SpdMatrix(np.diag(d)) for d in diags]
-    mean = karcher_mean(points)
+    mean = converged_mean(points)
     expected = np.exp(np.log(diags).mean(axis=0))
     assert np.allclose(mean.array, np.diag(expected), rtol=1e-7, atol=1e-9)
 
@@ -71,7 +75,7 @@ def test_mean_of_two_points_is_geodesic_midpoint(rng):
         isq = x.inv_sqrt_array
         inner = SpdMatrix(symmetrize(isq @ y.array @ isq))
         midpoint = x.sqrt_array @ spd_power(inner, 0.5).array @ x.sqrt_array
-        mean = karcher_mean([x, y])
+        mean = converged_mean([x, y])
         assert np.allclose(mean.array, midpoint, rtol=1e-6, atol=1e-8)
 
 
@@ -79,8 +83,8 @@ def test_mean_congruence_equivariance(rng):
     points = [random_spd(rng, 3) for _ in range(5)]
     a = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
     moved = [SpdMatrix(symmetrize(a @ p.array @ a.T)) for p in points]
-    lhs = karcher_mean(moved).array
-    m = karcher_mean(points).array
+    lhs = converged_mean(moved).array
+    m = converged_mean(points).array
     assert np.allclose(lhs, a @ m @ a.T, rtol=1e-5, atol=1e-7)
 
 
@@ -95,7 +99,7 @@ def test_mean_info_meets_stopping_rule(rng):
 def test_mean_nonconvergence_carries_state(rng):
     points = [random_spd(rng, 3) for _ in range(6)]
     with pytest.raises(NonConvergence) as info:
-        karcher_mean(points, tol=1e-300, max_iter=3)
+        training_ball(points, SynthesisConfig(karcher_tol=1e-300, karcher_max_iter=3))
     err = info.value
     assert err.iterations == 3
     assert err.residual > 0.0
@@ -171,9 +175,9 @@ def test_synthesis_is_identical_across_blas_thread_counts(tmp_path):
 
 def test_mean_input_validation(rng):
     with pytest.raises(EmptyInput):
-        karcher_mean([])
+        karcher_mean_info([])
     with pytest.raises(DimensionMismatch):
-        karcher_mean([random_spd(rng, 2), random_spd(rng, 3)])
+        karcher_mean_info([random_spd(rng, 2), random_spd(rng, 3)])
 
 
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -187,10 +191,10 @@ def test_property_mean_congruence_equivariant(seed, dim, count):
     # Condition number at most e^2, so the congruence loses little precision.
     a = random_orthogonal(rng, dim) * np.exp(rng.uniform(-1.0, 1.0, size=dim))
     moved = [SpdMatrix(symmetrize(a @ p.array @ a.T)) for p in points]
-    mean = karcher_mean(points).array
+    mean = converged_mean(points).array
     expected = symmetrize(a @ mean @ a.T)
     scale = np.linalg.norm(expected)
-    assert np.linalg.norm(karcher_mean(moved).array - expected) <= 1e-6 * scale
+    assert np.linalg.norm(converged_mean(moved).array - expected) <= 1e-6 * scale
 
 
 @settings(max_examples=50)
@@ -205,20 +209,10 @@ def test_property_rescale_hits_target_distance(seed, dim, fraction):
 
 def test_training_ball_radius_covers_points(rng):
     points = [random_spd(rng, 3) for _ in range(10)]
-    ball = training_ball(points)
-    distances = [geodesic_distance(ball.mean, p) for p in points]
-    assert ball.radius == pytest.approx(max(distances), rel=1e-12)
-    assert all(d <= ball.radius + 1e-12 for d in distances)
-
-
-def test_ball_around_uses_given_center(rng):
-    points = [random_spd(rng, 3) for _ in range(4)]
-    center = SpdMatrix(np.eye(3))
-    ball = ball_around(center, points)
-    assert ball.mean is center
-    assert ball.radius == pytest.approx(
-        max(geodesic_distance(center, p) for p in points), rel=1e-12
-    )
+    mean, radius = training_ball(points)
+    assert mean.array.tobytes() == karcher_mean_info(points)[0].array.tobytes()
+    distances = [geodesic_distance(mean, p) for p in points]
+    assert radius == max(distances)
 
 
 def test_rescale_hits_requested_distance(rng):
@@ -274,9 +268,9 @@ def test_rescale_rejects_bad_inputs(rng):
 def test_synthetic_points_stay_in_ball(rng):
     training = [random_spd(rng, 3) for _ in range(8)]
     config = SynthesisConfig(count=200, seed=5)
-    ball = training_ball(training, config)
+    mean, radius = training_ball(training, config)
     for point in generate_synthetic(training, config):
-        assert geodesic_distance(ball.mean, point) <= ball.radius + 1e-8
+        assert geodesic_distance(mean, point) <= radius + 1e-8
 
 
 def test_synthetic_deterministic_and_prefix_stable(rng):
@@ -329,12 +323,12 @@ def test_training_point_mode_uses_training_directions(rng):
     xinv = spd_power(x, -1.0)
     training = [x, xinv]
     config = SynthesisConfig(count=50, seed=9, direction_mode="training_point")
-    ball = training_ball(training, config)
+    mean, radius = training_ball(training, config)
     for point in generate_synthetic(training, config):
-        d_center = geodesic_distance(ball.mean, point)
+        d_center = geodesic_distance(mean, point)
         on_some_geodesic = any(
             d_center + geodesic_distance(point, t)
-            <= geodesic_distance(ball.mean, t) + 1e-6
+            <= geodesic_distance(mean, t) + 1e-6
             for t in training
         )
         assert on_some_geodesic
@@ -348,10 +342,10 @@ def test_distance_fractions_are_uniform():
     x = random_spd(rng, 3)
     training = [x, spd_power(x, -1.0)]
     config = SynthesisConfig(count=10000, seed=11, direction_mode="training_point")
-    ball = training_ball(training, config)
+    mean, radius = training_ball(training, config)
     fractions = np.array(
         [
-            geodesic_distance(ball.mean, p) / ball.radius
+            geodesic_distance(mean, p) / radius
             for p in generate_synthetic(training, config)
         ]
     )
