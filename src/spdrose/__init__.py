@@ -48,7 +48,6 @@ from .manifold import (
     validate_spd,
 )
 from .stein import (
-    DivergenceTable,
     GramMatrix,
     KernelParams,
     divergence_matrix,

@@ -24,9 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, EmptyTrain, NonConvergence
-from .errors import ParseError, SingleClass
+from .errors import ParseError, SingleClass, require_integer
 from .io import read_container
-from .stein import DivergenceTable, divergence_matrix
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 2
@@ -76,6 +75,8 @@ class TrainedClassifier:
             raise ValueError("standardization statistics do not match weights")
         for a in (w, b, mu, sc):
             a.setflags(write=False)
+        for c in self.classes:
+            require_integer(c, "class label")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
@@ -226,31 +227,26 @@ def predict(model: TrainedClassifier, features) -> np.ndarray:
     return np.array([model.classes[i] for i in picks], dtype=np.int64)
 
 
-def knn_stein(
-    train_points,
-    train_labels,
-    test_points,
-    n_neighbors: int = 1,
-    table: DivergenceTable = None,
-) -> np.ndarray:
+def knn_stein(train_labels, n_neighbors: int, divergences) -> np.ndarray:
     """Majority vote over nearest neighbors in log-det divergence.
 
-    Distance ties are resolved by training order (stable sort) and vote
-    ties by the smaller label.  ``table`` serves the query-to-training
-    divergences it holds.
+    ``divergences`` has one row per query against the training points,
+    ``divergence_matrix(queries, train_points)``.  Distance ties are
+    resolved by training order (stable sort) and vote ties by the
+    smaller label.
     """
-    if len(train_points) == 0:
-        raise EmptyTrain("no labeled points to vote with")
     labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.shape != (len(train_points),):
+    divergences = np.asarray(divergences, dtype=np.float64)
+    if labels.size == 0:
+        raise EmptyTrain("no labeled points to vote with")
+    if labels.ndim != 1 or divergences.ndim != 2 or divergences.shape[1] != labels.size:
         raise DimensionMismatch(
-            f"{len(train_points)} points but {labels.shape} labels"
+            f"divergences of shape {divergences.shape} for {labels.shape} labels"
         )
-    if not 1 <= n_neighbors <= len(train_points):
+    if not 1 <= n_neighbors <= labels.size:
         raise ValueError(
-            f"n_neighbors must lie in [1, {len(train_points)}], got {n_neighbors}"
+            f"n_neighbors must lie in [1, {labels.size}], got {n_neighbors}"
         )
-    divergences = divergence_matrix(test_points, train_points, table)
     out = np.empty(len(divergences), dtype=np.int64)
     for i, row in enumerate(divergences):
         nearest = np.argsort(row, kind="stable")[:n_neighbors]

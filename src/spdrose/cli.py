@@ -12,7 +12,11 @@ The commands call the library instead of repeating it: ``extract``
 describes each image with :func:`pipeline.image_descriptors`, as
 ``load_dataset`` does for image manifests, and ``train`` is
 :func:`pipeline.fit_model` with ``--seed`` as the seed root, so it
-draws the same stage seeds as a ``run`` repetition.
+draws the same stage seeds as a ``run`` repetition.  Divergences come
+from :func:`~spdrose.stein.divergence_matrix`: ``train`` passes the
+training points against themselves, ``eval`` embeds the test points
+against the model's reference points, and ``jl-check`` computes one
+square block that every width shares.
 
 Exit codes: 0 on success, 2 for configuration and usage problems
 (out-of-range flag values included), 3 for malformed or unusable data.
@@ -39,7 +43,7 @@ from .embedding import (
 )
 from .errors import ConfigError, SpdRoseError
 from .pipeline import FEATURE_MODES, ExperimentConfig
-from .stein import DivergenceTable, KernelParams
+from .stein import KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
 
@@ -117,8 +121,8 @@ def _cmd_train(args):
     points, labels = pipeline.load_dataset(args.train)
     k = args.k or pipeline.K_POLICIES[args.k_policy] * len(points)
     model, classifier, _ = pipeline.fit_model(
-        points, points, labels, config, config.sigma[0], k, config.synthetic[0],
-        args.seed, DivergenceTable(points),
+        range(len(points)), points, labels, config, config.sigma[0], k,
+        config.synthetic[0], args.seed, divergence_matrix(points, points),
     )
     os.makedirs(args.out, exist_ok=True)
     save_projection_model(os.path.join(args.out, "model.json"), model)
@@ -134,7 +138,8 @@ def _cmd_eval(args):
     model = load_projection_model(os.path.join(args.model, "model.json"))
     classifier = classify.load_classifier(os.path.join(args.model, "classifier.json"))
     points, labels = pipeline.load_dataset(args.test)
-    predictions = classify.predict(classifier, embed_batch(model, points))
+    embedded = embed_batch(model, divergence_matrix(points, model.reference_points))
+    predictions = classify.predict(classifier, embedded)
     result = classify.evaluate_accuracy(labels, predictions)
     print(
         json.dumps(
@@ -212,16 +217,15 @@ def _cmd_jl_check(args):
     params = _from_flags(KernelParams, sigma=args.sigma, psd_policy=args.psd_policy)
     points, _ = pipeline.load_dataset(args.data)
     # Every width reuses the same pairwise divergences.
-    table = DivergenceTable(points)
+    divergences = divergence_matrix(points, points)
     records = []
     for k in ks:
         model = build_projection_model(
-            points, k=k, params=params,
-            exponent_mode=args.exponent_mode, seed=args.seed, table=table,
+            points, divergences, k=k, params=params,
+            exponent_mode=args.exponent_mode, seed=args.seed,
         )
-        records.append(
-            dataclasses.asdict(jl_distortion_report(model, points, args.epsilon, table))
-        )
+        report = jl_distortion_report(model, divergences, args.epsilon)
+        records.append(dataclasses.asdict(report))
     payload = records[0] if len(records) == 1 else records
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0

@@ -31,18 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, ParseError, TSampleTooLarge
+from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
+from .errors import require_integer
 from .io import read_container
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
-from .stein import (
-    DivergenceTable,
-    GramMatrix,
-    KernelParams,
-    divergence_matrix,
-    gram_matrix,
-    gram_power,
-)
+from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
 
 EXPONENTS = {"whitening": -0.5, "paper_literal": 0.5}
 EXPONENT_MODES = tuple(EXPONENTS)
@@ -105,7 +99,8 @@ class ProjectionModel:
     @cached_property
     def gram(self) -> GramMatrix:
         """Repaired Gram matrix of the reference pool."""
-        return gram_matrix(self.reference_points, self.kernel_params)
+        refs = self.reference_points
+        return gram_matrix(divergence_matrix(refs, refs), self.kernel_params)
 
     @cached_property
     def kernel_power(self) -> np.ndarray:
@@ -114,20 +109,22 @@ class ProjectionModel:
 
 
 def build_projection_model(
-    train_points,
+    reference_points,
+    divergences,
     k: int,
     params: KernelParams,
     t: int | None = None,
     exponent_mode: str = "whitening",
     seed: int = 0,
-    table: DivergenceTable = None,
 ) -> ProjectionModel:
     """Fit the embedding on a reference pool.
 
     Parameters
     ----------
-    train_points : sequence of SpdMatrix
+    reference_points : sequence of SpdMatrix
         Reference pool (at least two points, uniform dimension).
+    divergences : ndarray
+        ``divergence_matrix(reference_points, reference_points)``.
     k : int
         Number of hyperplanes / embedding coordinates.
     params : KernelParams
@@ -137,10 +134,8 @@ def build_projection_model(
     exponent_mode : {"whitening", "paper_literal"}
     seed : int
         Master seed; hyperplane ``j`` uses ``seed XOR j``.
-    table : DivergenceTable, optional
-        Serves the pool's pairwise divergences it holds.
     """
-    points = tuple(train_points)
+    points = tuple(reference_points)
     if len(points) < 2:
         raise EmptyInput("build_projection_model needs at least two reference points")
     if k < 1:
@@ -155,7 +150,11 @@ def build_projection_model(
     if t > p:
         raise TSampleTooLarge(f"t={t} exceeds the reference pool size p={p}")
 
-    gram = gram_matrix(points, params, table)
+    if np.shape(divergences) != (p, p):
+        raise DimensionMismatch(
+            f"divergences have shape {np.shape(divergences)}, expected {(p, p)}"
+        )
+    gram = gram_matrix(divergences, params)
     powered = gram_power(gram, EXPONENTS[exponent_mode])
 
     weights = np.empty((p, k))
@@ -178,9 +177,13 @@ def build_projection_model(
     )
 
 
-def _kernel_rows(model: ProjectionModel, points, table=None) -> np.ndarray:
+def _kernel_rows(model: ProjectionModel, divergences) -> np.ndarray:
     """Kernel values of each point against the reference pool, one row per point."""
-    divergences = divergence_matrix(list(points), model.reference_points, table)
+    divergences = np.asarray(divergences, dtype=np.float64)
+    if divergences.ndim != 2 or divergences.shape[1] != model.p:
+        raise DimensionMismatch(
+            f"divergences have shape {divergences.shape}, expected (n, {model.p})"
+        )
     return np.exp(-model.kernel_params.sigma * divergences)
 
 
@@ -194,14 +197,14 @@ def _project(model: ProjectionModel, kappas: np.ndarray) -> np.ndarray:
     return coords
 
 
-def embed_batch(model: ProjectionModel, points, table: DivergenceTable = None) -> np.ndarray:
+def embed_batch(model: ProjectionModel, divergences) -> np.ndarray:
     """Embed SPD points into the rows of a read-only ``(n, k)`` array.
 
-    Row ``i`` is ``weights.T @ kappa(points[i])``.  A point whose
-    dimension differs from the model's raises :class:`DimensionMismatch`.
-    ``table`` serves the point-to-reference divergences it holds.
+    ``divergences`` has one row per point against the reference pool,
+    ``divergence_matrix(points, model.reference_points)``, and row ``i``
+    of the result is ``weights.T @ kappa(points[i])``.
     """
-    return _project(model, _kernel_rows(model, points, table))
+    return _project(model, _kernel_rows(model, divergences))
 
 
 def binarize(coords: np.ndarray) -> np.ndarray:
@@ -244,9 +247,7 @@ class JlReport:
     k: int
 
 
-def jl_distortion_report(
-    model: ProjectionModel, points, epsilon: float, table: DivergenceTable = None
-) -> JlReport:
+def jl_distortion_report(model: ProjectionModel, divergences, epsilon: float) -> JlReport:
     """Check the two-sided distortion of embedded squared distances.
 
     For every pair the ``(1/k)``-scaled squared embedding distance is
@@ -254,12 +255,12 @@ def jl_distortion_report(
     "within" when the ratio lies in ``[1 - epsilon, 1 + epsilon]``.
     Pairs whose target distance is zero count as within exactly when
     the embedded distance is zero too (identical points embed
-    identically, so a degenerate cloud reports fraction 1).  ``table``
-    serves the point-to-reference divergences it holds.
+    identically, so a degenerate cloud reports fraction 1).  The points
+    enter as ``divergences``, one row each against the reference pool.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    kappas = _kernel_rows(model, points, table)
+    kappas = _kernel_rows(model, divergences)
     embeddings = _project(model, kappas)
     k = model.k
 
@@ -320,10 +321,11 @@ def load_projection_model(path) -> ProjectionModel:
         params = KernelParams(payload["sigma"], payload["psd_policy"])
         refs = tuple(SpdMatrix(np.array(m, dtype=np.float64)) for m in payload["reference_points"])
         weights = np.array(payload["weights"], dtype=np.float64)
-        t = int(payload["t"])
+        for name in ("p", "k", "t", "seed"):
+            require_integer(payload[name], name)
+        t, seed = payload["t"], payload["seed"]
         exponent_mode = payload["exponent_mode"]
-        seed = int(payload["seed"])
-        expected_shape = (int(payload["p"]), int(payload["k"]))
+        expected_shape = (payload["p"], payload["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed projection model ({exc})") from exc
     if weights.shape != expected_shape:

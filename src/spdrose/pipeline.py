@@ -28,14 +28,18 @@ drawn from the surviving points, so its pool stays comparable as
 classes disappear.  With zero exclusions each arm reproduces
 ``run_experiment`` for the matching synthetic count bit for bit.
 
-The Stein divergence does not depend on sigma, so each repetition
-keeps one :class:`~spdrose.stein.DivergenceTable` over its points, with
-a row per training point.  The validation candidates, the final run,
-every exclusion pattern of both degradation arms and the kNN baseline
-read their real pairs from it, so each pair is computed at most once
-per repetition.  Synthetic points are new in every run: a run extends
-the table with them, so their pairs serve both the Gram matrix and the
-embedding of the training points, and are dropped with the run.
+The Stein divergence does not depend on sigma, and only this module
+decides which divergences to reuse.  Each repetition carves its
+validation fold first, then computes its real pairs once as two
+:func:`~spdrose.stein.divergence_matrix` blocks: the training points E
+with themselves, and the validation points, then the test points,
+against E.  Every run of the repetition (validation candidates, the
+final run, each exclusion pattern of both degradation arms, the kNN
+baseline) reads its split's read-only block by position: rows are the
+training then the test points, columns the training points, and a pool
+is a column selection.  Synthetic points are new in every fit, which
+computes their pairs with each other and with the training points; the
+test pass computes the test points against them.
 
 Each run fits through :func:`fit_model` (synthesis, hyperplanes,
 embedding of the training points, classifier) and then scores the test
@@ -84,7 +88,7 @@ from .errors import (
 )
 from .io import load_json, read_container, read_matrix, read_pgm, read_ppm, write_matrix
 from .seeding import derive_seed
-from .stein import DivergenceTable, KernelParams
+from .stein import KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
 MANIFEST_FORMAT = "spdrose.dataset"
@@ -610,20 +614,23 @@ def _stage(rep, name, fn, *args, **kwargs):
 
 
 def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
-              seed_root, table, rep=0):
+              seed_root, divergences, rep=0):
     """Fit a projection model and a classifier on one training set.
 
-    Hyperplanes are built from ``pool`` plus ``synth_count`` synthetic
-    points generated around it (ROSES; ROSE when the count is zero), and
-    the classifier trains on the embedded ``train_points``.  ``table``
-    holds the divergences of the real points.  Synthesis and hyperplanes
-    each draw from their own stage seed under ``seed_root``.  A failing
-    stage, a classifier that does not converge included, raises
-    :class:`StageFailure` for repetition ``rep``.  Returns the model, the classifier and the
-    seconds spent per stage.
+    Hyperplanes are built from the training points at positions
+    ``pool`` plus ``synth_count`` synthetic points generated around them
+    (ROSES; ROSE when the count is zero), which are the model's
+    reference points in that order.  ``divergences`` is
+    ``divergence_matrix(train_points, train_points)``.  The classifier
+    trains on the embedded ``train_points``.  Synthesis and
+    hyperplanes each draw from their own stage seed under ``seed_root``.
+    A failing stage, a classifier that does not converge included,
+    raises :class:`StageFailure` for repetition ``rep``.  Returns the
+    model, the classifier and the seconds spent per stage.
     """
     seconds = {}
     started = time.perf_counter()
+    pool_points = [train_points[i] for i in pool]
     synthetic = []
     if synth_count > 0:
         synth_config = SynthesisConfig(
@@ -631,23 +638,29 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
             seed=derive_seed(seed_root, _STAGE_SYNTH),
             direction_mode=config.direction_mode,
         )
-        synthetic = _stage(rep, "synthesize", generate_synthetic, pool, synth_config)
-    # The synthetic points' pairs serve both the Gram matrix and the
-    # embedding of the training points, then go with this fit.
-    run_table = table.extended(synthetic)
+        synthetic = _stage(rep, "synthesize", generate_synthetic, pool_points, synth_config)
     seconds["synthesize"] = time.perf_counter() - started
     started = time.perf_counter()
+    # The synthetic points' pairs with the training points serve both the
+    # Gram matrix (pool columns) and the embedding of the training points.
+    own = divergence_matrix(synthetic, synthetic)
+    cross = divergence_matrix(synthetic, train_points)
+    references = np.block([
+        [divergences[np.ix_(pool, pool)], cross[:, pool].T],
+        [cross[:, pool], own],
+    ])
     params = KernelParams(sigma=sigma, psd_policy=config.psd_policy)
     model = _stage(
         rep, "build", build_projection_model,
-        [*pool, *synthetic], k=k, params=params,
+        [*pool_points, *synthetic], references, k=k, params=params,
         exponent_mode=config.exponent_mode,
         seed=derive_seed(seed_root, _STAGE_EMBED),
-        table=run_table,
     )
     seconds["build"] = time.perf_counter() - started
     started = time.perf_counter()
-    embedded = _stage(rep, "embed", embed_batch, model, train_points, table=run_table)
+    embedded = _stage(
+        rep, "embed", embed_batch, model, np.hstack([divergences[:, pool], cross.T])
+    )
     seconds["embed"] = time.perf_counter() - started
     started = time.perf_counter()
     classifier = _stage(
@@ -659,27 +672,25 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     return model, classifier, seconds
 
 
-def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, table,
+def _run_single(split, block, config, rep, seed_root, sigma, k_policy, synth_count,
                 included_classes=None, with_knn=False) -> RepRecord:
-    """One pipeline run; ``table`` holds the repetition's real points."""
+    """One pipeline run on ``split``, reading real pairs from its ``block``."""
     classes = split.classes
-    if included_classes is None:
-        included_classes = classes
-    included = tuple(sorted(included_classes))
-    pool = [
-        p
-        for p, label in zip(split.train_points, split.train_labels)
-        if int(label) in included
-    ]
-    k = K_POLICIES[k_policy] * len(split.train_points)
+    included = classes if included_classes is None else included_classes
+    pool = [i for i, label in enumerate(split.train_labels.tolist()) if label in included]
+    n_train = len(split.train_points)
+    k = K_POLICIES[k_policy] * n_train
     model, classifier, seconds = fit_model(
         pool, split.train_points, split.train_labels, config, sigma, k, synth_count,
-        seed_root, table, rep,
+        seed_root, block[:n_train], rep,
     )
-    # Test points pair with synthetic points once each, so the repetition's
-    # table serves them as well as the fit's extension would.
     started = time.perf_counter()
-    test_embedded = _stage(rep, "embed", embed_batch, model, split.test_points, table=table)
+    test_block = block[n_train:]
+    synthetic = model.reference_points[len(pool):]
+    test_divergences = np.hstack(
+        [test_block[:, pool], divergence_matrix(split.test_points, synthetic)]
+    )
+    test_embedded = _stage(rep, "embed", embed_batch, model, test_divergences)
     seconds["embed"] += time.perf_counter() - started
     started = time.perf_counter()
     predictions = classify.predict(classifier, test_embedded)
@@ -687,14 +698,11 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
     evaluation = classify.evaluate_accuracy(
         split.test_labels, predictions, class_labels=classes
     )
-    accuracy = evaluation.accuracy
-    confusion = evaluation.confusion
     knn_accuracy = None
     if with_knn:
         knn_predictions = _stage(
             rep, "baseline", classify.knn_stein,
-            split.train_points, split.train_labels, split.test_points,
-            n_neighbors=config.knn_neighbors, table=table,
+            split.train_labels, config.knn_neighbors, test_block,
         )
         knn_accuracy = classify.evaluate_accuracy(
             split.test_labels, knn_predictions
@@ -709,52 +717,67 @@ def _run_single(split, config, rep, seed_root, sigma, k_policy, synth_count, tab
         k=k,
         t=model.t,
         pool_size=model.p,
-        accuracy=accuracy,
+        accuracy=evaluation.accuracy,
         clamped_mass=model.clamped_mass,
         class_labels=classes,
-        confusion=confusion,
+        confusion=evaluation.confusion,
         knn_accuracy=knn_accuracy,
         stage_seconds=tuple(seconds.items()),
     )
 
 
-def _split_rep(points, labels, config, rep):
-    """The repetition's seed, its train/test split and its divergence table.
+def _read_only(*blocks):
+    block = np.vstack(blocks)
+    block.setflags(write=False)
+    return block
 
-    Every real pair any run of the repetition needs has a training point
-    in it, so the table keeps training rows against all points.
+
+def _split_rep(points, labels, config, rep, validate):
+    """The repetition's seed, its validation fold and its effective split.
+
+    Each split comes as a ``(split, block)`` pair, the fold as ``None``
+    unless ``validate``.  Both splits train on the same points E, so
+    their blocks share ``divergence_matrix(E, E)`` and split
+    ``divergence_matrix(H + T, E)`` between the validation points H and
+    the test points T: every real pair a run of the repetition reads,
+    each computed once.
     """
     rep_seed = derive_seed(config.seed, rep)
     split = _split_per_class(points, labels, config, rep_seed)
-    table = DivergenceTable(
-        split.train_points + split.test_points, rows=len(split.train_points)
-    )
-    return rep_seed, split, table
+    fold, held = None, ()
+    if validate:
+        fold, split = _carve_validation(split, config, rep_seed)
+        held = fold.test_points
+    train = split.train_points
+    square = divergence_matrix(train, train)
+    cross = divergence_matrix(held + split.test_points, train)
+    if fold is not None:
+        fold = (fold, _read_only(square, cross[:len(held)]))
+    return rep_seed, fold, (split, _read_only(square, cross[len(held):]))
 
 
-def _prepare_rep(split, config, rep, rep_seed, synth_choices, table):
-    """Pick (sigma, k_policy, synthetic) on a validation fold.
+def _candidates(config, synth_choices):
+    return list(itertools.product(config.sigma, config.k_policy, synth_choices))
 
-    Returns the effective split (training minus any validation fold)
-    and the chosen combination.  With a single combination the fold is
-    skipped and the full training split is kept.
+
+def _prepare_rep(fold, config, rep, rep_seed, grid):
+    """Pick (sigma, k_policy, synthetic) from ``grid`` on the validation fold.
+
+    With a single combination there is no fold and it is returned as is.
     """
-    grid = list(itertools.product(config.sigma, config.k_policy, synth_choices))
-    if len(grid) == 1:
-        return split, grid[0]
-    fold, effective = _carve_validation(split, config, rep_seed)
+    if fold is None:
+        return grid[0]
     best = None
     best_accuracy = -1.0
     for tag, combo in enumerate(grid):
         tag_seed = derive_seed(rep_seed, _STAGE_VALIDATION, tag)
         record = _run_single(
-            fold, config, rep, tag_seed, combo[0], combo[1], combo[2], table,
-            with_knn=False,
+            *fold, config, rep, tag_seed, *combo, with_knn=False,
         )
         if record.accuracy > best_accuracy:
             best_accuracy = record.accuracy
             best = combo
-    return effective, best
+    return best
 
 
 def _dataset_classes(points, labels):
@@ -779,8 +802,9 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
         resolve_synthetic(v, len(classes), config.train_per_class)
         for v in config.synthetic
     )
+    grid = _candidates(config, synth_choices)
     per_class = config.train_per_class
-    if len(config.sigma) * len(config.k_policy) * len(synth_choices) > 1:
+    if len(grid) > 1:
         per_class -= _validation_count(config, per_class)
     if config.knn_neighbors > len(classes) * per_class:
         raise ConfigError(
@@ -789,13 +813,11 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
         )
     records = []
     for rep in range(config.reps):
-        rep_seed, split, table = _split_rep(points, labels, config, rep)
-        effective, (sigma, k_policy, synth) = _prepare_rep(
-            split, config, rep, rep_seed, synth_choices, table
-        )
+        rep_seed, fold, effective = _split_rep(points, labels, config, rep, len(grid) > 1)
+        sigma, k_policy, synth = _prepare_rep(fold, config, rep, rep_seed, grid)
         records.append(
             _run_single(
-                effective, config, rep, rep_seed, sigma, k_policy, synth, table,
+                *effective, config, rep, rep_seed, sigma, k_policy, synth,
                 with_knn=True,
             )
         )
@@ -898,19 +920,23 @@ def degradation_study(
         raise ConfigError(
             f"synthetic budget must be nonnegative, got {synthetic_budget}"
         )
+    arms = (
+        (MODE_PLAIN, _candidates(config, (0,))),
+        (MODE_AUGMENTED, _candidates(config, (synthetic_budget,))),
+    )
     records = []
     for rep in range(config.reps):
-        rep_seed, split, table = _split_rep(points, labels, config, rep)
-        for arm, budget in ((MODE_PLAIN, 0), (MODE_AUGMENTED, synthetic_budget)):
-            effective, (sigma, k_policy, synth) = _prepare_rep(
-                split, config, rep, rep_seed, (budget,), table
-            )
+        rep_seed, fold, effective = _split_rep(
+            points, labels, config, rep, len(arms[0][1]) > 1
+        )
+        for arm, grid in arms:
+            sigma, k_policy, synth = _prepare_rep(fold, config, rep, rep_seed, grid)
             for count in excluded_class_counts:
                 for excluded in itertools.combinations(classes, count):
                     included = tuple(c for c in classes if c not in excluded)
                     record = _run_single(
-                        effective, config, rep, rep_seed, sigma, k_policy, synth,
-                        table, included_classes=included, with_knn=False,
+                        *effective, config, rep, rep_seed, sigma, k_policy, synth,
+                        included_classes=included, with_knn=False,
                     )
                     records.append(
                         DegradationRecord(excluded=excluded, arm=arm, record=record)

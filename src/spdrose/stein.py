@@ -14,12 +14,12 @@ symmetric factors, never through raw determinants, so they stay finite
 and accurate for the matrix sizes this package targets.
 
 Every divergence the package needs is evaluated by
-:func:`stein_divergence`, and every block of them (Gram assembly,
-embedding, the nearest-neighbour baseline, the distortion report) goes
-through :func:`divergence_matrix`.  ``J`` does not depend on ``sigma``,
-so a :class:`DivergenceTable` lets one scope, such as a pipeline
-repetition, compute each pair of its points at most once and reuse it
-for every kernel width, pool and query set.
+:func:`stein_divergence` inside :func:`divergence_matrix`, the one
+producer of divergence blocks.  ``J`` does not depend on ``sigma``, so
+the kernel-side functions (Gram assembly, embedding, the
+nearest-neighbour baseline, the distortion report) take those float64
+blocks rather than points, and the caller decides which pairs to
+compute once and reuse across kernel widths, pools and query sets.
 """
 
 from __future__ import annotations
@@ -79,83 +79,24 @@ def stein_divergence(x: SpdMatrix, y: SpdMatrix) -> float:
     return max(value, 0.0)
 
 
-class DivergenceTable:
-    """Stein divergences between known points, each computed at most once.
-
-    Points are known by identity and indexed by position.  A pair is
-    kept when at least one of its points is among the first ``rows``
-    points (default: all of them), in cell ``[min, max]`` of its two
-    positions of a float64 array that holds NaN until the pair is
-    computed.  Pairs with an unknown point, or with both points past
-    ``rows``, are computed on every request and not kept.
-    """
-
-    def __init__(self, points, rows=None, base=None):
-        points = tuple(points)
-        self._base = base
-        self._own = len(points)
-        self._size = self._own + (base._size if base is not None else 0)
-        self._rows = self._own if rows is None else int(rows)
-        position = {}
-        for i, point in enumerate(points):
-            position.setdefault(point, i)
-        if base is not None:
-            for point, i in base._position.items():
-                position.setdefault(point, i + self._own)
-        self._position = position
-        self._values = np.full((self._rows, self._size), np.nan)
-
-    def extended(self, points) -> "DivergenceTable":
-        """A table over ``points`` plus this table's points.
-
-        Pairs between this table's points are read from and written to
-        this table; pairs involving a new point are kept only by the
-        returned table, so they are dropped with it.
-        """
-        return DivergenceTable(points, base=self)
-
-    def _cell(self, i, j):
-        if i < self._rows:
-            return self._values, i, j
-        if i >= self._own and self._base is not None:
-            return self._base._cell(i - self._own, j - self._own)
-        return None
-
-    def divergence(self, x: SpdMatrix, y: SpdMatrix) -> float:
-        """``J(x, y)``, from the table when it holds the pair."""
-        i, j = self._position.get(x), self._position.get(y)
-        cell = None
-        if i is not None and j is not None:
-            cell = self._cell(min(i, j), max(i, j))
-        if cell is None:
-            return stein_divergence(x, y)
-        values, i, j = cell
-        value = values[i, j]
-        if math.isnan(value):
-            value = values[i, j] = stein_divergence(x, y)
-        return value
-
-
-def divergence_matrix(rows, cols, table: DivergenceTable = None) -> np.ndarray:
+def divergence_matrix(rows, cols) -> np.ndarray:
     """Divergences ``D[i, j] = J(rows[i], cols[j])`` as a float64 array.
 
     Every entry comes from :func:`stein_divergence`, which is exactly
     symmetric in its arguments and exactly zero for a point paired with
     itself, so the result equals the per-pair loop bit for bit while a
     point paired with itself costs nothing and, when ``rows is cols``,
-    only the upper triangle is evaluated and mirrored.  A ``table``
-    serves the pairs it holds and computes each of them at most once.
+    only the upper triangle is evaluated and mirrored.
     """
     square = rows is cols
     rows = list(rows)
     cols = rows if square else list(cols)
-    divergence = stein_divergence if table is None else table.divergence
     out = np.zeros((len(rows), len(cols)))
     for i, x in enumerate(rows):
         for j in range(i + 1 if square else 0, len(cols)):
             y = cols[j]
             if x is not y:
-                out[i, j] = divergence(x, y)
+                out[i, j] = stein_divergence(x, y)
     return out + out.T if square else out
 
 
@@ -185,22 +126,25 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def gram_matrix(points, params: KernelParams, table: DivergenceTable = None) -> GramMatrix:
-    """Assemble the kernel Gram matrix over a list of SPD points.
+def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
+    """Assemble the kernel Gram matrix from a square divergence block.
 
-    The kernel is applied to :func:`divergence_matrix` over the points
-    (served from ``table`` where it holds the pairs), so the result is
-    exactly symmetric with a unit diagonal.  The spectrum is then
-    checked: negative eigenvalues below ``-GRAM_PSD_RTOL * lambda_max``
-    raise under the strict policy; under the clamp policy all negative
-    eigenvalues are zeroed and their total magnitude recorded.  Points
-    of mixed dimensions raise :class:`DimensionMismatch` from
-    :func:`stein_divergence`.
+    ``divergences`` is :func:`divergence_matrix` of the points with
+    themselves, exactly symmetric with a zero diagonal, so the kernel
+    ``exp(-sigma * D)`` is exactly symmetric with a unit diagonal.  The
+    spectrum is then checked: negative eigenvalues below
+    ``-GRAM_PSD_RTOL * lambda_max`` raise under the strict policy; under
+    the clamp policy all negative eigenvalues are zeroed and their total
+    magnitude recorded.
     """
-    points = list(points)
-    if not points:
+    divergences = np.asarray(divergences, dtype=np.float64)
+    if divergences.ndim != 2 or divergences.shape[0] != divergences.shape[1]:
+        raise DimensionMismatch(
+            f"divergences must form a square matrix, got shape {divergences.shape}"
+        )
+    if divergences.size == 0:
         raise EmptyInput("gram_matrix needs at least one point")
-    k = np.exp(-params.sigma * divergence_matrix(points, points, table))
+    k = np.exp(-params.sigma * divergences)
 
     vals, vecs = np.linalg.eigh(k)
     lo, hi = float(vals[0]), float(vals[-1])

@@ -21,6 +21,7 @@ from spdrose import (
     airm_log_map,
     build_projection_model,
     degradation_study,
+    divergence_matrix,
     embed_batch,
     generate_synthetic,
     geodesic_distance,
@@ -165,7 +166,7 @@ def test_criterion_2_stein_suite():
             worst = max(worst, -eigenvalues[0] / eigenvalues[-1])
             assert eigenvalues[0] >= -1e-10 * eigenvalues[-1]
         # tie the sweep to the public Gram assembly on one grid point
-        api = gram_matrix(points, KernelParams(sigma=grid[-1]))
+        api = gram_matrix(divergence_matrix(points, points), KernelParams(sigma=grid[-1]))
         assert np.allclose(api.entries, np.exp(-grid[-1] * divergences), atol=1e-15)
         assert api.clamped_mass == 0.0
     print(f"criterion 2: closed form ok, worst -lambda_min/lambda_max {worst:.2e}")
@@ -213,20 +214,21 @@ def test_criterion_5_embedding_fidelity():
     started = time.perf_counter()
     pool = two_cluster_pool(5, 20, 0.06, 20260814, [2.0, -2.0, 1.6, -1.2, 0.8])
     params = KernelParams(sigma=0.5)
+    divergences = divergence_matrix(pool, pool)
     medians = []
     for k in (16, 64, 256):
         model = build_projection_model(
-            pool, k=k, params=params,
+            pool, divergences, k=k, params=params,
             exponent_mode="whitening", seed=EMBEDDING_BUILD_SEED,
         )
-        medians.append(jl_distortion_report(model, pool, 0.49).median_distortion)
+        medians.append(jl_distortion_report(model, divergences, 0.49).median_distortion)
     assert medians[0] > medians[1] > medians[2]
 
     wide = build_projection_model(
-        pool, k=1024, params=params,
+        pool, divergences, k=1024, params=params,
         exponent_mode="whitening", seed=EMBEDDING_BUILD_SEED,
     )
-    fraction = jl_distortion_report(wide, pool, 0.49).fraction_within
+    fraction = jl_distortion_report(wide, divergences, 0.49).fraction_within
     assert fraction >= 0.5
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -241,17 +243,20 @@ def test_criterion_6_degenerate_models():
     rng = np.random.default_rng(20260818)
     x = random_spd(rng, 4)
     probe = random_spd(rng, 4)
+    same = [x] * 12
     for mode in ("whitening", "paper_literal"):
         model = build_projection_model(
-            [x] * 12, k=24, params=KernelParams(sigma=0.5),
+            same, divergence_matrix(same, same), k=24, params=KernelParams(sigma=0.5),
             exponent_mode=mode, seed=5,
         )
+        probe_divergences = divergence_matrix([probe], same)
         assert np.allclose(model.weights, 0.0, atol=1e-12)
-        assert np.allclose(embed_batch(model, [probe]), 0.0, atol=1e-12)
+        assert np.allclose(embed_batch(model, probe_divergences), 0.0, atol=1e-12)
 
     distinct = [random_spd(rng, 4) for _ in range(8)]
     saturated = build_projection_model(
-        distinct, k=16, params=KernelParams(sigma=0.5), t=8, seed=5
+        distinct, divergence_matrix(distinct, distinct), k=16,
+        params=KernelParams(sigma=0.5), t=8, seed=5,
     )
     assert np.all(saturated.weights == 0.0)
     print("criterion 6: identical references and t=p both give W=0")
@@ -321,12 +326,14 @@ def test_criterion_9_determinism(
     assert run_degradation(degradation_problem).to_json() == degradation_report.to_json()
 
     pool = two_cluster_pool(4, 8, 0.08, 71, [1.8, -1.4, 1.0, -0.6])
+    divergences = divergence_matrix(pool, pool)
     model = build_projection_model(
-        pool, k=32, params=KernelParams(sigma=0.5), seed=11
+        pool, divergences, k=32, params=KernelParams(sigma=0.5), seed=11
     )
     path = tmp_path / "model.json"
     save_projection_model(path, model)
     restored = load_projection_model(path)
-    for a, b in zip(embed_batch(model, pool), embed_batch(restored, pool)):
+    reloaded = divergence_matrix(pool, restored.reference_points)
+    for a, b in zip(embed_batch(model, divergences), embed_batch(restored, reloaded)):
         assert np.array_equal(a, b)
     print("criterion 9: reports byte-identical; persisted embeddings bit-exact")

@@ -18,6 +18,7 @@ from spdrose import (
     SpdMatrix,
     TrainedClassifier,
     decision_scores,
+    divergence_matrix,
     evaluate_accuracy,
     knn_stein,
     load_classifier,
@@ -188,11 +189,15 @@ def test_prediction_invariant_to_feature_rescaling():
     )
 
 
+def knn(train, labels, queries, n_neighbors=1):
+    return knn_stein(labels, n_neighbors, divergence_matrix(queries, train))
+
+
 def test_knn_recovers_training_point(rng):
     train = [random_spd(rng, 3) for _ in range(6)]
     labels = [0, 1, 2, 0, 1, 2]
     for i, point in enumerate(train):
-        assert knn_stein(train, labels, [point], n_neighbors=1)[0] == labels[i]
+        assert knn(train, labels, [point], 1)[0] == labels[i]
 
 
 def test_knn_two_scale_clusters():
@@ -203,31 +208,31 @@ def test_knn_two_scale_clusters():
     train = small + large
     labels = [0, 0, 0, 1, 1, 1]
     queries = [SpdMatrix(1.05 * np.eye(3)), SpdMatrix(95.0 * np.eye(3))]
-    assert knn_stein(train, labels, queries, n_neighbors=1).tolist() == [0, 1]
+    assert knn(train, labels, queries, 1).tolist() == [0, 1]
 
 
 def test_knn_full_vote_is_global_majority(rng):
     train = [random_spd(rng, 2) for _ in range(5)]
     labels = [1, 1, 1, 0, 0]
     queries = [random_spd(rng, 2) for _ in range(3)]
-    assert knn_stein(train, labels, queries, n_neighbors=5).tolist() == [1, 1, 1]
+    assert knn(train, labels, queries, 5).tolist() == [1, 1, 1]
 
 
 def test_knn_vote_tie_prefers_smaller_label():
     a = SpdMatrix(np.diag([2.0, 0.5]))
     b = SpdMatrix(np.diag([0.5, 2.0]))
     query = SpdMatrix(np.eye(2))
-    assert knn_stein([a, b], [1, 0], [query], n_neighbors=2)[0] == 0
+    assert knn([a, b], [1, 0], [query], 2)[0] == 0
 
 
 def test_knn_validation(rng):
     with pytest.raises(EmptyTrain):
-        knn_stein([], [], [random_spd(rng, 2)])
+        knn([], [], [random_spd(rng, 2)])
     train = [random_spd(rng, 2) for _ in range(3)]
     with pytest.raises(ValueError):
-        knn_stein(train, [0, 1, 0], [train[0]], n_neighbors=4)
+        knn(train, [0, 1, 0], [train[0]], 4)
     with pytest.raises(DimensionMismatch):
-        knn_stein(train, [0, 1], [train[0]])
+        knn(train, [0, 1], [train[0]])
 
 
 def test_evaluate_accuracy_basics():

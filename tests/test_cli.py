@@ -15,9 +15,9 @@ import spdrose.classify
 import spdrose.pipeline
 from spdrose import (
     DatasetManifest,
-    DivergenceTable,
     ExperimentConfig,
     ManifestEntry,
+    divergence_matrix,
     fit_model,
     load_dataset,
     make_benchmark,
@@ -298,7 +298,8 @@ def test_train_is_fit_model_with_seed_root(tmp_path, capsys):
     points, labels = load_dataset(manifest)
     config = ExperimentConfig(synthetic=4)
     model, classifier, _ = fit_model(
-        points, points, labels, config, 0.5, 32, 4, 7, DivergenceTable(points)
+        range(len(points)), points, labels, config, 0.5, 32, 4, 7,
+        divergence_matrix(points, points),
     )
     save_projection_model(tmp_path / "model.json", model)
     save_classifier(tmp_path / "classifier.json", classifier)
@@ -325,6 +326,29 @@ def test_eval_non_finite_model_file_exits_3(tmp_path, capsys, field):
     path = model_dir / field
     payload = json.loads(path.read_text())
     payload["weights"][0][0] = float("nan")
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, key, value",
+    [
+        ("model.json", "t", 2.9),
+        ("model.json", "seed", 3.7),
+        ("classifier.json", "classes", [0.6, 1.2]),
+    ],
+)
+def test_eval_non_integer_header_exits_3(tmp_path, capsys, field, key, value):
+    # Such fields were truncated with int() and the file loaded silently.
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / field
+    payload = json.loads(path.read_text())
+    payload[key] = value
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])

@@ -479,6 +479,48 @@ def test_run_experiment_computes_each_pair_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
+    # Per repetition, the training points E with themselves and the
+    # validation points H, then the test points T, against E: each real
+    # pair once, and every run reads its split's block by position.
+    points, labels = benchmark_pool()
+    real = {id(p) for p in points}
+    per_rep, runs = [], []
+    split_rep = spdrose.pipeline._split_rep
+    run_single = spdrose.pipeline._run_single
+    divergence = spdrose.stein.stein_divergence
+
+    def counting_split_rep(*args):
+        per_rep.append(Counter())
+        return split_rep(*args)
+
+    def recording_run_single(split, block, *args, **kwargs):
+        runs.append((split, block))
+        return run_single(split, block, *args, **kwargs)
+
+    def counting(x, y):
+        if id(x) in real and id(y) in real:
+            per_rep[-1][frozenset((id(x), id(y)))] += 1
+        return divergence(x, y)
+
+    monkeypatch.setattr(spdrose.pipeline, "_split_rep", counting_split_rep)
+    monkeypatch.setattr(spdrose.pipeline, "_run_single", recording_run_single)
+    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
+    run_experiment(points, labels, quick_config(reps=2, sigma=(0.5, 1.0), synthetic=4))
+    # Two validation candidates and the final run per repetition.
+    assert len(per_rep) == 2 and len(runs) == 6
+    for rep, calls in enumerate(per_rep):
+        fold, effective = runs[3 * rep][0], runs[3 * rep + 2][0]
+        e, h, t = len(fold.train_points), len(fold.test_points), len(effective.test_points)
+        assert effective.train_points == fold.train_points and h > 0
+        assert sum(calls.values()) == len(calls) == e * (e - 1) // 2 + (h + t) * e
+    for split, block in runs:
+        rows = split.train_points + split.test_points
+        loop = [[divergence(x, y) for y in split.train_points] for x in rows]
+        assert not block.flags.writeable
+        assert np.array_equal(block, np.array(loop))
+
+
 def test_degradation_study_computes_each_pair_once(monkeypatch):
     points, labels = benchmark_pool(n_classes=3, per_class=10)
     calls = count_divergences(monkeypatch)

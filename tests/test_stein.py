@@ -1,16 +1,13 @@
 """Unit tests for the Stein divergence, kernel, and Gram assembly."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import spdrose.stein
 from spdrose import (
     DimensionMismatch,
-    DivergenceTable,
     EmptyInput,
     GramMatrix,
     IndefiniteKernel,
@@ -45,6 +42,10 @@ INDEFINITE_POINTS = [
         [[6.274226, 0.675056], [0.675056, 6.728837]],
     ]
 ]
+
+
+def gram_of(points, params):
+    return gram_matrix(divergence_matrix(points, points), params)
 
 
 def test_divergence_of_identical_points_is_zero(rng):
@@ -133,7 +134,7 @@ def test_sigma_grid():
 
 def test_gram_unit_diagonal_and_exact_symmetry(rng):
     points = [random_spd(rng, 3) for _ in range(12)]
-    gram = gram_matrix(points, KernelParams(sigma=1.0))
+    gram = gram_of(points, KernelParams(sigma=1.0))
     assert np.array_equal(np.diag(gram.entries), np.ones(12))
     assert np.array_equal(gram.entries, gram.entries.T)
     assert gram.size == 12
@@ -143,7 +144,7 @@ def test_gram_unit_diagonal_and_exact_symmetry(rng):
 def test_gram_entries_match_pairwise_kernel(rng):
     params = KernelParams(sigma=0.5)
     points = [random_spd(rng, 4) for _ in range(6)]
-    gram = gram_matrix(points, params)
+    gram = gram_of(points, params)
     for i in range(6):
         for j in range(6):
             if i != j:
@@ -158,7 +159,7 @@ def test_gram_psd_on_guaranteed_grid(rng):
         count = int(rng.integers(3, 20))
         points = [random_spd(rng, dim) for _ in range(count)]
         half_steps = int(rng.integers(1, dim))
-        gram = gram_matrix(points, KernelParams(sigma=half_steps / 2.0))
+        gram = gram_of(points, KernelParams(sigma=half_steps / 2.0))
         vals = np.linalg.eigvalsh(gram.entries)
         assert vals[0] >= -GRAM_PSD_RTOL * vals[-1]
         assert gram.clamped_mass == 0.0
@@ -166,9 +167,11 @@ def test_gram_psd_on_guaranteed_grid(rng):
 
 def test_gram_rejects_empty_and_mixed_dims(rng):
     with pytest.raises(EmptyInput):
-        gram_matrix([], KernelParams(sigma=0.5))
+        gram_of([], KernelParams(sigma=0.5))
     with pytest.raises(DimensionMismatch):
-        gram_matrix([random_spd(rng, 2), random_spd(rng, 3)], KernelParams(sigma=0.5))
+        gram_of([random_spd(rng, 2), random_spd(rng, 3)], KernelParams(sigma=0.5))
+    with pytest.raises(DimensionMismatch):
+        gram_matrix(np.zeros((2, 3)), KernelParams(sigma=0.5))
 
 
 def test_indefinite_witness_is_indefinite():
@@ -186,7 +189,7 @@ def test_indefinite_witness_is_indefinite():
 
 
 def test_gram_clamp_repairs_indefinite():
-    gram = gram_matrix(INDEFINITE_POINTS, KernelParams(sigma=0.25, psd_policy="clamp"))
+    gram = gram_of(INDEFINITE_POINTS, KernelParams(sigma=0.25, psd_policy="clamp"))
     vals = np.linalg.eigvalsh(gram.entries)
     assert vals[0] >= -1e-12 * vals[-1]
     assert gram.clamped_mass > 0.01
@@ -195,20 +198,20 @@ def test_gram_clamp_repairs_indefinite():
 
 def test_gram_strict_raises_on_indefinite():
     with pytest.raises(IndefiniteKernel) as info:
-        gram_matrix(INDEFINITE_POINTS, KernelParams(sigma=0.25, psd_policy="strict"))
+        gram_of(INDEFINITE_POINTS, KernelParams(sigma=0.25, psd_policy="strict"))
     assert info.value.smallest_eigenvalue < -0.01
     assert info.value.sigma == 0.25
 
 
 def test_gram_entries_read_only(rng):
-    gram = gram_matrix([random_spd(rng, 2) for _ in range(3)], KernelParams(0.5))
+    gram = gram_of([random_spd(rng, 2) for _ in range(3)], KernelParams(0.5))
     with pytest.raises(ValueError):
         gram.entries[0, 0] = 2.0
 
 
 def test_gram_power_halves_compose(rng):
     points = [random_spd(rng, 3) for _ in range(8)]
-    gram = gram_matrix(points, KernelParams(sigma=1.0))
+    gram = gram_of(points, KernelParams(sigma=1.0))
     root = gram_power(gram, 0.5)
     assert np.allclose(root @ root, gram.entries, rtol=1e-9, atol=1e-11)
     inv_root = gram_power(gram, -0.5)
@@ -222,7 +225,7 @@ def test_gram_power_pseudo_inverse_on_singular(rng):
     # branch must produce a projector, not blow up.
     base = [random_spd(rng, 3) for _ in range(5)]
     points = base + [base[0]]
-    gram = gram_matrix(points, KernelParams(sigma=1.0))
+    gram = gram_of(points, KernelParams(sigma=1.0))
     root = gram_power(gram, 0.5)
     inv_root = gram_power(gram, -0.5)
     projector = inv_root @ root
@@ -232,7 +235,7 @@ def test_gram_power_pseudo_inverse_on_singular(rng):
 
 
 def test_gram_power_rejects_other_exponents(rng):
-    gram = gram_matrix([random_spd(rng, 2) for _ in range(3)], KernelParams(0.5))
+    gram = gram_of([random_spd(rng, 2) for _ in range(3)], KernelParams(0.5))
     with pytest.raises(ValueError):
         gram_power(gram, 1.0)
 
@@ -253,42 +256,6 @@ def test_divergence_matrix_equals_pair_loop(rng, dim):
     others = [random_spd(rng, dim) for _ in range(4)]
     assert np.array_equal(divergence_matrix(points, points), pair_loop(points, points))
     assert np.array_equal(divergence_matrix(points, others), pair_loop(points, others))
-    table = DivergenceTable(points + others, rows=len(points))
-    for _ in range(2):  # the second pass reads what the first one kept
-        assert np.array_equal(
-            divergence_matrix(points, points, table), pair_loop(points, points)
-        )
-        assert np.array_equal(
-            divergence_matrix(others, points, table), pair_loop(others, points)
-        )
-
-
-def test_divergence_table_computes_each_kept_pair_once(rng, monkeypatch):
-    calls = Counter()
-    original = spdrose.stein.stein_divergence
-
-    def counting(x, y):
-        calls[frozenset((id(x), id(y)))] += 1
-        return original(x, y)
-
-    monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
-    train = [random_spd(rng, 3) for _ in range(5)]
-    test = [random_spd(rng, 3) for _ in range(4)]
-    synthetic = [random_spd(rng, 3) for _ in range(3)]
-    table = DivergenceTable(train + test, rows=len(train))
-    run = table.extended(synthetic)
-    pool = train + synthetic
-    for _ in range(2):
-        divergence_matrix(pool, pool, run)
-        divergence_matrix(train + test, pool, run)
-        divergence_matrix(test, train, table)
-    assert max(calls.values()) == 1
-    # train pairs, train x test, synthetic pairs, synthetic x real
-    assert len(calls) == 10 + 20 + 3 + 3 * 9
-    # Pairs of two points past the kept rows are never stored.
-    divergence_matrix(test[:2], test[2:], table)
-    divergence_matrix(test[:2], test[2:], table)
-    assert max(calls.values()) == 2
 
 
 _SEEDS = st.integers(0, 2**32 - 1)
