@@ -45,7 +45,6 @@ from .manifold import (
     spd_exp,
     spd_log,
     spd_power,
-    validate_spd,
 )
 from .stein import (
     GramMatrix,
@@ -116,7 +115,6 @@ from .pipeline import (
     DegradationRecord,
     DegradationReport,
     ExperimentConfig,
-    LabeledSplit,
     ManifestEntry,
     Report,
     RepRecord,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .manifold import SpdMatrix, symmetrize, validate_spd
+from .manifold import SpdMatrix, symmetrize
 from .seeding import keyed_generator
 
 MAX_SAMPLE_RETRIES = 100
@@ -76,7 +76,7 @@ def make_cluster_centers(
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     scale = separation / np.sqrt(2.0)
     return [
-        validate_spd(np.diag(np.exp(scale * q[:, c]))) for c in range(n_classes)
+        SpdMatrix(np.diag(np.exp(scale * q[:, c]))) for c in range(n_classes)
     ]
 
 
@@ -93,7 +93,7 @@ def sample_cluster(center: SpdMatrix, count: int, spread: float, rng):
             noise = symmetrize(rng.normal(scale=spread, size=(center.dim,) * 2))
             candidate = symmetrize(a @ (np.eye(center.dim) + noise) @ a.T)
             try:
-                points.append(validate_spd(candidate))
+                points.append(SpdMatrix(candidate))
                 break
             except NotPositiveDefinite:
                 continue

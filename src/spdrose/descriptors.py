@@ -26,7 +26,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import GridTooFine, ImageTooSmall, RegionTooSmall
-from .manifold import SpdMatrix, symmetrize, validate_spd
+from .manifold import SpdMatrix, symmetrize
 
 DEFAULT_EPS_REL = 1e-5
 ABSOLUTE_RIDGE = 1e-8
@@ -314,7 +314,7 @@ def region_covariance(
     deviations = flat - flat.mean(axis=0)
     cov = symmetrize(deviations.T @ deviations) / (flat.shape[0] - 1)
     ridge = eps_rel * float(np.trace(cov)) / feature_image.channels + ABSOLUTE_RIDGE
-    return validate_spd(cov + ridge * np.eye(feature_image.channels))
+    return SpdMatrix(cov + ridge * np.eye(feature_image.channels))
 
 
 def grid_covariances(

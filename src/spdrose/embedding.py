@@ -332,6 +332,8 @@ def load_projection_model(path) -> ProjectionModel:
         raise ParseError(
             f"{path}: weights shape {weights.shape} does not match header {expected_shape}"
         )
+    if len(refs) != expected_shape[0]:
+        raise ParseError(f"{path}: header p does not match {len(refs)} reference points")
     if exponent_mode not in EXPONENT_MODES:
         raise ParseError(f"{path}: unknown exponent_mode {exponent_mode!r}")
     return ProjectionModel(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .descriptors import ColorImage, GrayImage
 from .errors import ParseError
-from .manifold import SpdMatrix, validate_spd
+from .manifold import SpdMatrix
 
 
 def _reject_constant(token):
@@ -86,7 +86,7 @@ def read_matrix(path) -> SpdMatrix:
         except ValueError as exc:
             raise ParseError(f"{path}: row {i} holds a non-numeric entry") from exc
     try:
-        return validate_spd(np.array(rows, dtype=np.float64))
+        return SpdMatrix(np.array(rows, dtype=np.float64))
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -140,26 +140,6 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def validate_spd(raw) -> SpdMatrix:
-    """Validate a raw square array as SPD and wrap it.
-
-    Parameters
-    ----------
-    raw : array-like of shape (d, d)
-        Candidate matrix.  An input within ``SYMMETRY_RTOL`` relative
-        asymmetry is replaced by its exact symmetric part.
-
-    Returns
-    -------
-    SpdMatrix
-
-    Raises
-    ------
-    NotSquare, NonFiniteEntry, AsymmetryExceedsTolerance, NotPositiveDefinite
-    """
-    return SpdMatrix(raw)
-
-
 def _spectral_apply(x: SpdMatrix, fn) -> np.ndarray:
     vals, vecs = x.eigen
     return symmetrize((vecs * fn(vals)) @ vecs.T)

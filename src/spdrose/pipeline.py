@@ -8,17 +8,17 @@ extract`` calls too.  An experiment config holds the split rule
 and classifier settings; its JSON file mirrors the dataclass field for
 field.
 
-Each repetition draws a fresh seeded per-class train/test split.  When
-more than one (sigma, k policy, synthetic count) combination is
-configured, a 20% per-class validation fold is carved out of the
-training split, every combination is scored on it, and the winner is
-retrained on the remaining training points; with a single combination
-no fold is carved and the full training split is used.  Synthetic
-points, when requested, are generated around the Karcher mean of the
-hyperplane-construction set as one unlabeled pool; they enlarge that
-set only and never reach the classifier, whose labeled training data is
-untouched.  Runs with a zero synthetic count are tagged "ROSE" and
-augmented runs "ROSES" in reports.
+Splits are integer positions into the dataset.  Each repetition draws
+a fresh seeded per-class train/test split; with more than one (sigma, k
+policy, synthetic count) combination, the same per-class draw holds a
+20% validation fold out of the training split, every combination is
+scored on it, and the winner is retrained on the remaining training
+points.  With a single combination the full training split is used.
+Synthetic points, when requested, are generated around the Karcher mean
+of the hyperplane-construction set as one unlabeled pool; they enlarge
+that set only and never reach the classifier, whose labeled training
+data is untouched.  Runs with a zero synthetic count are tagged "ROSE"
+and augmented runs "ROSES" in reports.
 
 The degradation study reruns the same single-repetition pipeline for
 every combination of excluded classes: hyperplanes are built without
@@ -289,38 +289,6 @@ def save_dataset(directory, points, labels, prefix: str = "point") -> str:
     return manifest_path
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSplit:
-    """Train/test partition of labeled SPD points."""
-
-    train_points: tuple
-    train_labels: np.ndarray
-    test_points: tuple
-    test_labels: np.ndarray
-
-    def __post_init__(self):
-        tr = np.asarray(self.train_labels, dtype=np.int64)
-        te = np.asarray(self.test_labels, dtype=np.int64)
-        if tr.size != len(self.train_points):
-            raise DimensionInconsistency(
-                f"{len(self.train_points)} train points but {tr.size} labels"
-            )
-        if te.size != len(self.test_points):
-            raise DimensionInconsistency(
-                f"{len(self.test_points)} test points but {te.size} labels"
-            )
-        tr.setflags(write=False)
-        te.setflags(write=False)
-        object.__setattr__(self, "train_points", tuple(self.train_points))
-        object.__setattr__(self, "train_labels", tr)
-        object.__setattr__(self, "test_points", tuple(self.test_points))
-        object.__setattr__(self, "test_labels", te)
-
-    @property
-    def classes(self) -> tuple:
-        return tuple(sorted(set(self.train_labels.tolist())))
-
-
 def _normalize_candidates(value, kind):
     if isinstance(value, (list, tuple)):
         items = tuple(value)
@@ -542,64 +510,27 @@ def save_report(path, report, include_timing: bool = False) -> None:
         fh.write("\n")
 
 
-def _class_groups(labels):
-    groups = {}
-    for cls in sorted(set(labels.tolist())):
-        groups[int(cls)] = np.flatnonzero(labels == cls)
-    return groups
+def _draw(labels, positions, count, rng):
+    """Split ``positions`` into ``count(cls, size)`` drawn per class and the rest.
 
-
-def _split_per_class(points, labels, config, rep_seed):
-    rng = np.random.default_rng(derive_seed(rep_seed, _STAGE_SPLIT))
-    groups = _class_groups(labels)
-    train_idx, test_idx = [], []
-    for cls in sorted(groups):
-        members = groups[cls]
-        if members.size <= config.train_per_class:
-            raise ConfigError(
-                f"class {cls} has {members.size} points; "
-                f"train_per_class={config.train_per_class} leaves no test data"
-            )
-        chosen = rng.choice(members, size=config.train_per_class, replace=False)
-        chosen = set(chosen.tolist())
-        train_idx.extend(i for i in members.tolist() if i in chosen)
-        test_idx.extend(i for i in members.tolist() if i not in chosen)
-    return LabeledSplit(
-        train_points=[points[i] for i in train_idx],
-        train_labels=labels[train_idx],
-        test_points=[points[i] for i in test_idx],
-        test_labels=labels[test_idx],
-    )
+    Classes are taken in label order, one ``rng.choice`` each; both lists
+    are class-major and keep the order of ``positions`` within a class.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    owners = labels[positions]
+    drawn, rest = [], []
+    for cls in np.unique(owners).tolist():
+        members = positions[owners == cls]
+        chosen = rng.choice(members, size=count(cls, members.size), replace=False)
+        kept = np.isin(members, chosen)
+        drawn.extend(members[kept].tolist())
+        rest.extend(members[~kept].tolist())
+    return drawn, rest
 
 
 def _validation_count(config, size) -> int:
     """Points of a class with ``size`` training points held out for validation."""
     return min(max(1, int(config.validation_fraction * size)), size - 1)
-
-
-def _carve_validation(split, config, rep_seed):
-    rng = np.random.default_rng(derive_seed(rep_seed, _STAGE_VALIDATION))
-    groups = _class_groups(split.train_labels)
-    holdout = set()
-    for cls in sorted(groups):
-        members = groups[cls]
-        count = _validation_count(config, members.size)
-        holdout.update(rng.choice(members, size=count, replace=False).tolist())
-    fit_idx = [i for i in range(len(split.train_points)) if i not in holdout]
-    val_idx = [i for i in range(len(split.train_points)) if i in holdout]
-    fit = LabeledSplit(
-        train_points=[split.train_points[i] for i in fit_idx],
-        train_labels=split.train_labels[fit_idx],
-        test_points=[split.train_points[i] for i in val_idx],
-        test_labels=split.train_labels[val_idx],
-    )
-    effective = LabeledSplit(
-        train_points=fit.train_points,
-        train_labels=fit.train_labels,
-        test_points=split.test_points,
-        test_labels=split.test_labels,
-    )
-    return fit, effective
 
 
 def _stage(rep, name, fn, *args, **kwargs):
@@ -672,41 +603,38 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     return model, classifier, seconds
 
 
-def _run_single(split, block, config, rep, seed_root, sigma, k_policy, synth_count,
-                included_classes=None, with_knn=False) -> RepRecord:
-    """One pipeline run on ``split``, reading real pairs from its ``block``."""
-    classes = split.classes
+def _run_single(points, labels, train, test, block, config, rep, seed_root, sigma,
+                k_policy, synth_count, included_classes=None, with_knn=False) -> RepRecord:
+    """One pipeline run on dataset positions ``train`` and ``test``, reading ``block``."""
+    train_points = [points[i] for i in train]
+    train_labels, test_labels = labels[train], labels[test]
+    classes = tuple(np.unique(train_labels).tolist())
     included = classes if included_classes is None else included_classes
-    pool = [i for i, label in enumerate(split.train_labels.tolist()) if label in included]
-    n_train = len(split.train_points)
-    k = K_POLICIES[k_policy] * n_train
+    pool = [i for i, label in enumerate(train_labels.tolist()) if label in included]
+    k = K_POLICIES[k_policy] * len(train)
     model, classifier, seconds = fit_model(
-        pool, split.train_points, split.train_labels, config, sigma, k, synth_count,
-        seed_root, block[:n_train], rep,
+        pool, train_points, train_labels, config, sigma, k, synth_count,
+        seed_root, block[:len(train)], rep,
     )
     started = time.perf_counter()
-    test_block = block[n_train:]
+    test_block = block[len(train):]
     synthetic = model.reference_points[len(pool):]
     test_divergences = np.hstack(
-        [test_block[:, pool], divergence_matrix(split.test_points, synthetic)]
+        [test_block[:, pool], divergence_matrix([points[i] for i in test], synthetic)]
     )
     test_embedded = _stage(rep, "embed", embed_batch, model, test_divergences)
     seconds["embed"] += time.perf_counter() - started
     started = time.perf_counter()
     predictions = classify.predict(classifier, test_embedded)
     seconds["train"] += time.perf_counter() - started
-    evaluation = classify.evaluate_accuracy(
-        split.test_labels, predictions, class_labels=classes
-    )
+    evaluation = classify.evaluate_accuracy(test_labels, predictions, class_labels=classes)
     knn_accuracy = None
     if with_knn:
         knn_predictions = _stage(
             rep, "baseline", classify.knn_stein,
-            split.train_labels, config.knn_neighbors, test_block,
+            train_labels, config.knn_neighbors, test_block,
         )
-        knn_accuracy = classify.evaluate_accuracy(
-            split.test_labels, knn_predictions
-        ).accuracy
+        knn_accuracy = classify.evaluate_accuracy(test_labels, knn_predictions).accuracy
     return RepRecord(
         rep=rep,
         rep_seed=seed_root,
@@ -735,32 +663,45 @@ def _read_only(*blocks):
 def _split_rep(points, labels, config, rep, validate):
     """The repetition's seed, its validation fold and its effective split.
 
-    Each split comes as a ``(split, block)`` pair, the fold as ``None``
-    unless ``validate``.  Both splits train on the same points E, so
-    their blocks share ``divergence_matrix(E, E)`` and split
+    Each split is a ``(train, test, block)`` triple: dataset positions and
+    the divergences of the points at ``train + test`` (rows) with those at
+    ``train`` (columns).  The fold is ``(train, held, block)``, or ``None``
+    unless ``validate``.  Both train on the same points E, so their
+    blocks share ``divergence_matrix(E, E)`` and split
     ``divergence_matrix(H + T, E)`` between the validation points H and
     the test points T: every real pair a run of the repetition reads,
     each computed once.
     """
     rep_seed = derive_seed(config.seed, rep)
-    split = _split_per_class(points, labels, config, rep_seed)
-    fold, held = None, ()
+
+    def train_count(cls, size):
+        if size <= config.train_per_class:
+            raise ConfigError(
+                f"class {cls} has {size} points; "
+                f"train_per_class={config.train_per_class} leaves no test data"
+            )
+        return config.train_per_class
+
+    rng = np.random.default_rng(derive_seed(rep_seed, _STAGE_SPLIT))
+    train, test = _draw(labels, range(len(labels)), train_count, rng)
+    held = []
     if validate:
-        fold, split = _carve_validation(split, config, rep_seed)
-        held = fold.test_points
-    train = split.train_points
-    square = divergence_matrix(train, train)
-    cross = divergence_matrix(held + split.test_points, train)
-    if fold is not None:
-        fold = (fold, _read_only(square, cross[:len(held)]))
-    return rep_seed, fold, (split, _read_only(square, cross[len(held):]))
+        rng = np.random.default_rng(derive_seed(rep_seed, _STAGE_VALIDATION))
+        held, train = _draw(
+            labels, train, lambda cls, size: _validation_count(config, size), rng
+        )
+    fitted = [points[i] for i in train]
+    square = divergence_matrix(fitted, fitted)
+    cross = divergence_matrix([points[i] for i in held + test], fitted)
+    fold = (train, held, _read_only(square, cross[:len(held)])) if validate else None
+    return rep_seed, fold, (train, test, _read_only(square, cross[len(held):]))
 
 
 def _candidates(config, synth_choices):
     return list(itertools.product(config.sigma, config.k_policy, synth_choices))
 
 
-def _prepare_rep(fold, config, rep, rep_seed, grid):
+def _prepare_rep(points, labels, fold, config, rep, rep_seed, grid):
     """Pick (sigma, k_policy, synthetic) from ``grid`` on the validation fold.
 
     With a single combination there is no fold and it is returned as is.
@@ -771,9 +712,7 @@ def _prepare_rep(fold, config, rep, rep_seed, grid):
     best_accuracy = -1.0
     for tag, combo in enumerate(grid):
         tag_seed = derive_seed(rep_seed, _STAGE_VALIDATION, tag)
-        record = _run_single(
-            *fold, config, rep, tag_seed, *combo, with_knn=False,
-        )
+        record = _run_single(points, labels, *fold, config, rep, tag_seed, *combo)
         if record.accuracy > best_accuracy:
             best_accuracy = record.accuracy
             best = combo
@@ -814,11 +753,13 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
     records = []
     for rep in range(config.reps):
         rep_seed, fold, effective = _split_rep(points, labels, config, rep, len(grid) > 1)
-        sigma, k_policy, synth = _prepare_rep(fold, config, rep, rep_seed, grid)
+        sigma, k_policy, synth = _prepare_rep(
+            points, labels, fold, config, rep, rep_seed, grid
+        )
         records.append(
             _run_single(
-                *effective, config, rep, rep_seed, sigma, k_policy, synth,
-                with_knn=True,
+                points, labels, *effective, config, rep, rep_seed,
+                sigma, k_policy, synth, with_knn=True,
             )
         )
     return Report(config=config, records=tuple(records))
@@ -904,17 +845,20 @@ def degradation_study(
     labels, classes = _dataset_classes(points, labels)
     if excluded_class_counts is None:
         excluded_class_counts = tuple(range(len(classes)))
-    excluded_class_counts = tuple(int(c) for c in excluded_class_counts)
+    excluded_class_counts = tuple(excluded_class_counts)
     for count in excluded_class_counts:
+        require_integer(count, "excluded class count", ConfigError)
         if not 0 <= count <= len(classes) - 1:
             raise ExclusionExceedsClasses(
                 f"cannot exclude {count} of {len(classes)} classes"
             )
+    excluded_class_counts = tuple(int(c) for c in excluded_class_counts)
     if synthetic_budget is None:
         synthetic_budget = max(
             resolve_synthetic(v, len(classes), config.train_per_class)
             for v in config.synthetic
         )
+    require_integer(synthetic_budget, "synthetic budget", ConfigError)
     synthetic_budget = int(synthetic_budget)
     if synthetic_budget < 0:
         raise ConfigError(
@@ -930,13 +874,15 @@ def degradation_study(
             points, labels, config, rep, len(arms[0][1]) > 1
         )
         for arm, grid in arms:
-            sigma, k_policy, synth = _prepare_rep(fold, config, rep, rep_seed, grid)
+            sigma, k_policy, synth = _prepare_rep(
+                points, labels, fold, config, rep, rep_seed, grid
+            )
             for count in excluded_class_counts:
                 for excluded in itertools.combinations(classes, count):
                     included = tuple(c for c in classes if c not in excluded)
                     record = _run_single(
-                        *effective, config, rep, rep_seed, sigma, k_policy, synth,
-                        included_classes=included, with_knn=False,
+                        points, labels, *effective, config, rep, rep_seed,
+                        sigma, k_policy, synth, included_classes=included,
                     )
                     records.append(
                         DegradationRecord(excluded=excluded, arm=arm, record=record)

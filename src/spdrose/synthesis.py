@@ -32,7 +32,6 @@ from .manifold import (
     geodesic_distance,
     spd_power,
     symmetrize,
-    validate_spd,
 )
 from .seeding import keyed_generator
 
@@ -127,7 +126,7 @@ def karcher_mean_info(points, tol: float = 1e-8, max_iter: int = 100):
             raise DimensionMismatch(f"points mix dimensions {dim} and {p.dim}")
 
     stack = np.stack([p.array for p in points])
-    current = validate_spd(sum(stack) / len(points))
+    current = SpdMatrix(sum(stack) / len(points))
     mean_tangent, objective = _mean_tangent_and_objective(current, stack)
     iterations = halvings = 0
     while True:
@@ -220,7 +219,7 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     sq = pole.sqrt_array
     inner = SpdMatrix(symmetrize(isq @ x.array @ isq))
     powered = spd_power(inner, c)
-    return validate_spd(sq @ powered.array @ sq)
+    return SpdMatrix(sq @ powered.array @ sq)
 
 
 def _draw_direction(rng, mean: SpdMatrix, training, mode: str) -> SpdMatrix:

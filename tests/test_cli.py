@@ -356,6 +356,22 @@ def test_eval_non_integer_header_exits_3(tmp_path, capsys, field, key, value):
     assert field in capsys.readouterr().err
 
 
+def test_eval_missing_reference_point_exits_3(tmp_path, capsys):
+    # A model.json whose header p and weights disagree with its reference
+    # points died with a numpy ValueError traceback (exit 1).
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / "model.json"
+    payload = json.loads(path.read_text())
+    del payload["reference_points"][-1]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    assert "reference points" in capsys.readouterr().err
+
+
 def test_run_config_with_epochs_exits_2(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     config = write_config(tmp_path, epochs=200)

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spdrose.pipeline
 import spdrose.stein
@@ -494,9 +495,9 @@ def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
         per_rep.append(Counter())
         return split_rep(*args)
 
-    def recording_run_single(split, block, *args, **kwargs):
-        runs.append((split, block))
-        return run_single(split, block, *args, **kwargs)
+    def recording_run_single(points, labels, train, test, block, *args, **kwargs):
+        runs.append((train, test, block))
+        return run_single(points, labels, train, test, block, *args, **kwargs)
 
     def counting(x, y):
         if id(x) in real and id(y) in real:
@@ -510,15 +511,37 @@ def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
     # Two validation candidates and the final run per repetition.
     assert len(per_rep) == 2 and len(runs) == 6
     for rep, calls in enumerate(per_rep):
-        fold, effective = runs[3 * rep][0], runs[3 * rep + 2][0]
-        e, h, t = len(fold.train_points), len(fold.test_points), len(effective.test_points)
-        assert effective.train_points == fold.train_points and h > 0
+        (fitted, held, _), (train, test, _) = runs[3 * rep], runs[3 * rep + 2]
+        e, h, t = len(fitted), len(held), len(test)
+        assert train == fitted and h > 0
         assert sum(calls.values()) == len(calls) == e * (e - 1) // 2 + (h + t) * e
-    for split, block in runs:
-        rows = split.train_points + split.test_points
-        loop = [[divergence(x, y) for y in split.train_points] for x in rows]
+    for train, test, block in runs:
+        loop = [[divergence(points[i], points[j]) for j in train] for i in train + test]
         assert not block.flags.writeable
         assert np.array_equal(block, np.array(loop))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_property_draw_partitions_positions_per_class(data):
+    labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=30)))
+    positions = sorted(data.draw(st.sets(st.integers(0, labels.size - 1))))
+    wanted = data.draw(st.lists(st.integers(0, 6), min_size=4, max_size=4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def count(cls, size):
+        return min(wanted[cls], size)
+
+    drawn, rest = spdrose.pipeline._draw(
+        labels, positions, count, np.random.default_rng(seed)
+    )
+    assert sorted(drawn + rest) == positions
+    subset = labels[positions].tolist()
+    for cls in set(subset):
+        assert labels[drawn].tolist().count(cls) == count(cls, subset.count(cls))
+    for part in (drawn, rest):
+        keys = [(labels[i], i) for i in part]
+        assert keys == sorted(keys)
 
 
 def test_degradation_study_computes_each_pair_once(monkeypatch):
@@ -597,6 +620,22 @@ def test_degradation_exclusion_bounds():
         degradation_study(
             points, labels, quick_config(), excluded_class_counts=(-1,)
         )
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        dict(excluded_class_counts=(0.9,)),
+        dict(excluded_class_counts=(0, True)),
+        dict(synthetic_budget=2.7),
+        dict(synthetic_budget=True),
+    ],
+)
+def test_degradation_rejects_non_integer_counts(arguments):
+    # These were truncated with int(): (0.9,) ran as count 0, 2.7 as 2.
+    points, labels = benchmark_pool()
+    with pytest.raises(ConfigError, match="must be an integer"):
+        degradation_study(points, labels, quick_config(), **arguments)
 
 
 def test_jl_check_smoke(rng, tmp_path, capsys):
