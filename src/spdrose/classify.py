@@ -190,8 +190,10 @@ def train_ova_svm(
     classes = tuple(sorted(int(c) for c in set(y.tolist())))
     if len(classes) < 2:
         raise SingleClass(f"training set holds only class {classes}")
-    if not regularization > 0.0:
-        raise ValueError(f"regularization must be positive, got {regularization}")
+    if not 0.0 < regularization < np.inf:
+        raise ValueError(
+            f"regularization must be positive and finite, got {regularization}"
+        )
     mean, scale = x.mean(axis=0), x.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])

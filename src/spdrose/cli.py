@@ -55,12 +55,17 @@ def _from_flags(factory, **values):
         raise ConfigError(str(exc)) from exc
 
 
+def _ints(text, flag):
+    """The integers of a comma-separated flag value; anything else is a usage error."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be integers: {text!r}") from exc
+
+
 def _parse_labels(args, count):
     if args.labels is not None:
-        try:
-            labels = [int(v) for v in args.labels.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"labels must be integers: {args.labels!r}") from exc
+        labels = _ints(args.labels, "labels")
         if len(labels) != count:
             raise ConfigError(f"{len(labels)} labels given for {count} image(s)")
         return labels
@@ -181,12 +186,7 @@ def _cmd_run(args):
 def _cmd_degrade(args):
     config = _load_run_config(args)
     points, labels = pipeline.load_dataset(args.data)
-    counts = None
-    if args.counts is not None:
-        try:
-            counts = [int(v) for v in args.counts.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"counts must be integers: {args.counts!r}") from exc
+    counts = None if args.counts is None else _ints(args.counts, "counts")
     report = pipeline.degradation_study(
         points, labels, config,
         excluded_class_counts=counts,
@@ -206,10 +206,7 @@ def _cmd_degrade(args):
 
 
 def _cmd_jl_check(args):
-    try:
-        ks = [int(v) for v in str(args.k).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"k must be integers: {args.k!r}") from exc
+    ks = _ints(args.k, "k")
     if min(ks) < 1:
         raise ConfigError(f"k must be at least 1, got {args.k!r}")
     if not 0.0 < args.epsilon < 1.0:

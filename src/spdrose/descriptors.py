@@ -155,24 +155,26 @@ class RegionSpec:
         return self.width * self.height
 
 
-def _dx(a):
-    p = np.pad(a, ((0, 0), (1, 1)), mode="edge")
-    return (p[:, 2:] - p[:, :-2]) / 2.0
+def _derivatives(a):
+    """Central differences ``(Ix, Iy, Ixx, Iyy)`` of an (H, W) or (H, W, C) array.
 
-
-def _dy(a):
-    p = np.pad(a, ((1, 1), (0, 0)), mode="edge")
-    return (p[2:, :] - p[:-2, :]) / 2.0
-
-
-def _dxx(a):
-    p = np.pad(a, ((0, 0), (1, 1)), mode="edge")
-    return p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2]
-
-
-def _dyy(a):
-    p = np.pad(a, ((1, 1), (0, 0)), mode="edge")
-    return p[2:, :] - 2.0 * p[1:-1, :] + p[:-2, :]
+    The array is replicate-padded once along its two image axes; the
+    stencils are ``[-1/2, 0, 1/2]`` and ``[1, -2, 1]``, applied to each
+    channel of a color array independently.  Raises
+    :class:`ImageTooSmall` below 3x3 pixels.
+    """
+    h, w = a.shape[:2]
+    if h < 3 or w < 3:
+        raise ImageTooSmall(f"{h}x{w} image; derivative stencils need 3x3")
+    p = np.pad(a, ((1, 1), (1, 1)) + ((0, 0),) * (a.ndim - 2), mode="edge")
+    left, right = p[1:-1, :-2], p[1:-1, 2:]
+    up, down = p[:-2, 1:-1], p[2:, 1:-1]
+    return (
+        (right - left) / 2.0,
+        (down - up) / 2.0,
+        right - 2.0 * a + left,
+        down - 2.0 * a + up,
+    )
 
 
 def _coordinate_channels(height, width):
@@ -188,15 +190,9 @@ def intensity_feature_map(image: GrayImage) -> FeatureImage:
 
     Tag order: ``(I, |Ix|, |Iy|, |Ixx|, |Iyy|)``.
     """
-    if image.height < 3 or image.width < 3:
-        raise ImageTooSmall(
-            f"{image.height}x{image.width} image; derivative stencils need 3x3"
-        )
     a = image.pixels
-    stack = np.stack(
-        [a, np.abs(_dx(a)), np.abs(_dy(a)), np.abs(_dxx(a)), np.abs(_dyy(a))],
-        axis=2,
-    )
+    ix, iy, ixx, iyy = _derivatives(a)
+    stack = np.stack([a, np.abs(ix), np.abs(iy), np.abs(ixx), np.abs(iyy)], axis=2)
     return FeatureImage(stack, ("I", "|Ix|", "|Iy|", "|Ixx|", "|Iyy|"))
 
 
@@ -207,22 +203,11 @@ def color_feature_map(image: ColorImage) -> FeatureImage:
     primes are the per-channel gradient magnitude and Laplacian, and the
     positions are normalized to [0, 1].
     """
-    if image.height < 3 or image.width < 3:
-        raise ImageTooSmall(
-            f"{image.height}x{image.width} image; derivative stencils need 3x3"
-        )
+    ix, iy, ixx, iyy = _derivatives(image.pixels)
     x, y = _coordinate_channels(image.height, image.width)
-    channels = [x, y]
-    for c in range(3):
-        channels.append(image.pixels[:, :, c])
-    for c in range(3):
-        gx = _dx(image.pixels[:, :, c])
-        gy = _dy(image.pixels[:, :, c])
-        channels.append(np.hypot(gx, gy))
-    for c in range(3):
-        channels.append(_dxx(image.pixels[:, :, c]) + _dyy(image.pixels[:, :, c]))
+    channels = [x[:, :, None], y[:, :, None], image.pixels, np.hypot(ix, iy), ixx + iyy]
     tags = ("x", "y", "R", "G", "B", "R'", "G'", "B'", "R''", "G''", "B''")
-    return FeatureImage(np.stack(channels, axis=2), tags)
+    return FeatureImage(np.concatenate(channels, axis=2), tags)
 
 
 def _bandwidth_sigma_factor(octaves: float) -> float:
@@ -359,14 +344,12 @@ def box_downsample(pixels: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor < 1:
         raise ValueError(f"factor must be at least 1, got {factor}")
-    if factor == 1:
-        return np.asarray(pixels, dtype=np.float64)
     a = np.asarray(pixels, dtype=np.float64)
+    if factor == 1:
+        return a
     h = (a.shape[0] // factor) * factor
     w = (a.shape[1] // factor) * factor
     if h == 0 or w == 0:
         raise ImageTooSmall(f"image too small to downsample by {factor}")
     a = a[:h, :w]
-    if a.ndim == 2:
-        return a.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-    return a.reshape(h // factor, factor, w // factor, factor, a.shape[2]).mean(axis=(1, 3))
+    return a.reshape(h // factor, factor, w // factor, factor, *a.shape[2:]).mean(axis=(1, 3))

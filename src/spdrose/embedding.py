@@ -214,7 +214,7 @@ def binarize(coords: np.ndarray) -> np.ndarray:
     return bits
 
 
-def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float:
+def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float | np.ndarray:
     """Exact expectation of the per-coordinate squared embedding gap.
 
     Every coordinate difference is ``alpha^T K^e (kappa_u - kappa_v)``
@@ -224,16 +224,15 @@ def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float:
     the squared gap over hyperplanes has this closed form.  It is the
     deterministic target that ``(1/k) * ||e_u - e_v||^2`` converges to
     as ``k`` grows, for the two points' rows ``e_u``, ``e_v`` of
-    :func:`embed_batch`.
+    :func:`embed_batch`.  Stacks of kernel rows broadcast: ``(n, p)``
+    arguments give one value per row pair.
     """
     p, t = model.p, model.t
-    if t >= p:
-        return 0.0
+    factor = (p - t) / (t * p * (p - 1)) if t < p else 0.0
     delta = np.asarray(kappa_u, dtype=np.float64) - np.asarray(kappa_v, dtype=np.float64)
-    h = model.kernel_power @ delta
-    centered = h - h.mean()
-    factor = (p - t) / (t * p * (p - 1))
-    return factor * float(np.dot(centered, centered))
+    h = delta @ model.kernel_power  # K^e is exactly symmetric
+    centered = h - h.mean(axis=-1, keepdims=True)
+    return factor * np.einsum("...i,...i->...", centered, centered)
 
 
 @dataclass(frozen=True)
@@ -262,29 +261,23 @@ def jl_distortion_report(model: ProjectionModel, divergences, epsilon: float) ->
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     kappas = _kernel_rows(model, divergences)
     embeddings = _project(model, kappas)
-    k = model.k
 
-    pair_count = 0
-    within = 0
-    ratios = []
-    for u in range(len(kappas)):
-        for v in range(u + 1, len(kappas)):
-            pair_count += 1
-            gap = embeddings[u] - embeddings[v]
-            observed = float(np.dot(gap, gap)) / k
-            target = expected_distance_sq(model, kappas[u], kappas[v])
-            if target <= 0.0:
-                if observed == 0.0:
-                    within += 1
-                continue
-            ratio = observed / target
-            ratios.append(ratio)
-            if (1.0 - epsilon) <= ratio <= (1.0 + epsilon):
-                within += 1
+    # One row pass per point against every later point, in pair order; the
+    # empty leading blocks keep a cloud of fewer than two points valid.
+    observed, target = [np.empty(0)], [np.empty(0)]
+    for u in range(len(kappas) - 1):
+        gaps = embeddings[u + 1 :] - embeddings[u]
+        observed.append(np.einsum("ij,ij->i", gaps, gaps) / model.k)
+        target.append(expected_distance_sq(model, kappas[u + 1 :], kappas[u]))
+    observed, target = np.concatenate(observed), np.concatenate(target)
 
-    fraction = within / pair_count if pair_count else 1.0
-    median = float(np.median(ratios)) if ratios else 1.0
-    return JlReport(pair_count, fraction, median, epsilon, k)
+    zero = target <= 0.0
+    ratios = observed[~zero] / target[~zero]
+    in_band = ((1.0 - epsilon) <= ratios) & (ratios <= (1.0 + epsilon))
+    within = int(np.count_nonzero(observed[zero] == 0.0) + np.count_nonzero(in_band))
+    fraction = within / observed.size if observed.size else 1.0
+    median = float(np.median(ratios)) if ratios.size else 1.0
+    return JlReport(observed.size, fraction, median, epsilon, model.k)
 
 
 def save_projection_model(path, model: ProjectionModel) -> None:

@@ -722,6 +722,8 @@ def _prepare_rep(points, labels, fold, config, rep, rep_seed, grid):
 def _dataset_classes(points, labels):
     """Labels as an int64 array and the sorted class list of a usable dataset."""
     labels = np.asarray(labels, dtype=np.int64)
+    if len(points) != labels.size:
+        raise DimensionInconsistency(f"{len(points)} points but {labels.size} labels")
     if len(points) == 0:
         raise EmptyData("dataset holds no points")
     classes = sorted(set(labels.tolist()))

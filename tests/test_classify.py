@@ -149,6 +149,14 @@ def test_scores_shapes_and_dimension_check():
         decision_scores(model, np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("regularization", [0.0, -1.0, np.nan, np.inf])
+def test_regularization_must_be_positive_and_finite(regularization):
+    # inf passed the positivity check and ran 50 NaN Newton steps.
+    coords, labels = toy_problem(spread=0.3)
+    with pytest.raises(ValueError, match="regularization must be positive"):
+        train_ova_svm(coords, labels, regularization=regularization)
+
+
 def test_zero_weights_predict_class_zero_by_tie_rule():
     model = TrainedClassifier(
         classes=(0, 1, 2),

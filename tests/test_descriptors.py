@@ -125,6 +125,34 @@ def test_intensity_shift_changes_only_first_channel(rng):
     assert np.allclose(lifted.values[:, :, 1:], original.values[:, :, 1:], atol=1e-14)
 
 
+def per_axis_differences(a):
+    """Central differences with one replicate pad per axis, one channel at a time."""
+    px = np.pad(a, ((0, 0), (1, 1)), mode="edge")
+    py = np.pad(a, ((1, 1), (0, 0)), mode="edge")
+    return (
+        (px[:, 2:] - px[:, :-2]) / 2.0,
+        (py[2:, :] - py[:-2, :]) / 2.0,
+        px[:, 2:] - 2.0 * px[:, 1:-1] + px[:, :-2],
+        py[2:, :] - 2.0 * py[1:-1, :] + py[:-2, :],
+    )
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (7, 5), (5, 7)])
+def test_derivative_channels_equal_per_axis_stencils_bit_for_bit(rng, shape):
+    # Borders included: the replicate padding must act per axis.
+    pixels = rng.random(shape)
+    ix, iy, ixx, iyy = per_axis_differences(pixels)
+    fi = intensity_feature_map(gray(pixels))
+    for channel, expected in enumerate((ix, iy, ixx, iyy), start=1):
+        assert np.array_equal(fi.values[:, :, channel], np.abs(expected))
+    color = rng.random(shape + (3,))
+    fi = color_feature_map(ColorImage(color))
+    for c in range(3):
+        ix, iy, ixx, iyy = per_axis_differences(color[:, :, c])
+        assert np.array_equal(fi.values[:, :, 5 + c], np.hypot(ix, iy))
+        assert np.array_equal(fi.values[:, :, 8 + c], ixx + iyy)
+
+
 def test_color_constant_image():
     img = ColorImage(np.full((4, 6, 3), 0.4))
     fi = color_feature_map(img)
@@ -159,8 +187,10 @@ def test_color_single_channel_ramp():
 
 
 def test_color_minimum_size():
-    with pytest.raises(ImageTooSmall):
+    with pytest.raises(ImageTooSmall, match="2x4 image; derivative stencils need 3x3"):
         color_feature_map(ColorImage(np.zeros((2, 4, 3))))
+    with pytest.raises(ImageTooSmall, match="4x1 image"):
+        color_feature_map(ColorImage(np.zeros((4, 1, 3))))
 
 
 def test_gabor_support_and_size_check():

@@ -237,6 +237,52 @@ def test_distortion_report_fraction_grows_with_k():
     assert fractions[2] >= 0.5
 
 
+def test_stacked_expected_distance_equals_the_scalar_form_per_row(rng):
+    pool = small_pool(rng, count=7)
+    model = build(pool, 4, KernelParams(0.5), t=3)
+    us = np.array([kernel_row(model, random_spd(rng, 3)) for _ in range(5)])
+    vs = np.array([kernel_row(model, random_spd(rng, 3)) for _ in range(5)])
+    stacked = expected_distance_sq(model, us, vs)
+    against_one = expected_distance_sq(model, us, vs[0])  # one row broadcasts
+    assert stacked.shape == against_one.shape == (5,)
+    for i in range(5):
+        scalar = expected_distance_sq(model, us[i], vs[i])
+        assert stacked[i] == pytest.approx(scalar, rel=1e-12)
+        scalar = expected_distance_sq(model, us[i], vs[0])
+        assert against_one[i] == pytest.approx(scalar, rel=1e-12)
+
+
+def test_distortion_report_equals_the_per_pair_loop(rng):
+    # Duplicated points give zero-target pairs, which count only when the
+    # embedded gap is zero too.
+    pool = small_pool(rng, count=10)
+    points = pool[:6] + [pool[0], pool[3], pool[3]] + small_pool(rng, count=4)
+    for k in (8, 64):
+        model = build(pool, k, KernelParams(0.5), seed=2)
+        divergences = divergence_matrix(points, model.reference_points)
+        kappas = np.exp(-model.kernel_params.sigma * divergences)
+        embedded = embed_batch(model, divergences)
+        pairs = within = zero_pairs = 0
+        ratios = []
+        for u in range(len(points)):
+            for v in range(u + 1, len(points)):
+                pairs += 1
+                gap = embedded[u] - embedded[v]
+                observed = float(gap @ gap) / k
+                target = expected_distance_sq(model, kappas[u], kappas[v])
+                if target <= 0.0:
+                    zero_pairs += 1
+                    within += observed == 0.0
+                    continue
+                ratios.append(observed / target)
+                within += 0.7 <= ratios[-1] <= 1.3
+        assert zero_pairs == 4
+        report = jl_distortion_report(model, divergences, 0.3)
+        assert report.pair_count == pairs
+        assert report.fraction_within == within / pairs
+        assert report.median_distortion == pytest.approx(np.median(ratios), rel=1e-12)
+
+
 def test_distortion_report_degenerate_cloud(rng):
     pool = small_pool(rng, count=6)
     model = build(pool, 8, KernelParams(0.5))

@@ -416,6 +416,19 @@ def test_run_experiment_guards():
         run_experiment(points, labels, quick_config(train_per_class=12))
 
 
+@pytest.mark.parametrize("point_count, label_count", [(21, 24), (24, 21)])
+def test_points_and_labels_must_have_the_same_length(point_count, label_count):
+    # 21 points with 24 labels died with an IndexError; 24 points with 21
+    # labels ran on the first 21 points.
+    points, labels = benchmark_pool(n_classes=2, per_class=12)
+    points, labels = points[:point_count], labels[:label_count]
+    message = f"{point_count} points but {label_count} labels"
+    with pytest.raises(DimensionInconsistency, match=message):
+        run_experiment(points, labels, quick_config())
+    with pytest.raises(DimensionInconsistency, match=message):
+        degradation_study(points, labels, quick_config(), excluded_class_counts=(0,))
+
+
 @pytest.mark.parametrize("sigma, voters", [(0.5, 16), ([0.5, 1.0], 14)])
 def test_knn_neighbors_bounded_by_the_baseline_training_points(monkeypatch, sigma, voters):
     # Two classes of 8 training points; comparing two candidates holds
