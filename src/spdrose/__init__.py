@@ -13,11 +13,9 @@ from .errors import (
     AsymmetryExceedsTolerance,
     ConfigError,
     DegenerateDirection,
-    DimensionInconsistency,
     DimensionMismatch,
     EmptyData,
     EmptyInput,
-    EmptyTrain,
     ExclusionExceedsClasses,
     GridTooFine,
     ImageTooSmall,
@@ -27,7 +25,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSquare,
     ParseError,
-    RegionTooSmall,
     SingleClass,
     SpdRoseError,
     StageFailure,
@@ -41,7 +38,6 @@ from .manifold import (
     airm_log_map,
     airm_norm,
     geodesic_distance,
-    geodesic_distance_sq,
     spd_exp,
     spd_log,
     spd_power,
@@ -54,7 +50,6 @@ from .stein import (
     gram_power,
     sigma_guarantees_psd,
     stein_divergence,
-    stein_kernel_value,
 )
 from .seeding import derive_seed, keyed_generator
 from .synthesis import (
@@ -70,7 +65,6 @@ from .embedding import (
     ProjectionModel,
     binarize,
     build_projection_model,
-    default_exemplar_count,
     embed_batch,
     expected_distance_sq,
     jl_distortion_report,
@@ -81,13 +75,11 @@ from .descriptors import (
     ColorImage,
     FeatureImage,
     GrayImage,
-    RegionSpec,
     box_downsample,
     color_feature_map,
     gabor_feature_map,
     grid_covariances,
     intensity_feature_map,
-    region_covariance,
 )
 from .io import (
     read_matrix,

@@ -17,15 +17,14 @@ divergence is the kernel-space baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, EmptyTrain, NonConvergence
+from .errors import DimensionMismatch, EmptyData, NonConvergence
 from .errors import ParseError, SingleClass, require_integer
-from .io import read_container
+from .io import read_container, write_json
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 2
@@ -240,7 +239,7 @@ def knn_stein(train_labels, n_neighbors: int, divergences) -> np.ndarray:
     labels = np.asarray(train_labels, dtype=np.int64)
     divergences = np.asarray(divergences, dtype=np.float64)
     if labels.size == 0:
-        raise EmptyTrain("no labeled points to vote with")
+        raise EmptyData("no labeled points to vote with")
     if labels.ndim != 1 or divergences.ndim != 2 or divergences.shape[1] != labels.size:
         raise DimensionMismatch(
             f"divergences of shape {divergences.shape} for {labels.shape} labels"
@@ -310,9 +309,7 @@ def save_classifier(path, model: TrainedClassifier) -> None:
     """Write the model as JSON; float round trips are bit exact."""
     payload = {name: np.asarray(getattr(model, name)).tolist() for name in _SAVED}
     payload.update(format=CLASSIFIER_FORMAT, version=CLASSIFIER_FORMAT_VERSION)
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_classifier(path) -> TrainedClassifier:

@@ -168,19 +168,25 @@ def _load_run_config(args):
     return config
 
 
+def _write_report(args, report, summary):
+    """Save ``report`` to ``--out`` and print ``summary``, or print the report."""
+    if args.out:
+        pipeline.save_report(args.out, report, args.include_timing)
+        print(summary)
+    else:
+        print(report.to_json(include_timing=args.include_timing))
+    return 0
+
+
 def _cmd_run(args):
     config = _load_run_config(args)
     points, labels = pipeline.load_dataset(args.data)
     report = pipeline.run_experiment(points, labels, config)
-    if args.out:
-        pipeline.save_report(args.out, report, args.include_timing)
-        print(
-            f"mean accuracy {report.mean_accuracy:.4f} over {config.reps} rep(s); "
-            f"baseline {report.mean_knn_accuracy:.4f}; wrote {args.out}"
-        )
-    else:
-        print(report.to_json(include_timing=args.include_timing))
-    return 0
+    return _write_report(
+        args, report,
+        f"mean accuracy {report.mean_accuracy:.4f} over {config.reps} rep(s); "
+        f"baseline {report.mean_knn_accuracy:.4f}; wrote {args.out}",
+    )
 
 
 def _cmd_degrade(args):
@@ -192,17 +198,11 @@ def _cmd_degrade(args):
         excluded_class_counts=counts,
         synthetic_budget=args.budget,
     )
-    if args.out:
-        pipeline.save_report(args.out, report, args.include_timing)
-        plain = ", ".join(f"{m:.4f}" for m in report.arm_means(pipeline.MODE_PLAIN))
-        augmented = ", ".join(
-            f"{m:.4f}" for m in report.arm_means(pipeline.MODE_AUGMENTED)
-        )
-        print(f"{pipeline.MODE_PLAIN} means: {plain}")
-        print(f"{pipeline.MODE_AUGMENTED} means: {augmented}")
-    else:
-        print(report.to_json(include_timing=args.include_timing))
-    return 0
+    summary = [
+        f"{arm} means: " + ", ".join(f"{m:.4f}" for m in report.arm_means(arm))
+        for arm in (pipeline.MODE_PLAIN, pipeline.MODE_AUGMENTED)
+    ]
+    return _write_report(args, report, "\n".join(summary))
 
 
 def _cmd_jl_check(args):

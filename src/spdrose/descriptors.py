@@ -2,10 +2,10 @@
 
 An image is first expanded into a per-pixel feature vector (intensity
 and derivative magnitudes, color with gradients and Laplacians, or a
-bank of Gabor magnitudes); a region of the image is then summarized by
-the sample covariance of its feature vectors plus a small
-trace-proportional ridge, which makes every descriptor a valid SPD
-matrix even for flat regions.
+bank of Gabor magnitudes); the image is then cut into an even grid of
+cells, and each cell is summarized by the sample covariance of its
+feature vectors plus a small trace-proportional ridge, which makes
+every descriptor a valid SPD matrix even for flat cells.
 
 Derivatives use central differences ([-1/2, 0, 1/2] and [1, -2, 1])
 with replicate padding at the borders.  Gabor filters are complex,
@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft
 
-from .errors import GridTooFine, ImageTooSmall, RegionTooSmall
+from .errors import GridTooFine, ImageTooSmall
 from .manifold import SpdMatrix, symmetrize
 
 DEFAULT_EPS_REL = 1e-5
@@ -121,38 +121,6 @@ class FeatureImage:
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """Inclusive pixel bounds of a rectangular region."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    def __post_init__(self):
-        if min(self.x0, self.y0, self.x1, self.y1) < 0:
-            raise ValueError("region bounds must be nonnegative")
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError("region bounds must be ordered")
-        if self.area < 2:
-            raise RegionTooSmall(
-                f"region holds {self.area} pixel(s); need at least 2"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0 + 1
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0 + 1
-
-    @property
-    def area(self) -> int:
-        return self.width * self.height
 
 
 def _derivatives(a):
@@ -278,28 +246,14 @@ def gabor_feature_map(image: GrayImage) -> FeatureImage:
     return FeatureImage(values, tuple(tags))
 
 
-def region_covariance(
-    feature_image: FeatureImage, region: RegionSpec, eps_rel: float = DEFAULT_EPS_REL
-) -> SpdMatrix:
-    """Shrunk sample covariance of the feature vectors inside a region.
-
-    The estimate is ``cov + (eps_rel * trace(cov) / C + 1e-8) * I`` with
-    the unbiased (1/(N-1)) sample covariance, so flat regions yield
-    ``1e-8 * I`` rather than a singular matrix.
-    """
-    if region.x1 >= feature_image.width or region.y1 >= feature_image.height:
-        raise ValueError(
-            f"region {region} exceeds the {feature_image.height}"
-            f"x{feature_image.width} feature image"
-        )
-    block = feature_image.values[
-        region.y0 : region.y1 + 1, region.x0 : region.x1 + 1, :
-    ]
-    flat = block.reshape(-1, feature_image.channels)
+def _covariance(block: np.ndarray, eps_rel: float) -> SpdMatrix:
+    """Shrunk sample covariance of the feature vectors of an (h, w, C) block."""
+    channels = block.shape[2]
+    flat = block.reshape(-1, channels)
     deviations = flat - flat.mean(axis=0)
     cov = symmetrize(deviations.T @ deviations) / (flat.shape[0] - 1)
-    ridge = eps_rel * float(np.trace(cov)) / feature_image.channels + ABSOLUTE_RIDGE
-    return SpdMatrix(cov + ridge * np.eye(feature_image.channels))
+    ridge = eps_rel * float(np.trace(cov)) / channels + ABSOLUTE_RIDGE
+    return SpdMatrix(cov + ridge * np.eye(channels))
 
 
 def grid_covariances(
@@ -310,29 +264,28 @@ def grid_covariances(
 ):
     """Covariance descriptors of an even rows-by-cols partition.
 
-    Cell bounds are ``H // rows`` and ``W // cols``; remainder pixels
-    are folded into the last row and column.  Cells are emitted in
-    row-major order.
+    Cells are ``H // rows`` by ``W // cols`` pixels; remainder pixels
+    are folded into the last row and column.  Each cell's descriptor is
+    ``cov + (eps_rel * trace(cov) / C + 1e-8) * I`` with ``cov`` the
+    unbiased (1/(N-1)) sample covariance of its N feature vectors, so
+    flat cells yield ``1e-8 * I`` rather than a singular matrix.  Cells
+    are emitted in row-major order.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and one column")
-    h0 = feature_image.height // rows
-    w0 = feature_image.width // cols
+    h, w = feature_image.height, feature_image.width
+    h0, w0 = h // rows, w // cols
     if h0 < 1 or w0 < 1 or h0 * w0 < 2:
         raise GridTooFine(
-            f"{rows}x{cols} grid over a {feature_image.height}"
-            f"x{feature_image.width} image leaves cells below 2 pixels"
+            f"{rows}x{cols} grid over a {h}x{w} image leaves cells below 2 pixels"
         )
     out = []
     for r in range(rows):
-        y0 = r * h0
-        y1 = (r + 1) * h0 - 1 if r < rows - 1 else feature_image.height - 1
+        y1 = (r + 1) * h0 if r < rows - 1 else h
         for c in range(cols):
-            x0 = c * w0
-            x1 = (c + 1) * w0 - 1 if c < cols - 1 else feature_image.width - 1
-            out.append(
-                region_covariance(feature_image, RegionSpec(x0, y0, x1, y1), eps_rel)
-            )
+            x1 = (c + 1) * w0 if c < cols - 1 else w
+            cell = feature_image.values[r * h0 : y1, c * w0 : x1]
+            out.append(_covariance(cell, eps_rel))
     return out
 
 

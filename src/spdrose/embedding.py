@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
-from .errors import require_integer
+from .errors import SpdRoseError, require_integer
 from .io import read_container
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
@@ -43,11 +43,6 @@ EXPONENT_MODES = tuple(EXPONENTS)
 
 MODEL_FORMAT = "spdrose.projection_model"
 MODEL_FORMAT_VERSION = 1
-
-
-def default_exemplar_count(p: int) -> int:
-    """Default exemplars per hyperplane: ``min(30, ceil(p / 4))``."""
-    return min(30, -(-p // 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +139,7 @@ def build_projection_model(
         raise ValueError(f"unknown exponent_mode {exponent_mode!r}")
     p = len(points)
     if t is None:
-        t = default_exemplar_count(p)
+        t = min(30, -(-p // 4))  # ceil(p / 4), in integers
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
     if t > p:
@@ -306,6 +301,8 @@ def load_projection_model(path) -> ProjectionModel:
     Reference points and weights round-trip exactly, so embeddings
     after a load are bit-identical to the original model's.  The Gram
     matrix is not needed to embed and is recomputed only on first use.
+    A malformed file, including a reference point that is not SPD or
+    not of the header's ``dim``, raises :class:`ParseError` naming it.
     """
     payload = read_container(
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
@@ -314,13 +311,18 @@ def load_projection_model(path) -> ProjectionModel:
         params = KernelParams(payload["sigma"], payload["psd_policy"])
         refs = tuple(SpdMatrix(np.array(m, dtype=np.float64)) for m in payload["reference_points"])
         weights = np.array(payload["weights"], dtype=np.float64)
-        for name in ("p", "k", "t", "seed"):
+        for name in ("dim", "p", "k", "t", "seed"):
             require_integer(payload[name], name)
-        t, seed = payload["t"], payload["seed"]
+        dim, t, seed = payload["dim"], payload["t"], payload["seed"]
         exponent_mode = payload["exponent_mode"]
         expected_shape = (payload["p"], payload["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SpdRoseError) as exc:
         raise ParseError(f"{path}: malformed projection model ({exc})") from exc
+    for i, ref in enumerate(refs):
+        if ref.dim != dim:
+            raise ParseError(
+                f"{path}: reference point {i} is {ref.dim}x{ref.dim}, header dim is {dim}"
+            )
     if weights.shape != expected_shape:
         raise ParseError(
             f"{path}: weights shape {weights.shape} does not match header {expected_shape}"

@@ -34,7 +34,7 @@ class NotPositiveDefinite(SpdRoseError):
 
 
 class DimensionMismatch(SpdRoseError):
-    """Operands have incompatible dimensions."""
+    """Operands have incompatible dimensions, or points and labels differ in number."""
 
 
 class IndefiniteKernel(SpdRoseError):
@@ -76,12 +76,8 @@ class ImageTooSmall(SpdRoseError):
     """Image is smaller than an operation's minimum support."""
 
 
-class RegionTooSmall(SpdRoseError):
-    """Region holds fewer pixels than a covariance estimate needs."""
-
-
 class GridTooFine(SpdRoseError):
-    """Requested grid produces cells below the minimum region size."""
+    """Requested grid produces cells below the two pixels a covariance needs."""
 
 
 class SingleClass(SpdRoseError):
@@ -89,19 +85,11 @@ class SingleClass(SpdRoseError):
 
 
 class EmptyData(SpdRoseError):
-    """A dataset or evaluation set is empty."""
-
-
-class EmptyTrain(SpdRoseError):
-    """A training set is empty."""
+    """A dataset, training set or evaluation set is empty."""
 
 
 class ParseError(SpdRoseError):
     """A file could not be parsed; the message names the offending path."""
-
-
-class DimensionInconsistency(SpdRoseError):
-    """Descriptors in one dataset do not share a common dimension."""
 
 
 class ExclusionExceedsClasses(SpdRoseError):

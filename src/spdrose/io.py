@@ -33,6 +33,12 @@ def load_json(path):
         return json.load(fh, parse_constant=_reject_constant)
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as ASCII JSON: one-space indent, sorted keys, final newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
 def read_container(path, fmt, version, version_key="version"):
     """Payload of a JSON container file after checking its format and version."""
     try:

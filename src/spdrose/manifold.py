@@ -190,11 +190,6 @@ class TangentVector:
         return self.pole.dim
 
 
-def _check_same_dim(x: SpdMatrix, y: SpdMatrix):
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-
-
 def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     """Tangent-space logarithms at ``pole`` of a stack of SPD arrays.
 
@@ -271,20 +266,15 @@ def airm_norm(tangent: TangentVector) -> float:
     return float(np.linalg.norm(isq @ tangent.value @ isq, "fro"))
 
 
-def geodesic_distance_sq(x: SpdMatrix, y: SpdMatrix) -> float:
-    """Squared geodesic distance ``trace(log^2(x^{-1/2} y x^{-1/2}))``."""
-    _check_same_dim(x, y)
-    isq = x.inv_sqrt_array
-    inner = symmetrize(isq @ y.array @ isq)
-    vals = np.linalg.eigvalsh(inner)
-    logs = np.log(vals)
-    return float(np.dot(logs, logs))
-
-
 def geodesic_distance(x: SpdMatrix, y: SpdMatrix) -> float:
-    """Geodesic distance under the affine-invariant metric.
+    """Affine-invariant geodesic distance ``sqrt(trace(log^2(x^{-1/2} y x^{-1/2})))``.
 
     Invariant under congruence by any invertible matrix and under joint
     inversion of both arguments.
     """
-    return float(np.sqrt(geodesic_distance_sq(x, y)))
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
+    isq = x.inv_sqrt_array
+    inner = symmetrize(isq @ y.array @ isq)
+    logs = np.log(np.linalg.eigvalsh(inner))
+    return float(np.sqrt(np.dot(logs, logs)))

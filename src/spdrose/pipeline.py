@@ -77,7 +77,7 @@ from .descriptors import (
 from .embedding import EXPONENT_MODES, build_projection_model, embed_batch
 from .errors import (
     ConfigError,
-    DimensionInconsistency,
+    DimensionMismatch,
     EmptyData,
     ExclusionExceedsClasses,
     ParseError,
@@ -86,7 +86,8 @@ from .errors import (
     StageFailure,
     require_integer,
 )
-from .io import load_json, read_container, read_matrix, read_pgm, read_ppm, write_matrix
+from .io import load_json, read_container, read_matrix, read_pgm, read_ppm
+from .io import write_json, write_matrix
 from .seeding import derive_seed
 from .stein import KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
@@ -196,9 +197,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
             for e in manifest.entries
         ],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -264,28 +263,30 @@ def load_dataset(manifest_path):
         labels.extend([entry.label] * len(descriptors))
     dims = {p.dim for p in points}
     if len(dims) > 1:
-        raise DimensionInconsistency(
+        raise DimensionMismatch(
             f"{manifest_path}: mixed descriptor dimensions {sorted(dims)}"
         )
     return points, np.array(labels, dtype=np.int64)
 
 
 def save_dataset(directory, points, labels, prefix: str = "point") -> str:
-    """Write matrices plus a precomputed manifest; returns the manifest path."""
+    """Write matrices plus a precomputed manifest; returns the manifest path.
+
+    The manifest is checked before any file is written, so rejected
+    labels leave nothing behind.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) != labels.size:
-        raise DimensionInconsistency(
-            f"{len(points)} points but {labels.size} labels"
-        )
-    os.makedirs(directory, exist_ok=True)
+        raise DimensionMismatch(f"{len(points)} points but {labels.size} labels")
     width = max(4, len(str(max(len(points) - 1, 0))))
-    entries = []
-    for i, (point, label) in enumerate(zip(points, labels)):
-        name = f"{prefix}_{i:0{width}d}.txt"
+    names = [f"{prefix}_{i:0{width}d}.txt" for i in range(len(points))]
+    entries = [ManifestEntry(path=n, label=int(label)) for n, label in zip(names, labels)]
+    manifest = DatasetManifest(entries=tuple(entries))
+    os.makedirs(directory, exist_ok=True)
+    for name, point in zip(names, points):
         write_matrix(os.path.join(directory, name), point)
-        entries.append(ManifestEntry(path=name, label=int(label)))
     manifest_path = os.path.join(directory, "manifest.json")
-    save_manifest(manifest_path, DatasetManifest(entries=tuple(entries)))
+    save_manifest(manifest_path, manifest)
     return manifest_path
 
 
@@ -457,8 +458,8 @@ class RepRecord:
 
 
 @dataclass(frozen=True)
-class Report:
-    """Full-run record; serializes deterministically without timing.
+class _ReportHeader:
+    """What both report kinds hold and write first: format, version, config, records.
 
     Accuracies are emitted as exact decimal strings (``repr`` of the
     64-bit float) so report bytes cannot drift across platforms.
@@ -469,6 +470,26 @@ class Report:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
+
+    def to_payload(self, include_timing: bool = False) -> dict:
+        payload = {
+            "format": self.FORMAT,
+            "version": REPORT_FORMAT_VERSION,
+            "config": asdict(self.config),
+            "records": [r.to_payload(include_timing) for r in self.records],
+        }
+        payload.update(self._summary())
+        return payload
+
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(self.to_payload(include_timing), indent=1, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class Report(_ReportHeader):
+    """Full-run record; serializes deterministically without timing."""
+
+    FORMAT = REPORT_FORMAT
 
     @property
     def accuracies(self) -> tuple:
@@ -487,27 +508,18 @@ class Report:
         values = [r.knn_accuracy for r in self.records if r.knn_accuracy is not None]
         return float(np.mean(values)) if values else None
 
-    def to_payload(self, include_timing: bool = False) -> dict:
+    def _summary(self) -> dict:
         mean_knn = self.mean_knn_accuracy
         return {
-            "format": REPORT_FORMAT,
-            "version": REPORT_FORMAT_VERSION,
-            "config": asdict(self.config),
-            "records": [r.to_payload(include_timing) for r in self.records],
             "accuracies": [repr(a) for a in self.accuracies],
             "mean_accuracy": repr(self.mean_accuracy),
             "std_accuracy": repr(self.std_accuracy),
             "mean_knn_accuracy": None if mean_knn is None else repr(mean_knn),
         }
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_payload(include_timing), indent=1, sort_keys=True)
-
 
 def save_report(path, report, include_timing: bool = False) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(report.to_json(include_timing))
-        fh.write("\n")
+    write_json(path, report.to_payload(include_timing))
 
 
 def _draw(labels, positions, count, rng):
@@ -723,7 +735,7 @@ def _dataset_classes(points, labels):
     """Labels as an int64 array and the sorted class list of a usable dataset."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) != labels.size:
-        raise DimensionInconsistency(f"{len(points)} points but {labels.size} labels")
+        raise DimensionMismatch(f"{len(points)} points but {labels.size} labels")
     if len(points) == 0:
         raise EmptyData("dataset holds no points")
     classes = sorted(set(labels.tolist()))
@@ -782,16 +794,16 @@ class DegradationRecord:
 
 
 @dataclass(frozen=True)
-class DegradationReport:
+class DegradationReport(_ReportHeader):
     """Accuracies of both arms across class-exclusion patterns."""
 
-    config: ExperimentConfig
+    FORMAT = DEGRADATION_FORMAT
+
     synthetic_budget: int
     excluded_class_counts: tuple
-    records: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+        super().__post_init__()
         object.__setattr__(
             self, "excluded_class_counts", tuple(self.excluded_class_counts)
         )
@@ -808,22 +820,15 @@ class DegradationReport:
             means.append(float(np.mean(values)))
         return means
 
-    def to_payload(self, include_timing: bool = False) -> dict:
+    def _summary(self) -> dict:
         return {
-            "format": DEGRADATION_FORMAT,
-            "version": REPORT_FORMAT_VERSION,
-            "config": asdict(self.config),
             "synthetic_budget": self.synthetic_budget,
             "excluded_class_counts": list(self.excluded_class_counts),
-            "records": [r.to_payload(include_timing) for r in self.records],
             "means": {
                 arm: [repr(m) for m in self.arm_means(arm)]
                 for arm in (MODE_PLAIN, MODE_AUGMENTED)
             },
         }
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_payload(include_timing), indent=1, sort_keys=True)
 
 
 def degradation_study(

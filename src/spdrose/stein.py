@@ -100,11 +100,6 @@ def divergence_matrix(rows, cols) -> np.ndarray:
     return out + out.T if square else out
 
 
-def stein_kernel_value(x: SpdMatrix, y: SpdMatrix, params: KernelParams) -> float:
-    """Kernel value ``exp(-sigma * J(x, y))``, in (0, 1]."""
-    return float(np.exp(-params.sigma * stein_divergence(x, y)))
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Kernel Gram matrix after the PSD policy has been applied.

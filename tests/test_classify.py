@@ -11,7 +11,6 @@ import spdrose.classify
 from spdrose import (
     DimensionMismatch,
     EmptyData,
-    EmptyTrain,
     NonConvergence,
     ParseError,
     SingleClass,
@@ -234,7 +233,7 @@ def test_knn_vote_tie_prefers_smaller_label():
 
 
 def test_knn_validation(rng):
-    with pytest.raises(EmptyTrain):
+    with pytest.raises(EmptyData):
         knn([], [], [random_spd(rng, 2)])
     train = [random_spd(rng, 2) for _ in range(3)]
     with pytest.raises(ValueError):

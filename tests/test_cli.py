@@ -118,6 +118,25 @@ def test_extract_label_count_mismatch_exits_2(tmp_path, capsys):
     assert "1 image(s)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", ["0,2", "0,-1"])
+def test_extract_rejected_labels_write_nothing(tmp_path, capsys, labels):
+    # Labels must be dense and nonnegative; each image gives 4 cells.
+    rng = np.random.default_rng(2)
+    for name in ("a.pgm", "b.pgm"):
+        write_pgm(tmp_path / name, rng.uniform(size=(10, 10)))
+    out = tmp_path / "data"
+    code = main(
+        [
+            "extract", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+            "--labels", labels,
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "features, kind, writer, shape",
     [

@@ -1,4 +1,4 @@
-"""Unit tests for feature maps and region covariance descriptors."""
+"""Unit tests for feature maps and grid covariance descriptors."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from spdrose import (
     GrayImage,
     GridTooFine,
     ImageTooSmall,
-    RegionSpec,
-    RegionTooSmall,
     box_downsample,
     color_feature_map,
     gabor_feature_map,
     grid_covariances,
     intensity_feature_map,
-    region_covariance,
 )
 from spdrose.descriptors import (
     ABSOLUTE_RIDGE,
@@ -29,6 +26,12 @@ from spdrose.descriptors import (
 
 def gray(values):
     return GrayImage(np.asarray(values, dtype=np.float64))
+
+
+def cell(fi, x0, y0, x1, y1):
+    """Descriptor of the inclusive pixel box, as the 1x1 grid of that sub-image."""
+    sub = FeatureImage(fi.values[y0 : y1 + 1, x0 : x1 + 1], fi.channel_tags)
+    return grid_covariances(sub, 1, 1)[0]
 
 
 def test_image_validation():
@@ -66,17 +69,6 @@ def test_images_leave_the_callers_array_writable(make, shape):
 def test_feature_image_tag_count_must_match():
     with pytest.raises(ValueError):
         FeatureImage(np.zeros((2, 2, 3)), ("a", "b"))
-
-
-def test_region_spec_validation():
-    with pytest.raises(RegionTooSmall):
-        RegionSpec(1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        RegionSpec(2, 0, 1, 0)
-    with pytest.raises(ValueError):
-        RegionSpec(-1, 0, 1, 0)
-    region = RegionSpec(1, 2, 4, 3)
-    assert (region.width, region.height, region.area) == (4, 2, 8)
 
 
 def test_intensity_constant_image():
@@ -273,17 +265,17 @@ def test_region_covariance_constant_region():
     # 0.5 keeps the mean subtraction exact, so the sample covariance is
     # exactly zero and only the absolute ridge remains.
     fi = FeatureImage(np.full((3, 3, 2), 0.5), ("a", "b"))
-    cov = region_covariance(fi, RegionSpec(0, 0, 2, 2))
+    cov = cell(fi, 0, 0, 2, 2)
     assert np.array_equal(cov.array, ABSOLUTE_RIDGE * np.eye(2))
     wobbly = FeatureImage(np.full((3, 3, 2), 0.7), ("a", "b"))
-    cov = region_covariance(wobbly, RegionSpec(0, 0, 2, 2))
+    cov = cell(wobbly, 0, 0, 2, 2)
     assert np.allclose(cov.array, ABSOLUTE_RIDGE * np.eye(2), atol=1e-24)
 
 
 def test_region_covariance_two_pixel_example():
     values = np.array([[[0.0, 0.0], [2.0, 0.0]]])
     fi = FeatureImage(values, ("a", "b"))
-    cov = region_covariance(fi, RegionSpec(0, 0, 1, 0))
+    cov = cell(fi, 0, 0, 1, 0)
     ridge = 1e-5 * (2.0 / 2.0) + ABSOLUTE_RIDGE
     expected = np.array([[2.0 + ridge, 0.0], [0.0, ridge]])
     assert np.allclose(cov.array, expected, rtol=1e-12, atol=0.0)
@@ -293,39 +285,33 @@ def test_region_covariance_pixel_order_invariance(rng):
     flat = rng.uniform(0.0, 1.0, size=(1, 8, 3))
     fi = FeatureImage(flat, ("a", "b", "c"))
     shuffled = FeatureImage(flat[:, rng.permutation(8), :], ("a", "b", "c"))
-    region = RegionSpec(0, 0, 7, 0)
-    a = region_covariance(fi, region).array
-    b = region_covariance(shuffled, region).array
+    a = cell(fi, 0, 0, 7, 0).array
+    b = cell(shuffled, 0, 0, 7, 0).array
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def test_region_covariance_eigenvalue_floor(rng):
     for _ in range(5):
         fi = FeatureImage(rng.uniform(size=(4, 4, 3)), ("a", "b", "c"))
-        cov = region_covariance(fi, RegionSpec(0, 0, 3, 3))
+        cov = cell(fi, 0, 0, 3, 3)
         assert float(np.linalg.eigvalsh(cov.array)[0]) >= 0.99 * ABSOLUTE_RIDGE
-
-
-def test_region_covariance_bounds_check():
-    fi = FeatureImage(np.zeros((3, 3, 2)), ("a", "b"))
-    with pytest.raises(ValueError):
-        region_covariance(fi, RegionSpec(0, 0, 3, 1))
 
 
 def test_grid_single_cell_equals_whole_region(rng):
     fi = FeatureImage(rng.uniform(size=(5, 6, 2)), ("a", "b"))
     grid = grid_covariances(fi, 1, 1)
-    whole = region_covariance(fi, RegionSpec(0, 0, 5, 4))
+    cov = np.cov(fi.values.reshape(-1, 2), rowvar=False)
+    whole = cov + (1e-5 * np.trace(cov) / 2 + ABSOLUTE_RIDGE) * np.eye(2)
     assert len(grid) == 1
-    assert np.array_equal(grid[0].array, whole.array)
+    assert np.allclose(grid[0].array, whole, rtol=1e-12, atol=0.0)
 
 
 def test_grid_eight_by_eight(rng):
     fi = FeatureImage(rng.uniform(size=(64, 64, 3)), ("a", "b", "c"))
     grid = grid_covariances(fi, 8, 8)
     assert len(grid) == 64
-    # spot check one interior cell against the direct region call
-    direct = region_covariance(fi, RegionSpec(16, 8, 23, 15))
+    # spot check one interior cell against the 1x1 grid of its sub-image
+    direct = cell(fi, 16, 8, 23, 15)
     assert np.array_equal(grid[8 * 1 + 2].array, direct.array)
 
 
@@ -333,7 +319,7 @@ def test_grid_remainder_goes_to_last_cells(rng):
     fi = FeatureImage(rng.uniform(size=(7, 7, 2)), ("a", "b"))
     grid = grid_covariances(fi, 2, 2)
     assert len(grid) == 4
-    last = region_covariance(fi, RegionSpec(3, 3, 6, 6))
+    last = cell(fi, 3, 3, 6, 6)
     assert np.array_equal(grid[3].array, last.array)
 
 

@@ -17,7 +17,6 @@ from spdrose import (
     TSampleTooLarge,
     binarize,
     build_projection_model,
-    default_exemplar_count,
     divergence_matrix,
     embed_batch,
     expected_distance_sq,
@@ -26,7 +25,7 @@ from spdrose import (
     load_projection_model,
     save_projection_model,
     sigma_guarantees_psd,
-    stein_kernel_value,
+    stein_divergence,
 )
 
 from spdrose.manifold import EIGENVALUE_FLOOR_RTOL
@@ -56,18 +55,17 @@ def jl_report(model, points, epsilon):
 
 def kernel_row(model, x):
     """Kernel values of ``x`` against the model's reference pool."""
+    sigma = model.kernel_params.sigma
     return np.array(
-        [stein_kernel_value(ref, x, model.kernel_params) for ref in model.reference_points]
+        [np.exp(-sigma * stein_divergence(ref, x)) for ref in model.reference_points]
     )
 
 
 def test_default_exemplar_count():
-    assert default_exemplar_count(4) == 1
-    assert default_exemplar_count(7) == 2
-    assert default_exemplar_count(8) == 2
-    assert default_exemplar_count(40) == 10
-    assert default_exemplar_count(119) == 30
-    assert default_exemplar_count(121) == 30
+    # min(30, ceil(p / 4)); one repeated point keeps every divergence zero.
+    for p, t in [(4, 1), (7, 2), (8, 2), (40, 10), (119, 30), (121, 30)]:
+        pool = [SpdMatrix(np.eye(2))] * p
+        assert build_projection_model(pool, np.zeros((p, p)), 1, KernelParams(0.5)).t == t
 
 
 def test_build_validation(rng):
@@ -93,7 +91,7 @@ def test_model_shape_and_defaults(rng):
     assert model.p == 12
     assert model.k == 7
     assert model.dim == 3
-    assert model.t == default_exemplar_count(12)
+    assert model.t == 3
     assert model.exponent_mode == "whitening"
     assert model.exponent == -0.5
     assert model.weights.shape == (12, 7)
@@ -359,6 +357,16 @@ def test_model_load_rejects_corruption(rng, tmp_path):
     other.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
         load_projection_model(other)
+
+    # A reference point that is not SPD, and one of another size than the
+    # 3x3 "dim" header: the error names the file in both cases.
+    for i, bad in [(0, np.diag([1.0, -1.0, 1.0])), (1, np.eye(2))]:
+        payload = json.loads(path.read_text())
+        payload["reference_points"][i] = bad.tolist()
+        other.write_text(json.dumps(payload))
+        with pytest.raises(ParseError) as info:
+            load_projection_model(other)
+        assert str(other) in str(info.value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

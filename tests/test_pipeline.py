@@ -13,26 +13,26 @@ import spdrose.stein
 from spdrose import (
     ConfigError,
     DatasetManifest,
-    DimensionInconsistency,
+    DimensionMismatch,
     EmptyData,
     EmptyInput,
     ExclusionExceedsClasses,
     ExperimentConfig,
+    FeatureImage,
     ManifestEntry,
     ParseError,
-    RegionSpec,
     SingleClass,
     SpdMatrix,
     StageFailure,
     config_from_mapping,
     degradation_study,
+    grid_covariances,
     intensity_feature_map,
     load_config,
     load_dataset,
     load_manifest,
     make_benchmark,
     read_pgm,
-    region_covariance,
     resolve_synthetic,
     run_experiment,
     save_dataset,
@@ -185,7 +185,7 @@ def test_load_dataset_mixed_dimensions(tmp_path, rng):
             entries=(ManifestEntry("a.txt", 0), ManifestEntry("b.txt", 1))
         ),
     )
-    with pytest.raises(DimensionInconsistency):
+    with pytest.raises(DimensionMismatch):
         load_dataset(d / "manifest.json")
 
 
@@ -213,7 +213,8 @@ def test_load_dataset_image_grid(tmp_path):
     assert all(p.dim == 5 for p in points)
     # first descriptor is the top-left cell of the first image
     features = intensity_feature_map(read_pgm(d / "a.pgm"))
-    expected = region_covariance(features, RegionSpec(0, 0, 3, 3))
+    corner = FeatureImage(features.values[:4, :4], features.channel_tags)
+    expected = grid_covariances(corner, 1, 1)[0]
     assert np.array_equal(points[0].array, expected.array)
 
 
@@ -423,9 +424,9 @@ def test_points_and_labels_must_have_the_same_length(point_count, label_count):
     points, labels = benchmark_pool(n_classes=2, per_class=12)
     points, labels = points[:point_count], labels[:label_count]
     message = f"{point_count} points but {label_count} labels"
-    with pytest.raises(DimensionInconsistency, match=message):
+    with pytest.raises(DimensionMismatch, match=message):
         run_experiment(points, labels, quick_config())
-    with pytest.raises(DimensionInconsistency, match=message):
+    with pytest.raises(DimensionMismatch, match=message):
         degradation_study(points, labels, quick_config(), excluded_class_counts=(0,))
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spdrose import (
     DimensionMismatch,
@@ -18,7 +18,6 @@ from spdrose import (
     gram_power,
     sigma_guarantees_psd,
     stein_divergence,
-    stein_kernel_value,
     symmetrize,
 )
 from spdrose.stein import GRAM_PSD_RTOL
@@ -46,6 +45,11 @@ INDEFINITE_POINTS = [
 
 def gram_of(points, params):
     return gram_matrix(divergence_matrix(points, points), params)
+
+
+def kernel_value(x, y, sigma):
+    """The Stein kernel ``exp(-sigma * J(x, y))`` of one pair."""
+    return float(np.exp(-sigma * stein_divergence(x, y)))
 
 
 def test_divergence_of_identical_points_is_zero(rng):
@@ -97,12 +101,12 @@ def test_kernel_value_range_and_formula(rng):
     for _ in range(20):
         x = random_spd(rng, 4)
         y = random_spd(rng, 4)
-        k = stein_kernel_value(x, y, params)
+        k = gram_of([x, y], params).entries[0, 1]
         assert 0.0 < k <= 1.0
         assert k == pytest.approx(
             math.exp(-1.5 * stein_divergence(x, y)), rel=1e-14
         )
-    assert stein_kernel_value(x, x, params) == pytest.approx(1.0, abs=1e-10)
+    assert gram_of([x, x], params).entries[0, 1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_params_validation():
@@ -148,8 +152,8 @@ def test_gram_entries_match_pairwise_kernel(rng):
     for i in range(6):
         for j in range(6):
             if i != j:
-                assert gram.entries[i, j] == stein_kernel_value(
-                    points[i], points[j], params
+                assert gram.entries[i, j] == kernel_value(
+                    points[i], points[j], params.sigma
                 )
 
 
@@ -182,8 +186,8 @@ def test_indefinite_witness_is_indefinite():
     raw = np.ones((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            raw[i, j] = raw[j, i] = stein_kernel_value(
-                INDEFINITE_POINTS[i], INDEFINITE_POINTS[j], params
+            raw[i, j] = raw[j, i] = kernel_value(
+                INDEFINITE_POINTS[i], INDEFINITE_POINTS[j], params.sigma
             )
     assert np.linalg.eigvalsh(raw)[0] < -0.01
 
@@ -329,5 +333,46 @@ def test_property_kernel_value_in_unit_interval(seed, dim, sigma, log_spread):
     rng = np.random.default_rng(seed)
     x = random_spd(rng, dim, log_spread)
     y = random_spd(rng, dim, log_spread)
-    k = stein_kernel_value(x, y, KernelParams(sigma))
+    k = kernel_value(x, y, sigma)
     assert 0.0 < k <= 1.0
+
+
+@settings(max_examples=60)
+@given(
+    seed=_SEEDS,
+    dim=st.integers(2, 6),
+    sigma=st.one_of(st.floats(0.02, 0.5), st.floats(0.5, 3.0)),
+    witnesses=st.sets(st.integers(0, len(INDEFINITE_POINTS) - 1), min_size=2),
+    extra=st.integers(0, 3),
+)
+@example(seed=0, dim=2, sigma=0.25, witnesses=set(range(8)), extra=0)
+@example(seed=1, dim=5, sigma=0.3, witnesses=set(range(8)), extra=2)
+def test_property_psd_policies_off_the_grid(seed, dim, sigma, witnesses, extra):
+    # Random pools almost never give an indefinite Gram, so the pool is part
+    # of the 2x2 witness, embedded as a * diag(W, I) * a (a congruence keeps
+    # every divergence), plus a few random points.
+    assume(not sigma_guarantees_psd(sigma, dim))
+    rng = np.random.default_rng(seed)
+    a = random_spd(rng, dim, log_spread=1.0).sqrt_array
+    embedded = np.eye(dim)
+    points = []
+    for i in sorted(witnesses):
+        embedded[:2, :2] = INDEFINITE_POINTS[i].array
+        points.append(SpdMatrix(symmetrize(a @ embedded @ a)))
+    points += [random_spd(rng, dim) for _ in range(extra)]
+    divergences = divergence_matrix(points, points)
+    vals = np.linalg.eigvalsh(np.exp(-sigma * divergences))
+    lo, hi = float(vals[0]), float(vals[-1])
+    # Stay clear of both thresholds by more than eigh and eigvalsh can differ.
+    assume(min(abs(lo), abs(lo + GRAM_PSD_RTOL * hi)) > 1e-12 * hi)
+
+    strict = KernelParams(sigma, psd_policy="strict")
+    if lo < -GRAM_PSD_RTOL * hi:
+        with pytest.raises(IndefiniteKernel):
+            gram_matrix(divergences, strict)
+    else:
+        gram_matrix(divergences, strict)
+    gram = gram_matrix(divergences, KernelParams(sigma, psd_policy="clamp"))
+    repaired = np.linalg.eigvalsh(gram.entries)
+    assert repaired[0] >= -1e-12 * repaired[-1]
+    assert (gram.clamped_mass == 0.0) == (lo >= 0.0)
