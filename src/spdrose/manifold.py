@@ -9,8 +9,13 @@ the rest of the package builds on.
 
 Conventions
 -----------
-* Eigendecomposition (``numpy.linalg.eigh``) is the single numeric
-  backend for matrix functions; no Cholesky or Schur path is mixed in.
+* Eigendecomposition (``numpy.linalg.eigh``) is the numeric backend for
+  matrix functions, spectra and the conditioning-floor check.
+* Log-determinants are the one exception: they come from a Cholesky
+  factor (LAPACK ``dpotrf``) as ``2 * sum(log(diag(L)))``, which needs
+  no eigensolve.  Every log-determinant in the package, the Stein
+  midpoint's included, goes through that one factorization, so a
+  matrix and a content-identical copy get the same bits.
 * Matrices whose eigenvalue ratio ``lambda_min / lambda_max`` falls at
   or below ``EIGENVALUE_FLOOR_RTOL`` are rejected instead of silently
   regularized.
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     AsymmetryExceedsTolerance,
@@ -87,6 +93,18 @@ def _check_spectrum(lo: float, hi: float) -> None:
         )
 
 
+def _cholesky_logdet(a: np.ndarray) -> float:
+    """Log-determinant ``2 * sum(log(diag(L)))`` of a symmetric matrix ``a = L L^T``.
+
+    Raises ``NotPositiveDefinite`` when the Cholesky factorization
+    breaks down.
+    """
+    factor, info = dpotrf(a, 1, 0)  # lower=1, clean=0: only diag(L) is read
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info {info})")
+    return 2.0 * float(np.log(factor.diagonal()).sum())
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -111,7 +129,6 @@ class SpdMatrix:
         vals = np.linalg.eigvalsh(a)
         _check_spectrum(float(vals[0]), float(vals[-1]))
         object.__setattr__(self, "array", a)
-        object.__setattr__(self, "_eigvals", _readonly(vals))
 
     @property
     def dim(self) -> int:
@@ -119,8 +136,8 @@ class SpdMatrix:
 
     @cached_property
     def logdet(self) -> float:
-        """Log-determinant as the sum of log-eigenvalues."""
-        return float(np.sum(np.log(self._eigvals)))
+        """Log-determinant from the Cholesky factor of the array."""
+        return _cholesky_logdet(self.array)
 
     @cached_property
     def eigen(self) -> tuple:

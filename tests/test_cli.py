@@ -206,6 +206,17 @@ def test_synth_writes_unlabeled_points(tmp_path, capsys):
     assert labels.tolist() == [0] * 5
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_count_below_one_exits_2_before_reading_data(tmp_path, capsys, count):
+    # The dataset path does not exist: reading it would exit 3 instead.
+    missing = str(tmp_path / "absent" / "manifest.json")
+    code = main(["synth", "--data", missing, "--out", str(tmp_path / "aug"), "--count", count])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--count" in err and "at least 1" in err
+    assert not (tmp_path / "aug").exists()
+
+
 def write_textures(directory, count, size=64):
     """Oriented smoothed-noise PGMs; texture i is oriented at (i % 4) * pi / 4."""
     rng = np.random.default_rng(0)

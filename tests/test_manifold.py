@@ -21,7 +21,12 @@ from spdrose import (
     spd_power,
     symmetrize,
 )
-from spdrose.manifold import EIGENVALUE_FLOOR_RTOL, SYMMETRY_RTOL, airm_log_map_stack
+from spdrose.manifold import (
+    EIGENVALUE_FLOOR_RTOL,
+    SYMMETRY_RTOL,
+    _cholesky_logdet,
+    airm_log_map_stack,
+)
 
 from conftest import random_spd, random_symmetric
 
@@ -122,6 +127,16 @@ def test_logdet_matches_slogdet(rng):
         sign, ref = np.linalg.slogdet(m.array)
         assert sign == 1.0
         assert m.logdet == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    ids=["indefinite", "negative-pivot", "zero"],
+)
+def test_cholesky_logdet_rejects_matrices_that_are_not_positive_definite(raw):
+    with pytest.raises(NotPositiveDefinite, match="Cholesky"):
+        _cholesky_logdet(np.array(raw))
 
 
 def test_spd_log_exp_diagonal():

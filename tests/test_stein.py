@@ -1,6 +1,8 @@
 """Unit tests for the Stein divergence, kernel, and Gram assembly."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from spdrose import (
     stein_divergence,
     symmetrize,
 )
+from spdrose.manifold import EIGENVALUE_FLOOR_RTOL
 from spdrose.stein import GRAM_PSD_RTOL
 
-from conftest import random_orthogonal, random_spd
+from conftest import blas_thread_env, random_orthogonal, random_spd
 
 # Eight 2x2 points whose kernel Gram at sigma=0.25 has smallest
 # eigenvalue about -0.0445.  Found by direct minimisation of the
@@ -262,6 +265,58 @@ def test_divergence_matrix_equals_pair_loop(rng, dim):
     assert np.array_equal(divergence_matrix(points, others), pair_loop(points, others))
 
 
+def near_floor_point(rng, dim):
+    """A point whose eigenvalue ratio is twice the conditioning floor."""
+    q = random_orthogonal(rng, dim)
+    spectrum = np.geomspace(2.0 * EIGENVALUE_FLOOR_RTOL, 1.0, dim)
+    return SpdMatrix(symmetrize((q * rng.permutation(spectrum)) @ q.T))
+
+
+@pytest.mark.parametrize(
+    "dim, make",
+    [(6, random_spd), (43, random_spd), (43, near_floor_point)],
+    ids=["d6", "d43", "d43-near-floor"],
+)
+def test_divergence_with_a_content_identical_copy_is_exactly_zero(rng, dim, make):
+    # The midpoint of x and its copy is x bit for bit, and the midpoint and
+    # both points take their log-determinants from the same factorization.
+    for _ in range(5):
+        x = make(rng, dim)
+        copy = SpdMatrix(x.array.copy())
+        assert stein_divergence(x, copy) == 0.0
+        assert stein_divergence(copy, x) == 0.0
+        assert np.array_equal(divergence_matrix([x], [copy]), np.zeros((1, 1)))
+
+
+# Builds the divergence block of 8 points at d = 43 (saved by the test, so
+# the inputs do not depend on the thread count) and writes its bytes.
+_THREADED_DIVERGENCES = """
+import sys
+import numpy as np
+from spdrose import SpdMatrix, divergence_matrix
+points = [SpdMatrix(a) for a in np.load(sys.argv[1])]
+with open(sys.argv[2], "wb") as out:
+    out.write(divergence_matrix(points, points).tobytes())
+"""
+
+
+def test_divergences_are_identical_across_blas_thread_counts(tmp_path, rng):
+    stack = tmp_path / "points.npy"
+    points = [random_spd(rng, 43) for _ in range(6)]
+    points += [near_floor_point(rng, 43) for _ in range(2)]
+    np.save(stack, np.stack([p.array for p in points]))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bin"
+        subprocess.run(
+            [sys.executable, "-c", _THREADED_DIVERGENCES, str(stack), str(out)],
+            env=blas_thread_env(threads), check=True, timeout=120,
+        )
+        written.append(out.read_bytes())
+    assert len(written[0]) == 8 * 8 * 8
+    assert written[0] == written[1]
+
+
 _SEEDS = st.integers(0, 2**32 - 1)
 _DIMS = st.integers(2, 8)
 
@@ -293,6 +348,26 @@ def test_property_divergence_congruence_invariant(seed, dim):
     assert stein_divergence(xa, ya) == pytest.approx(
         stein_divergence(x, y), rel=1e-8, abs=1e-10
     )
+
+
+@settings(max_examples=60)
+@given(
+    seed=_SEEDS,
+    dim=st.one_of(_DIMS, st.just(43)),
+    log_spread=st.floats(0.1, 2.0),
+    log_scale=st.floats(-20.0, 20.0),
+)
+def test_property_cholesky_logdet_matches_slogdet(seed, dim, log_spread, log_scale):
+    rng = np.random.default_rng(seed)
+    x, y = (
+        SpdMatrix(math.exp(log_scale) * random_spd(rng, dim, log_spread).array)
+        for _ in range(2)
+    )
+    for point in (x, y):
+        sign, ref = np.linalg.slogdet(point.array)
+        assert sign == 1.0
+        assert point.logdet == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    assert stein_divergence(x, y) == stein_divergence(y, x)
 
 
 # Points at least this AIRM distance apart have J bounded away from zero.
