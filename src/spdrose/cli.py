@@ -100,6 +100,9 @@ def _cmd_synth(args):
     # The library's count 0 means "no synthesis"; a synth command must make some.
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
+    written = os.path.realpath(os.path.join(args.out, "manifest.json"))
+    if written == os.path.realpath(args.data):
+        raise ConfigError(f"--out {args.out} would overwrite the --data manifest")
     config = _from_flags(
         SynthesisConfig,
         count=args.count, seed=args.seed, direction_mode=args.direction_mode,

@@ -9,11 +9,13 @@ every descriptor a valid SPD matrix even for flat cells.
 
 Derivatives use central differences ([-1/2, 0, 1/2] and [1, -2, 1])
 with replicate padding at the borders.  Gabor filters are complex,
-zero-DC corrected, with one-octave bandwidth; their responses enter as
-magnitudes.  The bank works in the frequency domain: the image is
-edge-padded by half the largest support and transformed once, at a length
-where the circular wrap misses the kept window; each filter then costs one
-spectrum product and one inverse transform, written into the feature tensor.
+zero-DC corrected, with one-octave bandwidth and an isotropic envelope;
+their responses enter as magnitudes.  The bank works in the frequency
+domain, and each kernel's spectrum is an outer product of cached 1-D
+spectra.  For each wavelength the image is edge-padded by that wavelength's
+half-support and transformed once, at a length where the circular wrap misses
+the kept window; each filter then costs one spectrum product and one inverse
+transform, written into the feature tensor.
 """
 
 from __future__ import annotations
@@ -34,58 +36,45 @@ ABSOLUTE_RIDGE = 1e-8
 GABOR_WAVELENGTHS = (4.0, 4.0 * math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0), 16.0)
 GABOR_ORIENTATIONS = 8
 GABOR_BANDWIDTH_OCTAVES = 1.0
-GABOR_ASPECT = 1.0
 GABOR_TRUNCATE = 2.5
 
 
-def _check_pixels(pixels, channels):
-    a = np.asarray(pixels, dtype=np.float64)
-    expected = 2 if channels is None else 3
-    if a.ndim != expected or (channels is not None and a.shape[2] != channels):
-        raise ValueError(f"pixel array has shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("pixel values must be finite")
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
-        raise ValueError("pixel values must lie in [0, 1]")
-    a = a.copy() if a.flags.writeable else a  # the caller's array stays writable
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class _Image:
+    """Pixels in [0, 1], of shape (H, W) plus ``_channel_shape``."""
+
+    pixels: np.ndarray
+    _channel_shape = ()
+
+    def __post_init__(self):
+        a = np.asarray(self.pixels, dtype=np.float64)
+        if a.ndim < 2 or a.shape[2:] != self._channel_shape:
+            raise ValueError(f"pixel array has shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("pixel values must be finite")
+        if a.size and (a.min() < 0.0 or a.max() > 1.0):
+            raise ValueError("pixel values must lie in [0, 1]")
+        a = a.copy() if a.flags.writeable else a  # the caller's array stays writable
+        a.setflags(write=False)
+        object.__setattr__(self, "pixels", a)
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+
+class GrayImage(_Image):
     """Grayscale image with values normalized to [0, 1]."""
 
-    pixels: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _check_pixels(self.pixels, None))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ColorImage:
+class ColorImage(_Image):
     """RGB image with values normalized to [0, 1], shape (H, W, 3)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", _check_pixels(self.pixels, 3))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+    _channel_shape = (3,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +137,7 @@ def _derivatives(a):
 def _coordinate_channels(height, width):
     # Normalized to [0, 1]; single-row or single-column images are ruled
     # out by the minimum-size checks before this is called.
-    x = np.tile(np.arange(width) / (width - 1), (height, 1))
-    y = np.tile((np.arange(height) / (height - 1))[:, None], (1, width))
-    return x, y
+    return np.meshgrid(np.arange(width) / (width - 1), np.arange(height) / (height - 1))
 
 
 def intensity_feature_map(image: GrayImage) -> FeatureImage:
@@ -183,33 +170,39 @@ def _bandwidth_sigma_factor(octaves: float) -> float:
     return math.sqrt(math.log(2.0) / 2.0) / math.pi * (span + 1.0) / (span - 1.0)
 
 
-def _gabor_kernel(wavelength, theta):
+@lru_cache(maxsize=None)
+def _gabor_factors(u):
+    """1-D factors ``(rows, dc)`` of the kernels at ``GABOR_WAVELENGTHS[u]``.
+
+    ``rows`` holds the Gaussian ``e``, then ``e`` times the carrier of each
+    orientation ``v * pi / 8`` along x, then along y.  Kernel v, rows along y,
+    is ``outer(y_v, x_v) - dc[v] * outer(e, e)``, whose DC response is zero.
+    It factors so only because the envelope is isotropic.
+    """
+    wavelength = GABOR_WAVELENGTHS[u]
     sigma = wavelength * _bandwidth_sigma_factor(GABOR_BANDWIDTH_OCTAVES)
     half = int(math.ceil(GABOR_TRUNCATE * sigma))
-    y, x = np.mgrid[-half : half + 1, -half : half + 1]
-    xr = x * math.cos(theta) + y * math.sin(theta)
-    yr = -x * math.sin(theta) + y * math.cos(theta)
-    envelope = np.exp(-(xr**2 + (GABOR_ASPECT * yr) ** 2) / (2.0 * sigma**2))
-    kernel = envelope * np.exp(1j * (2.0 * math.pi / wavelength) * xr)
-    # Zero-DC correction: remove the envelope-weighted mean so a constant
-    # image produces (numerically) zero response.
-    kernel = kernel - (kernel.sum() / envelope.sum()) * envelope
-    return kernel
+    t = np.arange(-half, half + 1)
+    e = np.exp(-(t**2) / (2.0 * sigma**2))
+    theta = np.arange(GABOR_ORIENTATIONS)[:, None] * math.pi / GABOR_ORIENTATIONS
+    carrier = 1j * (2.0 * math.pi / wavelength) * t
+    xs, ys = e * np.exp(np.cos(theta) * carrier), e * np.exp(np.sin(theta) * carrier)
+    rows = np.vstack([e, xs, ys])
+    rows.setflags(write=False)  # cached, so shared by every caller
+    return rows, tuple(xs.sum(axis=1) * ys.sum(axis=1) / e.sum() ** 2)
 
 
-@lru_cache(maxsize=1)
-def _gabor_bank():
-    """The default bank's kernels, wavelength-major."""
-    bank = []
-    for wl in GABOR_WAVELENGTHS:
-        for v in range(GABOR_ORIENTATIONS):
-            bank.append(_gabor_kernel(wl, v * math.pi / GABOR_ORIENTATIONS))
-    return tuple(bank)
+@lru_cache(maxsize=64)
+def _factor_spectra(u, n):
+    """Length-``n`` spectra of the rows of ``_gabor_factors(u)``."""
+    spectra = fft.fft(_gabor_factors(u)[0], n)
+    spectra.setflags(write=False)
+    return spectra
 
 
 def gabor_support() -> int:
     """Side length of the largest filter in the default Gabor bank."""
-    return max(kernel.shape[0] for kernel in _gabor_bank())
+    return max(_gabor_factors(u)[0].shape[1] for u in range(len(GABOR_WAVELENGTHS)))
 
 
 def gabor_feature_map(image: GrayImage) -> FeatureImage:
@@ -225,25 +218,29 @@ def gabor_feature_map(image: GrayImage) -> FeatureImage:
         raise ImageTooSmall(
             f"{h}x{w} image is smaller than the {support}x{support} filter support"
         )
-    bank = _gabor_bank()
-    values = np.empty((h, w, 3 + len(bank)))
+    n = GABOR_ORIENTATIONS
+    values = np.empty((h, w, 3 + len(GABOR_WAVELENGTHS) * n))
     values[:, :, 0] = image.pixels
     values[:, :, 1], values[:, :, 2] = _coordinate_channels(h, w)
-    half = support // 2
-    padded = np.pad(image.pixels, half, mode="edge")
-    # No shorter than the padded image, so no wrap reaches the kept window.
-    shape = (fft.next_fast_len(h + 2 * half), fft.next_fast_len(w + 2 * half))
-    spectrum = fft.fft2(padded, s=shape)
-    for i, kernel in enumerate(bank):
-        # Pixel (r, c) is output (r + at, c + at): padding plus kernel half.
-        at = half + kernel.shape[0] // 2
-        response = fft.ifft2(spectrum * fft.fft2(kernel, s=shape))
-        np.abs(response[at : at + h, at : at + w], out=values[:, :, 3 + i])
-    tags = ["I", "x", "y"]
     for u in range(len(GABOR_WAVELENGTHS)):
-        tags.extend(f"|G_{u}{v}|" for v in range(GABOR_ORIENTATIONS))
+        rows, dc = _gabor_factors(u)
+        # Pixel (r, c) is output (r + at, c + at): padding plus kernel half.  No
+        # transform is shorter than the padded image, so no wrap reaches the window.
+        at = rows.shape[1] - 1
+        fy, fx = (_factor_spectra(u, fft.next_fast_len(m + at)) for m in (h, w))
+        padded = np.pad(image.pixels, at // 2, mode="edge")
+        spectrum = fft.fft2(padded, s=(fy.shape[1], fx.shape[1]))
+        envelope = spectrum * fy[0, :, None] * fx[0]
+        product, correction = np.empty_like(spectrum), np.empty_like(spectrum)
+        for v, d in enumerate(dc):
+            np.multiply(spectrum, fy[1 + n + v, :, None], out=product)
+            product *= fx[1 + v]
+            product -= np.multiply(envelope, d, out=correction)
+            response = fft.ifft2(product, overwrite_x=True)[at : at + h, at : at + w]
+            np.abs(response, out=values[:, :, 3 + n * u + v])
+    tags = [f"|G_{u}{v}|" for u in range(len(GABOR_WAVELENGTHS)) for v in range(n)]
     values.setflags(write=False)  # so FeatureImage keeps it without a copy
-    return FeatureImage(values, tuple(tags))
+    return FeatureImage(values, ("I", "x", "y", *tags))
 
 
 def _covariance(block: np.ndarray, eps_rel: float) -> SpdMatrix:

@@ -217,6 +217,29 @@ def test_synth_count_below_one_exits_2_before_reading_data(tmp_path, capsys, cou
     assert not (tmp_path / "aug").exists()
 
 
+@pytest.mark.parametrize("out", ["same", "dot-segment", "symlink"])
+def test_synth_into_its_own_data_directory_exits_2_and_writes_nothing(
+    tmp_path, capsys, out
+):
+    rng = np.random.default_rng(11)
+    manifest = save_dataset(
+        tmp_path / "base", [random_spd(rng, 3) for _ in range(6)], [0, 0, 0, 1, 1, 1]
+    )
+    (tmp_path / "link").symlink_to(tmp_path / "base")
+    out_dir = {
+        "same": tmp_path / "base",
+        "dot-segment": tmp_path / "base" / ".." / "base",
+        "symlink": tmp_path / "link",
+    }[out]
+    before = {p.name: p.read_bytes() for p in (tmp_path / "base").iterdir()}
+    code = main(["synth", "--data", str(manifest), "--out", str(out_dir), "--count", "3"])
+    assert code == 2
+    assert "would overwrite the --data manifest" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "base").iterdir()} == before
+    _, labels = load_dataset(manifest)
+    assert labels.tolist() == [0, 0, 0, 1, 1, 1]
+
+
 def write_textures(directory, count, size=64):
     """Oriented smoothed-noise PGMs; texture i is oriented at (i % 4) * pi / 4."""
     rng = np.random.default_rng(0)

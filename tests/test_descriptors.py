@@ -1,7 +1,11 @@
 """Unit tests for feature maps and grid covariance descriptors."""
 
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spdrose import (
     ColorImage,
@@ -17,9 +21,12 @@ from spdrose import (
 )
 from spdrose.descriptors import (
     ABSOLUTE_RIDGE,
+    GABOR_BANDWIDTH_OCTAVES,
     GABOR_ORIENTATIONS,
+    GABOR_TRUNCATE,
     GABOR_WAVELENGTHS,
-    _gabor_bank,
+    _bandwidth_sigma_factor,
+    _gabor_factors,
     gabor_support,
 )
 
@@ -216,6 +223,48 @@ def test_gabor_sinusoid_orientation_selectivity():
     assert aligned > 0.01
 
 
+def gabor_kernel(wavelength, theta):
+    """The 2-D kernel in rotated coordinates, as the bank's definition states it."""
+    sigma = wavelength * _bandwidth_sigma_factor(GABOR_BANDWIDTH_OCTAVES)
+    half = int(math.ceil(GABOR_TRUNCATE * sigma))
+    y, x = np.mgrid[-half : half + 1, -half : half + 1]
+    xr = x * math.cos(theta) + y * math.sin(theta)
+    yr = -x * math.sin(theta) + y * math.cos(theta)
+    envelope = np.exp(-(xr**2 + yr**2) / (2.0 * sigma**2))
+    kernel = envelope * np.exp(1j * (2.0 * math.pi / wavelength) * xr)
+    # Zero-DC correction: remove the envelope-weighted mean so a constant
+    # image produces (numerically) zero response.
+    return kernel - (kernel.sum() / envelope.sum()) * envelope
+
+
+@lru_cache(maxsize=1)
+def gabor_bank():
+    """The default bank's kernels, wavelength-major."""
+    return tuple(
+        gabor_kernel(wl, v * math.pi / GABOR_ORIENTATIONS)
+        for wl in GABOR_WAVELENGTHS
+        for v in range(GABOR_ORIENTATIONS)
+    )
+
+
+def test_separable_factors_match_rotated_kernels():
+    # The feature map builds each spectrum from these 1-D factors; that is
+    # exact only for an isotropic envelope.
+    n = GABOR_ORIENTATIONS
+    bank = gabor_bank()
+    assert len(bank) == len(GABOR_WAVELENGTHS) * n
+    for u in range(len(GABOR_WAVELENGTHS)):
+        rows, dc = _gabor_factors(u)
+        e = rows[0]
+        for v in range(n):
+            kernel = bank[n * u + v]
+            separable = np.outer(rows[1 + n + v], rows[1 + v]) - dc[v] * np.outer(e, e)
+            assert separable.shape == kernel.shape
+            error = np.max(np.abs(separable - kernel))
+            assert error <= 1e-14 * np.max(np.abs(kernel)), (u, v, error)
+    assert gabor_support() == max(kernel.shape[0] for kernel in bank)
+
+
 def spatial_gabor_magnitude(pixels, kernel, r, c):
     """|(image * kernel)(r, c)| as an explicit window sum, borders replicated."""
     h, w = pixels.shape
@@ -228,18 +277,20 @@ def spatial_gabor_magnitude(pixels, kernel, r, c):
     return abs(np.sum(kernel * pixels[np.ix_(rows, cols)]))
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        (47, 60),  # height equal to the largest support, not square
-        (50, 80),  # padded to 96x126, already a fast FFT length
-    ],
+@settings(max_examples=30)
+@given(
+    h=st.integers(47, 100),
+    w=st.integers(47, 100),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_gabor_magnitudes_match_spatial_window_sums(shape):
-    rng = np.random.default_rng(7)
-    pixels = rng.uniform(size=shape)
+# Each wavelength pads by its own half-support.  At 47 the largest pads to
+# 93, transformed at 96; at 50 the smallest pads to 62, transformed at 63.
+@example(h=47, w=60, seed=7)  # height equal to the largest support
+@example(h=50, w=80, seed=7)
+def test_gabor_magnitudes_match_spatial_window_sums(h, w, seed):
+    pixels = np.random.default_rng(seed).uniform(size=(h, w))
     fi = gabor_feature_map(gray(pixels))
-    bank = _gabor_bank()
+    bank = gabor_bank()
     expected_tags = ["I", "x", "y"] + [
         f"|G_{u}{v}|"
         for u in range(len(GABOR_WAVELENGTHS))
@@ -247,7 +298,6 @@ def test_gabor_magnitudes_match_spatial_window_sums(shape):
     ]
     assert list(fi.channel_tags) == expected_tags
     assert len(bank) == fi.channels - 3
-    h, w = shape
     probes = [
         (0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
         (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1),
