@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spdrose import (
     ColorImage,
@@ -277,18 +277,9 @@ def spatial_gabor_magnitude(pixels, kernel, r, c):
     return abs(np.sum(kernel * pixels[np.ix_(rows, cols)]))
 
 
-@settings(max_examples=30)
-@given(
-    h=st.integers(47, 100),
-    w=st.integers(47, 100),
-    seed=st.integers(0, 2**32 - 1),
-)
-# Each wavelength pads by its own half-support.  At 47 the largest pads to
-# 93, transformed at 96; at 50 the smallest pads to 62, transformed at 63.
-@example(h=47, w=60, seed=7)  # height equal to the largest support
-@example(h=50, w=80, seed=7)
-def test_gabor_magnitudes_match_spatial_window_sums(h, w, seed):
-    pixels = np.random.default_rng(seed).uniform(size=(h, w))
+def check_gabor_magnitudes(pixels):
+    """Every Gabor channel matches the explicit window sum at border and centre probes."""
+    h, w = pixels.shape
     fi = gabor_feature_map(gray(pixels))
     bank = gabor_bank()
     expected_tags = ["I", "x", "y"] + [
@@ -309,6 +300,29 @@ def test_gabor_magnitudes_match_spatial_window_sums(h, w, seed):
         for r, c in probes:
             expected = spatial_gabor_magnitude(pixels, kernel, r, c)
             assert abs(fi.values[r, c, 3 + i] - expected) <= 1e-12 * scale, (i, r, c)
+
+
+# Each wavelength pads by its own half-support.  At 47 the largest pads to
+# 93, transformed at 96; at 50 the smallest pads to 62, transformed at 63.
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (47, 60),  # height equal to the largest support, not square
+        (50, 80),
+    ],
+)
+def test_gabor_magnitudes_match_spatial_window_sums(shape):
+    check_gabor_magnitudes(np.random.default_rng(7).uniform(size=shape))
+
+
+@settings(max_examples=30)
+@given(
+    h=st.integers(47, 100),
+    w=st.integers(47, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gabor_magnitudes_match_spatial_window_sums_any_size(h, w, seed):
+    check_gabor_magnitudes(np.random.default_rng(seed).uniform(size=(h, w)))
 
 
 def test_region_covariance_constant_region():
