@@ -102,7 +102,7 @@ def _cholesky_logdet(a: np.ndarray) -> float:
     factor, info = dpotrf(a, 1, 0)  # lower=1, clean=0: only diag(L) is read
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info {info})")
-    return 2.0 * float(np.log(factor.diagonal()).sum())
+    return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -28,18 +28,22 @@ drawn from the surviving points, so its pool stays comparable as
 classes disappear.  With zero exclusions each arm reproduces
 ``run_experiment`` for the matching synthetic count bit for bit.
 
-The Stein divergence does not depend on sigma, and only this module
-decides which divergences to reuse.  Each repetition carves its
-validation fold first, then computes its real pairs once as two
-:func:`~spdrose.stein.divergence_matrix` blocks: the training points E
-with themselves, and the validation points, then the test points,
-against E.  Every run of the repetition (validation candidates, the
-final run, each exclusion pattern of both degradation arms, the kNN
-baseline) reads its split's read-only block by position: rows are the
-training then the test points, columns the training points, and a pool
-is a column selection.  Synthetic points are new in every fit, which
-computes their pairs with each other and with the training points; the
-test pass computes the test points against them.
+The Stein divergence does not depend on sigma or on the seed, and only
+this module decides which divergences to reuse.  ``run_experiment`` and
+``degradation_study`` each keep one store of real divergences for the
+whole experiment.  Every run (validation candidates, the final run,
+each exclusion pattern of both degradation arms, the kNN baseline)
+reads its split's read-only block from it by dataset position: rows are
+the training then the test (or validation) points, columns the training
+points, and a pool is a column selection.  The store computes a real
+pair only the first time any repetition reads it, in either order,
+through :func:`~spdrose.stein.divergence_matrix`, and never the pairs
+no run reads, such as test with test.  Synthetic points are new in
+every fit, which computes their pairs with each other and with the
+training points; the test pass computes the test points against them.
+The training ball that synthesis samples from depends on neither sigma
+nor the seed either, so each ordered pool's Karcher mean and radius are
+computed once per experiment and shared by every fit around that pool.
 
 Each run fits through :func:`fit_model` (synthesis, hyperplanes,
 embedding of the training points, classifier) and then scores the test
@@ -53,6 +57,7 @@ report bytes stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -91,6 +96,7 @@ from .io import write_json, write_matrix
 from .seeding import derive_seed
 from .stein import KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
+from .synthesis import training_ball
 
 MANIFEST_FORMAT = "spdrose.dataset"
 MANIFEST_FORMAT_VERSION = 1
@@ -557,14 +563,17 @@ def _stage(rep, name, fn, *args, **kwargs):
 
 
 def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
-              seed_root, divergences, rep=0):
+              seed_root, divergences, rep=0, ball=None):
     """Fit a projection model and a classifier on one training set.
 
     Hyperplanes are built from the training points at positions
     ``pool`` plus ``synth_count`` synthetic points generated around them
     (ROSES; ROSE when the count is zero), which are the model's
     reference points in that order.  ``divergences`` is
-    ``divergence_matrix(train_points, train_points)``.  The classifier
+    ``divergence_matrix(train_points, train_points)``.  ``ball`` maps
+    the synthesis config to the pool's ``training_ball``; by default it
+    is computed from the pool points, while experiment runs pass their
+    store's, which computes each pool's ball once.  The classifier
     trains on the embedded ``train_points``.  Synthesis and
     hyperplanes each draw from their own stage seed under ``seed_root``.
     A failing stage, a classifier that does not converge included,
@@ -581,7 +590,7 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
             seed=derive_seed(seed_root, _STAGE_SYNTH),
             direction_mode=config.direction_mode,
         )
-        synthetic = _stage(rep, "synthesize", generate_synthetic, pool_points, synth_config)
+        synthetic = _stage(rep, "synthesize", _synthesize, pool_points, synth_config, ball)
     seconds["synthesize"] = time.perf_counter() - started
     started = time.perf_counter()
     # The synthetic points' pairs with the training points serve both the
@@ -615,9 +624,15 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     return model, classifier, seconds
 
 
-def _run_single(points, labels, train, test, block, config, rep, seed_root, sigma,
+def _synthesize(pool_points, config, ball):
+    return generate_synthetic(pool_points, config, None if ball is None else ball(config))
+
+
+def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
                 k_policy, synth_count, included_classes=None, with_knn=False) -> RepRecord:
-    """One pipeline run on dataset positions ``train`` and ``test``, reading ``block``."""
+    """One pipeline run on dataset positions ``train`` and ``test``, reading ``store``."""
+    points = store.points
+    block = store.block(train + test, train)
     train_points = [points[i] for i in train]
     train_labels, test_labels = labels[train], labels[test]
     classes = tuple(np.unique(train_labels).tolist())
@@ -627,6 +642,7 @@ def _run_single(points, labels, train, test, block, config, rep, seed_root, sigm
     model, classifier, seconds = fit_model(
         pool, train_points, train_labels, config, sigma, k, synth_count,
         seed_root, block[:len(train)], rep,
+        ball=functools.partial(store.ball, tuple(train[i] for i in pool)),
     )
     started = time.perf_counter()
     test_block = block[len(train):]
@@ -666,23 +682,61 @@ def _run_single(points, labels, train, test, block, config, rep, seed_root, sigm
     )
 
 
-def _read_only(*blocks):
-    block = np.vstack(blocks)
-    block.setflags(write=False)
-    return block
+class _DivergenceStore:
+    """What every run of one experiment shares: real divergences and training balls.
+
+    Divergences are read by dataset position.  Each position that has
+    served as a training column owns one length-n row, its divergences
+    with every point, NaN until computed.  A missing pair already known
+    in the other order is copied, exact because ``J`` is exactly
+    symmetric; the rest come from :func:`divergence_matrix`, the column
+    point against its missing rows.  Balls are keyed by ordered pool
+    positions, because the Karcher mean's bits depend on point order;
+    the pipeline's synthesis configs differ only in fields the ball
+    does not read.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        self._rows = {}
+        self._served = np.zeros(len(points), dtype=bool)
+        self._balls = {}
+
+    def block(self, rows, cols):
+        """Read-only ``divergence_matrix`` of the points at ``rows`` with those at ``cols``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        for j in cols:
+            row = self._rows.get(j)
+            if row is None:
+                row = self._rows[j] = np.full(len(self.points), np.nan)
+                self._served[j] = True
+            missing = rows[np.isnan(row[rows])]
+            for i in missing[self._served[missing]].tolist():
+                row[i] = self._rows[i][j]
+            todo = missing[np.isnan(row[missing])].tolist()
+            if todo:
+                row[todo] = divergence_matrix(
+                    [self.points[j]], [self.points[i] for i in todo]
+                )[0]
+        block = np.ascontiguousarray(np.array([self._rows[j] for j in cols])[:, rows].T)
+        block.setflags(write=False)
+        return block
+
+    def ball(self, positions, config):
+        """``training_ball`` of the points at ``positions``, in that order."""
+        if positions not in self._balls:
+            self._balls[positions] = training_ball(
+                [self.points[i] for i in positions], config
+            )
+        return self._balls[positions]
 
 
-def _split_rep(points, labels, config, rep, validate):
+def _split_rep(labels, config, rep, validate):
     """The repetition's seed, its validation fold and its effective split.
 
-    Each split is a ``(train, test, block)`` triple: dataset positions and
-    the divergences of the points at ``train + test`` (rows) with those at
-    ``train`` (columns).  The fold is ``(train, held, block)``, or ``None``
-    unless ``validate``.  Both train on the same points E, so their
-    blocks share ``divergence_matrix(E, E)`` and split
-    ``divergence_matrix(H + T, E)`` between the validation points H and
-    the test points T: every real pair a run of the repetition reads,
-    each computed once.
+    The fold is ``(train, held)``, or ``None`` unless ``validate``, and the
+    effective split ``(train, test)``, all lists of dataset positions.
+    Both train on the same points.
     """
     rep_seed = derive_seed(config.seed, rep)
 
@@ -702,18 +756,14 @@ def _split_rep(points, labels, config, rep, validate):
         held, train = _draw(
             labels, train, lambda cls, size: _validation_count(config, size), rng
         )
-    fitted = [points[i] for i in train]
-    square = divergence_matrix(fitted, fitted)
-    cross = divergence_matrix([points[i] for i in held + test], fitted)
-    fold = (train, held, _read_only(square, cross[:len(held)])) if validate else None
-    return rep_seed, fold, (train, test, _read_only(square, cross[len(held):]))
+    return rep_seed, (train, held) if validate else None, (train, test)
 
 
 def _candidates(config, synth_choices):
     return list(itertools.product(config.sigma, config.k_policy, synth_choices))
 
 
-def _prepare_rep(points, labels, fold, config, rep, rep_seed, grid):
+def _prepare_rep(store, labels, fold, config, rep, rep_seed, grid):
     """Pick (sigma, k_policy, synthetic) from ``grid`` on the validation fold.
 
     With a single combination there is no fold and it is returned as is.
@@ -724,7 +774,7 @@ def _prepare_rep(points, labels, fold, config, rep, rep_seed, grid):
     best_accuracy = -1.0
     for tag, combo in enumerate(grid):
         tag_seed = derive_seed(rep_seed, _STAGE_VALIDATION, tag)
-        record = _run_single(points, labels, *fold, config, rep, tag_seed, *combo)
+        record = _run_single(store, labels, *fold, config, rep, tag_seed, *combo)
         if record.accuracy > best_accuracy:
             best_accuracy = record.accuracy
             best = combo
@@ -764,15 +814,16 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
             f"knn_neighbors={config.knn_neighbors} exceeds the "
             f"{len(classes) * per_class} training points the kNN baseline votes with"
         )
+    store = _DivergenceStore(points)
     records = []
     for rep in range(config.reps):
-        rep_seed, fold, effective = _split_rep(points, labels, config, rep, len(grid) > 1)
+        rep_seed, fold, effective = _split_rep(labels, config, rep, len(grid) > 1)
         sigma, k_policy, synth = _prepare_rep(
-            points, labels, fold, config, rep, rep_seed, grid
+            store, labels, fold, config, rep, rep_seed, grid
         )
         records.append(
             _run_single(
-                points, labels, *effective, config, rep, rep_seed,
+                store, labels, *effective, config, rep, rep_seed,
                 sigma, k_policy, synth, with_knn=True,
             )
         )
@@ -875,20 +926,21 @@ def degradation_study(
         (MODE_PLAIN, _candidates(config, (0,))),
         (MODE_AUGMENTED, _candidates(config, (synthetic_budget,))),
     )
+    store = _DivergenceStore(points)
     records = []
     for rep in range(config.reps):
         rep_seed, fold, effective = _split_rep(
-            points, labels, config, rep, len(arms[0][1]) > 1
+            labels, config, rep, len(arms[0][1]) > 1
         )
         for arm, grid in arms:
             sigma, k_policy, synth = _prepare_rep(
-                points, labels, fold, config, rep, rep_seed, grid
+                store, labels, fold, config, rep, rep_seed, grid
             )
             for count in excluded_class_counts:
                 for excluded in itertools.combinations(classes, count):
                     included = tuple(c for c in classes if c not in excluded)
                     record = _run_single(
-                        points, labels, *effective, config, rep, rep_seed,
+                        store, labels, *effective, config, rep, rep_seed,
                         sigma, k_policy, synth, included_classes=included,
                     )
                     records.append(

@@ -71,10 +71,12 @@ def stein_divergence(x: SpdMatrix, y: SpdMatrix) -> float:
     Evaluated as an expression that is exactly symmetric in its
     arguments, clamped at zero against rounding.
     """
-    if x.dim != y.dim:
+    a, b = x.array, y.array
+    if a.shape != b.shape:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-    mid = _cholesky_logdet((x.array + y.array) / 2.0)
-    value = mid - 0.5 * (x.logdet + y.logdet)
+    mid = a + b
+    mid *= 0.5  # exact, like dividing by 2
+    value = _cholesky_logdet(mid) - 0.5 * (x.logdet + y.logdet)
     return max(value, 0.0)
 
 
@@ -92,10 +94,8 @@ def divergence_matrix(rows, cols) -> np.ndarray:
     cols = rows if square else list(cols)
     out = np.zeros((len(rows), len(cols)))
     for i, x in enumerate(rows):
-        for j in range(i + 1 if square else 0, len(cols)):
-            y = cols[j]
-            if x is not y:
-                out[i, j] = stein_divergence(x, y)
+        start = i + 1 if square else 0
+        out[i, start:] = [0.0 if x is y else stein_divergence(x, y) for y in cols[start:]]
     return out + out.T if square else out
 
 

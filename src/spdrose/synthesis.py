@@ -234,14 +234,16 @@ def _draw_direction(rng, mean: SpdMatrix, training, mode: str) -> SpdMatrix:
     return airm_exp_map(TangentVector(mean, tangent / norm))
 
 
-def generate_synthetic(training, config: SynthesisConfig):
+def generate_synthetic(training, config: SynthesisConfig, ball=None):
     """Synthesize ``config.count`` unlabeled SPD points inside the training ball.
 
-    Each output index gets its own counter-based generator keyed by
-    ``(seed, index)``, so individual points are reproducible in
-    isolation and the list is independent of generation order.  A draw
-    whose direction degenerates is retried (fresh draw) up to
-    ``MAX_DIRECTION_RETRIES`` times before the error propagates.
+    ``ball`` is ``training_ball(training, config)``, computed here when
+    ``None``; a caller that synthesizes around one pool more than once
+    passes it in.  Each output index gets its own counter-based
+    generator keyed by ``(seed, index)``, so individual points are
+    reproducible in isolation and the list is independent of generation
+    order.  A draw whose direction degenerates is retried (fresh draw)
+    up to ``MAX_DIRECTION_RETRIES`` times before the error propagates.
 
     Returns
     -------
@@ -250,7 +252,7 @@ def generate_synthetic(training, config: SynthesisConfig):
     training = list(training)
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
-    mean, radius = training_ball(training, config)
+    mean, radius = training_ball(training, config) if ball is None else ball
     out = []
     for index in range(config.count):
         rng = keyed_generator(config.seed, index)

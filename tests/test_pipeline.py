@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spdrose.pipeline
 import spdrose.stein
+import spdrose.synthesis
 from spdrose import (
     ConfigError,
     DatasetManifest,
@@ -20,12 +21,14 @@ from spdrose import (
     ExperimentConfig,
     FeatureImage,
     ManifestEntry,
+    NonConvergence,
     ParseError,
     SingleClass,
     SpdMatrix,
     StageFailure,
     config_from_mapping,
     degradation_study,
+    divergence_matrix,
     grid_covariances,
     intensity_feature_map,
     load_config,
@@ -38,6 +41,7 @@ from spdrose import (
     save_dataset,
     save_manifest,
     save_report,
+    training_ball,
     write_matrix,
     write_pgm,
 )
@@ -488,51 +492,114 @@ def count_divergences(monkeypatch):
 def test_run_experiment_computes_each_pair_once(monkeypatch):
     points, labels = benchmark_pool()
     calls = count_divergences(monkeypatch)
-    config = quick_config(sigma=(0.5, 1.0), synthetic=4)
+    config = quick_config(reps=3, sigma=(0.5, 1.0), synthetic=4)
     run_experiment(points, labels, config)
     assert calls
     assert max(calls.values()) == 1
 
 
 def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
-    # Per repetition, the training points E with themselves and the
-    # validation points H, then the test points T, against E: each real
-    # pair once, and every run reads its split's block by position.
+    # One store serves the whole experiment.  Every run reads the block of
+    # its training then test (or validation) rows against its training
+    # columns by position; each unordered real pair is computed at most
+    # once, and only pairs some run reads are computed.
     points, labels = benchmark_pool()
     real = {id(p) for p in points}
-    per_rep, runs = [], []
-    split_rep = spdrose.pipeline._split_rep
-    run_single = spdrose.pipeline._run_single
+    calls, reads, stores = Counter(), [], set()
+    block = spdrose.pipeline._DivergenceStore.block
     divergence = spdrose.stein.stein_divergence
 
-    def counting_split_rep(*args):
-        per_rep.append(Counter())
-        return split_rep(*args)
-
-    def recording_run_single(points, labels, train, test, block, *args, **kwargs):
-        runs.append((train, test, block))
-        return run_single(points, labels, train, test, block, *args, **kwargs)
+    def recording_block(store, rows, cols):
+        stores.add(store)
+        out = block(store, rows, cols)
+        reads.append((list(rows), list(cols), out))
+        return out
 
     def counting(x, y):
         if id(x) in real and id(y) in real:
-            per_rep[-1][frozenset((id(x), id(y)))] += 1
+            calls[frozenset((id(x), id(y)))] += 1
         return divergence(x, y)
 
-    monkeypatch.setattr(spdrose.pipeline, "_split_rep", counting_split_rep)
-    monkeypatch.setattr(spdrose.pipeline, "_run_single", recording_run_single)
+    monkeypatch.setattr(spdrose.pipeline._DivergenceStore, "block", recording_block)
     monkeypatch.setattr(spdrose.stein, "stein_divergence", counting)
-    run_experiment(points, labels, quick_config(reps=2, sigma=(0.5, 1.0), synthetic=4))
+    run_experiment(points, labels, quick_config(reps=3, sigma=(0.5, 1.0), synthetic=4))
     # Two validation candidates and the final run per repetition.
-    assert len(per_rep) == 2 and len(runs) == 6
-    for rep, calls in enumerate(per_rep):
-        (fitted, held, _), (train, test, _) = runs[3 * rep], runs[3 * rep + 2]
-        e, h, t = len(fitted), len(held), len(test)
-        assert train == fitted and h > 0
-        assert sum(calls.values()) == len(calls) == e * (e - 1) // 2 + (h + t) * e
-    for train, test, block in runs:
-        loop = [[divergence(points[i], points[j]) for j in train] for i in train + test]
-        assert not block.flags.writeable
-        assert np.array_equal(block, np.array(loop))
+    assert len(reads) == 9 and len(stores) == 1
+    read_pairs = {
+        frozenset((id(points[i]), id(points[j])))
+        for rows, cols, _ in reads for i in rows for j in cols if i != j
+    }
+    assert max(calls.values()) == 1
+    assert set(calls) == read_pairs
+    for rows, cols, out in reads:
+        assert rows[:len(cols)] == cols
+        loop = [[divergence(points[i], points[j]) for j in cols] for i in rows]
+        assert not out.flags.writeable
+        assert np.array_equal(out, np.array(loop))
+    # One length-n row per position that served as a training column.
+    (store,) = stores
+    columns = {j for _, cols, _ in reads for j in cols}
+    assert set(store._rows) == columns < set(range(len(points)))
+    assert all(row.shape == (len(points),) for row in store._rows.values())
+
+
+def test_training_ball_runs_once_per_repetition(monkeypatch):
+    # The validation candidates and the final run build on the same pool.
+    points, labels = benchmark_pool()
+    karcher = spdrose.synthesis.karcher_mean_info
+    pools = []
+
+    def counting(pool, *args, **kwargs):
+        pools.append(list(pool))
+        return karcher(pool, *args, **kwargs)
+
+    monkeypatch.setattr(spdrose.synthesis, "karcher_mean_info", counting)
+    run_experiment(points, labels, quick_config(reps=2, sigma=(0.5, 1.0), synthetic=4))
+    assert len(pools) == 2
+    assert pools[0] != pools[1]
+
+
+def test_a_stalled_training_ball_fails_the_synthesize_stage(monkeypatch):
+    points, labels = benchmark_pool()
+    karcher = spdrose.synthesis.karcher_mean_info
+
+    def stalled(pool, tol, max_iter):
+        return karcher(pool, tol=1e-300, max_iter=1)
+
+    monkeypatch.setattr(spdrose.synthesis, "karcher_mean_info", stalled)
+    with pytest.raises(StageFailure) as info:
+        run_experiment(points, labels, quick_config(sigma=(0.5, 1.0), synthetic=4))
+    assert info.value.repetition == 0
+    assert info.value.stage == "synthesize"
+    assert isinstance(info.value.__cause__, NonConvergence)
+
+
+@pytest.mark.parametrize("study", ["experiment", "degradation"])
+def test_shared_divergences_and_balls_leave_reports_unchanged(monkeypatch, study):
+    # Reports equal those of runs that compute every block and ball afresh.
+    points, labels = benchmark_pool(n_classes=3, per_class=10)
+    config = quick_config(reps=2, train_per_class=6, sigma=(0.5, 1.0), synthetic=4)
+
+    def run():
+        if study == "experiment":
+            return run_experiment(points, labels, config).to_json()
+        return degradation_study(
+            points, labels, replace(config, sigma=0.5), excluded_class_counts=(0, 1)
+        ).to_json()
+
+    shared = run()
+
+    def fresh_block(store, rows, cols):
+        out = divergence_matrix([points[i] for i in rows], [points[j] for j in cols])
+        out.setflags(write=False)
+        return out
+
+    def fresh_ball(store, positions, config):
+        return training_ball([points[i] for i in positions], config)
+
+    monkeypatch.setattr(spdrose.pipeline._DivergenceStore, "block", fresh_block)
+    monkeypatch.setattr(spdrose.pipeline._DivergenceStore, "ball", fresh_ball)
+    assert run() == shared
 
 
 @settings(max_examples=60)
