@@ -72,6 +72,9 @@ class TrainedClassifier:
             raise ValueError(f"bias vector has shape {b.shape}")
         if mu.shape != (w.shape[1],) or sc.shape != (w.shape[1],):
             raise ValueError("standardization statistics do not match weights")
+        # decision_scores divides by the scale; training never stores 0.
+        if not np.all((sc > 0.0) & (sc < np.inf)):
+            raise ValueError("feature_scale must be positive and finite")
         for a in (w, b, mu, sc):
             a.setflags(write=False)
         for c in self.classes:

@@ -2,11 +2,11 @@
 
 A set of SPD training points defines a ball: its center is the Karcher
 (Frechet) mean under the affine-invariant metric and its radius is the
-largest geodesic distance from the center to a training point.  New
-unlabeled points are synthesized by picking a direction away from the
-center, then rescaling along the connecting geodesic so the distance to
-the center becomes ``delta * radius`` with ``delta`` uniform on [0, 1].
-Every synthetic point therefore stays inside the training ball.
+largest geodesic distance from the center to a training point.  Each
+new unlabeled point is one exp-map step from the center along a tangent
+(a symmetrized Gaussian, or a training point's log map) rescaled to
+metric length ``delta * radius`` with ``delta`` uniform on [0, 1], so it
+stays inside the ball.  :func:`geodesic_rescale` takes the same step.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .manifold import (
     SpdMatrix,
     TangentVector,
     airm_exp_map,
+    airm_log_map,
     airm_log_map_stack,
     airm_norm,
     geodesic_distance,
-    spd_power,
     symmetrize,
 )
 from .seeding import keyed_generator
@@ -48,11 +48,10 @@ DIRECTION_MODES = ("tangent_gaussian", "training_point")
 class SynthesisConfig:
     """Controls for synthetic point generation.
 
-    ``direction_mode`` picks how directions away from the mean are
-    drawn: ``"training_point"`` reuses a uniformly chosen training
-    point, ``"tangent_gaussian"`` (default) exponentiates a random
-    unit-norm symmetric tangent at the mean, which cannot collide with
-    the pole.
+    ``direction_mode`` picks the tangent at the mean that each point
+    steps along: ``"training_point"`` takes the log map of a uniformly
+    chosen training point, ``"tangent_gaussian"`` (default) a
+    symmetrized standard Gaussian, which cannot collide with the pole.
     """
 
     count: int = 0
@@ -194,9 +193,9 @@ def training_ball(points, config: SynthesisConfig = SynthesisConfig()):
 def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     """Move ``x`` along its geodesic through ``pole`` to distance ``zeta``.
 
-    Uses the closed form ``pole^{1/2} (pole^{-1/2} x pole^{-1/2})^c
-    pole^{1/2}`` with ``c = zeta / d(pole, x)``, which rescales the
-    geodesic parameter exactly.
+    Returns ``exp_pole(zeta * u)`` for the unit tangent ``u`` along
+    ``log_pole(x)``: the one geodesic step that
+    :func:`generate_synthetic` takes for every synthetic point.
 
     Raises
     ------
@@ -209,29 +208,15 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     zeta = float(zeta)
     if zeta < 0.0:
         raise ValueError(f"zeta must be nonnegative, got {zeta}")
-    dist = geodesic_distance(pole, x)
-    if dist <= DEGENERATE_DISTANCE:
-        raise DegenerateDirection(
-            f"direction point lies at distance {dist:.3e} from the pole"
-        )
-    c = zeta / dist
-    isq = pole.inv_sqrt_array
-    sq = pole.sqrt_array
-    inner = SpdMatrix(symmetrize(isq @ x.array @ isq))
-    powered = spd_power(inner, c)
-    return SpdMatrix(sq @ powered.array @ sq)
+    return _geodesic_step(airm_log_map(pole, x), zeta)
 
 
-def _draw_direction(rng, mean: SpdMatrix, training, mode: str) -> SpdMatrix:
-    if mode == "training_point":
-        return training[int(rng.integers(len(training)))]
-    gauss = rng.standard_normal((mean.dim, mean.dim))
-    tangent = symmetrize(gauss)
-    isq = mean.inv_sqrt_array
-    norm = float(np.linalg.norm(isq @ tangent @ isq, "fro"))
+def _geodesic_step(tangent: TangentVector, zeta: float) -> SpdMatrix:
+    """Exp map at the tangent's pole of the tangent rescaled to metric length ``zeta``."""
+    norm = airm_norm(tangent)
     if norm <= DEGENERATE_DISTANCE:
-        raise DegenerateDirection("random tangent collapsed to zero")
-    return airm_exp_map(TangentVector(mean, tangent / norm))
+        raise DegenerateDirection(f"direction tangent has metric norm {norm:.3e}")
+    return airm_exp_map(TangentVector(tangent.pole, tangent.value * (zeta / norm)))
 
 
 def generate_synthetic(training, config: SynthesisConfig, ball=None):
@@ -242,8 +227,9 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     passes it in.  Each output index gets its own counter-based
     generator keyed by ``(seed, index)``, so individual points are
     reproducible in isolation and the list is independent of generation
-    order.  A draw whose direction degenerates is retried (fresh draw)
-    up to ``MAX_DIRECTION_RETRIES`` times before the error propagates.
+    order.  Each point draws a tangent (a training point's index or a
+    Gaussian), then ``delta``; a degenerate tangent is redrawn up to
+    ``MAX_DIRECTION_RETRIES`` times before the error propagates.
 
     Returns
     -------
@@ -253,14 +239,20 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
     mean, radius = training_ball(training, config) if ball is None else ball
+    from_training = config.direction_mode == "training_point"
+    if from_training:
+        logs, _ = airm_log_map_stack(mean, np.stack([p.array for p in training]))
     out = []
     for index in range(config.count):
         rng = keyed_generator(config.seed, index)
         for _ in range(MAX_DIRECTION_RETRIES):
+            if from_training:
+                value = logs[int(rng.integers(len(training)))]
+            else:
+                value = symmetrize(rng.standard_normal((mean.dim, mean.dim)))
+            zeta = float(rng.uniform()) * radius
             try:
-                direction = _draw_direction(rng, mean, training, config.direction_mode)
-                delta = float(rng.uniform())
-                out.append(geodesic_rescale(direction, mean, delta * radius))
+                out.append(_geodesic_step(TangentVector(mean, value), zeta))
                 break
             except DegenerateDirection:
                 continue

@@ -349,3 +349,15 @@ def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
         load_classifier(path)
+
+
+@pytest.mark.parametrize("value", ["0.0", "-1.5", "1e999"], ids=["zero", "negative", "inf"])
+def test_classifier_load_rejects_bad_feature_scale(tmp_path, value):
+    # decision_scores divides by the scale; 1e999 parses as inf.
+    path = saved_classifier(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["feature_scale"][0] = "SCALE"
+    path.write_text(json.dumps(payload).replace('"SCALE"', value))
+    with pytest.raises(ParseError) as info:
+        load_classifier(path)
+    assert isinstance(info.value.__cause__, ValueError)

@@ -386,6 +386,21 @@ def test_eval_non_finite_model_file_exits_3(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
 
 
+def test_eval_zero_feature_scale_exits_3(tmp_path, capsys):
+    # A zero scale loaded before, and eval printed scores divided by zero.
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / "classifier.json"
+    payload = json.loads(path.read_text())
+    payload["feature_scale"][0] = 0.0
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    assert "classifier.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, key, value",
     [

@@ -18,6 +18,7 @@ from spdrose import (
     TangentVector,
     airm_exp_map,
     airm_log_map,
+    airm_norm,
     generate_synthetic,
     geodesic_distance,
     geodesic_rescale,
@@ -26,6 +27,8 @@ from spdrose import (
     symmetrize,
     training_ball,
 )
+
+from spdrose.seeding import keyed_generator
 
 from conftest import blas_thread_env, random_orthogonal, random_spd, two_cluster_pool
 
@@ -323,6 +326,55 @@ def test_synthetic_count_zero_and_validation(rng):
 def test_synthesis_config_rejects_non_integer_counts(kwargs):
     with pytest.raises(ValueError):
         SynthesisConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "mode, batched", [("tangent_gaussian", 0), ("training_point", 1)]
+)
+def test_each_synthetic_point_costs_two_eigensolves(monkeypatch, mode, batched):
+    # One exp map (its eigh and the SpdMatrix check of the result) per
+    # point; training-point mode adds one batched log map of the pool.
+    rng = np.random.default_rng(12)
+    training = [random_spd(rng, 6) for _ in range(8)]
+    config = SynthesisConfig(count=20, seed=3, direction_mode=mode)
+    ball = training_ball(training, config)
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    assert len(generate_synthetic(training, config, ball=ball)) == 20
+    assert len(calls) <= 2 * 20 + batched
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=_SEEDS,
+    dim=st.integers(2, 6),
+    mode=st.sampled_from(["tangent_gaussian", "training_point"]),
+)
+def test_property_each_point_is_one_geodesic_step(seed, dim, mode):
+    rng = np.random.default_rng(seed)
+    training = [random_spd(rng, dim) for _ in range(5)]
+    config = SynthesisConfig(count=6, seed=seed, direction_mode=mode)
+    mean, radius = training_ball(training, config)
+    points = generate_synthetic(training, config, ball=(mean, radius))
+    for index, point in enumerate(points):
+        draws = keyed_generator(seed, index)
+        if mode == "training_point":
+            target = training[int(draws.integers(len(training)))]
+            expected = geodesic_rescale(target, mean, float(draws.uniform()) * radius)
+        else:
+            tangent = TangentVector(mean, symmetrize(draws.standard_normal((dim, dim))))
+            scale = float(draws.uniform()) * radius / airm_norm(tangent)
+            expected = airm_exp_map(TangentVector(mean, tangent.value * scale))
+        assert np.array_equal(point.array, expected.array)
 
 
 def test_training_point_mode_uses_training_directions(rng):
