@@ -72,9 +72,10 @@ class TrainedClassifier:
             raise ValueError(f"bias vector has shape {b.shape}")
         if mu.shape != (w.shape[1],) or sc.shape != (w.shape[1],):
             raise ValueError("standardization statistics do not match weights")
-        # decision_scores divides by the scale; training never stores 0.
-        if not np.all((sc > 0.0) & (sc < np.inf)):
-            raise ValueError("feature_scale must be positive and finite")
+        # JSON reads an overflowing number such as 1e999 as inf, and
+        # decision_scores divides by the scale, which training never sets to 0.
+        if not all(np.isfinite(a).all() for a in (w, b, mu, sc)) or (sc <= 0.0).any():
+            raise ValueError("classifier arrays must be finite, feature_scale positive")
         for a in (w, b, mu, sc):
             a.setflags(write=False)
         for c in self.classes:

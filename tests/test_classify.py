@@ -351,13 +351,25 @@ def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
         load_classifier(path)
 
 
-@pytest.mark.parametrize("value", ["0.0", "-1.5", "1e999"], ids=["zero", "negative", "inf"])
-def test_classifier_load_rejects_bad_feature_scale(tmp_path, value):
-    # decision_scores divides by the scale; 1e999 parses as inf.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("feature_scale", "0.0"),
+        ("feature_scale", "-1.5"),
+        ("feature_scale", "1e999"),
+        ("weights", "1e999"),
+        ("biases", "-1e999"),
+        ("feature_mean", "1e999"),
+    ],
+)
+def test_classifier_load_rejects_bad_numbers(tmp_path, field, value):
+    # json reads an overflowing number as inf, and decision_scores
+    # divides by the scale.
     path = saved_classifier(tmp_path)
     payload = json.loads(path.read_text())
-    payload["feature_scale"][0] = "SCALE"
-    path.write_text(json.dumps(payload).replace('"SCALE"', value))
+    row = payload[field][0] if field == "weights" else payload[field]
+    row[0] = "NUMBER"
+    path.write_text(json.dumps(payload).replace('"NUMBER"', value))
     with pytest.raises(ParseError) as info:
         load_classifier(path)
     assert isinstance(info.value.__cause__, ValueError)

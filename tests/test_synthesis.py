@@ -23,12 +23,11 @@ from spdrose import (
     geodesic_distance,
     geodesic_rescale,
     karcher_mean_info,
+    keyed_generator,
     spd_power,
     symmetrize,
     training_ball,
 )
-
-from spdrose.seeding import keyed_generator
 
 from conftest import blas_thread_env, random_orthogonal, random_spd, two_cluster_pool
 
