@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -194,8 +195,9 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     """Move ``x`` along its geodesic through ``pole`` to distance ``zeta``.
 
     Returns ``exp_pole(zeta * u)`` for the unit tangent ``u`` along
-    ``log_pole(x)``: the one geodesic step that
-    :func:`generate_synthetic` takes for every synthetic point.
+    ``log_pole(x)``.  :func:`generate_synthetic` takes this step from
+    the mean to each chosen training point in ``training_point`` mode,
+    and the same step along a Gaussian tangent otherwise.
 
     Raises
     ------
@@ -239,20 +241,18 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
     mean, radius = training_ball(training, config) if ball is None else ball
-    from_training = config.direction_mode == "training_point"
-    if from_training:
-        logs, _ = airm_log_map_stack(mean, np.stack([p.array for p in training]))
     out = []
     for index in range(config.count):
         rng = keyed_generator(config.seed, index)
         for _ in range(MAX_DIRECTION_RETRIES):
-            if from_training:
-                value = logs[int(rng.integers(len(training)))]
+            if config.direction_mode == "training_point":
+                target = training[int(rng.integers(len(training)))]
+                step = partial(geodesic_rescale, target, mean)
             else:
-                value = symmetrize(rng.standard_normal((mean.dim, mean.dim)))
-            zeta = float(rng.uniform()) * radius
+                gaussian = symmetrize(rng.standard_normal((mean.dim, mean.dim)))
+                step = partial(_geodesic_step, TangentVector(mean, gaussian))
             try:
-                out.append(_geodesic_step(TangentVector(mean, value), zeta))
+                out.append(step(float(rng.uniform()) * radius))
                 break
             except DegenerateDirection:
                 continue

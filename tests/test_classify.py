@@ -338,38 +338,28 @@ def test_classifier_load_rejects_version_1(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("weights", np.nan), ("biases", np.inf), ("feature_mean", -np.inf)],
-)
-def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
-    path = saved_classifier(tmp_path)
-    payload = json.loads(path.read_text())
-    row = payload[field][0] if field == "weights" else payload[field]
-    row[0] = value
-    # json writes these values as the bare tokens NaN, Infinity, -Infinity.
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ParseError):
-        load_classifier(path)
-
-
-@pytest.mark.parametrize(
-    "field, value",
     [
-        ("feature_scale", "0.0"),
-        ("feature_scale", "-1.5"),
+        ("weights", np.nan),
+        ("biases", np.inf),
+        ("feature_mean", -np.inf),
+        ("feature_scale", 0.0),
+        ("feature_scale", -1.5),
+        # JSON reads an overflowing literal as inf.
         ("feature_scale", "1e999"),
         ("weights", "1e999"),
         ("biases", "-1e999"),
         ("feature_mean", "1e999"),
     ],
 )
-def test_classifier_load_rejects_bad_numbers(tmp_path, field, value):
-    # json reads an overflowing number as inf, and decision_scores
-    # divides by the scale.
+def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
+    # Also a nonpositive feature scale, which decision_scores divides by.
     path = saved_classifier(tmp_path)
     payload = json.loads(path.read_text())
     row = payload[field][0] if field == "weights" else payload[field]
     row[0] = "NUMBER"
-    path.write_text(json.dumps(payload).replace('"NUMBER"', value))
+    # json writes nan and inf as the bare tokens NaN, Infinity, -Infinity.
+    token = value if isinstance(value, str) else json.dumps(value)
+    path.write_text(json.dumps(payload).replace('"NUMBER"', token))
     with pytest.raises(ParseError) as info:
         load_classifier(path)
     assert isinstance(info.value.__cause__, ValueError)

@@ -327,12 +327,10 @@ def test_synthesis_config_rejects_non_integer_counts(kwargs):
         SynthesisConfig(**kwargs)
 
 
-@pytest.mark.parametrize(
-    "mode, batched", [("tangent_gaussian", 0), ("training_point", 1)]
-)
-def test_each_synthetic_point_costs_two_eigensolves(monkeypatch, mode, batched):
+@pytest.mark.parametrize("mode, per_point", [("tangent_gaussian", 2), ("training_point", 3)])
+def test_eigensolves_per_synthetic_point(monkeypatch, mode, per_point):
     # One exp map (its eigh and the SpdMatrix check of the result) per
-    # point; training-point mode adds one batched log map of the pool.
+    # point; training-point mode adds the log map of the chosen point.
     rng = np.random.default_rng(12)
     training = [random_spd(rng, 6) for _ in range(8)]
     config = SynthesisConfig(count=20, seed=3, direction_mode=mode)
@@ -349,7 +347,7 @@ def test_each_synthetic_point_costs_two_eigensolves(monkeypatch, mode, batched):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     assert len(generate_synthetic(training, config, ball=ball)) == 20
-    assert len(calls) <= 2 * 20 + batched
+    assert len(calls) <= per_point * 20
 
 
 @settings(max_examples=25, deadline=None)
