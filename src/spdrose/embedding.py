@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
 from .errors import SpdRoseError, require_integer
-from .io import read_container
+from .io import read_container, symmetric_from_upper
 from .manifold import SpdMatrix
 from .seeding import keyed_generator
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
@@ -42,7 +42,7 @@ EXPONENTS = {"whitening": -0.5, "paper_literal": 0.5}
 EXPONENT_MODES = tuple(EXPONENTS)
 
 MODEL_FORMAT = "spdrose.projection_model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +276,12 @@ def jl_distortion_report(model: ProjectionModel, divergences, epsilon: float) ->
 
 
 def save_projection_model(path, model: ProjectionModel) -> None:
-    """Write the model as a self-describing JSON container."""
+    """Write the model as a self-describing JSON container.
+
+    Each reference point is stored as its upper triangle, row by row, in
+    one flat list; the weights as ``p`` rows of ``k`` values.
+    """
+    upper = np.triu_indices(model.dim)
     payload = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -289,7 +294,7 @@ def save_projection_model(path, model: ProjectionModel) -> None:
         "exponent_mode": model.exponent_mode,
         "seed": model.seed,
         "clamped_mass": model.clamped_mass,
-        "reference_points": [ref.array.tolist() for ref in model.reference_points],
+        "reference_points": [ref.array[upper].tolist() for ref in model.reference_points],
         "weights": model.weights.tolist(),
     }
     Path(path).write_text(json.dumps(payload))
@@ -301,28 +306,30 @@ def load_projection_model(path) -> ProjectionModel:
     Reference points and weights round-trip exactly, so embeddings
     after a load are bit-identical to the original model's.  The Gram
     matrix is not needed to embed and is recomputed only on first use.
+    Only ``format_version`` 2 is read; a version 1 file, with full
+    reference matrices, is rejected and a retrained model replaces it.
     A malformed file, including a reference point that is not SPD or
-    not of the header's ``dim``, raises :class:`ParseError` naming it.
+    not of the header's ``dim`` and a non-finite weight, raises
+    :class:`ParseError` naming it.
     """
     payload = read_container(
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
     )
     try:
         params = KernelParams(payload["sigma"], payload["psd_policy"])
-        refs = tuple(SpdMatrix(np.array(m, dtype=np.float64)) for m in payload["reference_points"])
-        weights = np.array(payload["weights"], dtype=np.float64)
         for name in ("dim", "p", "k", "t", "seed"):
             require_integer(payload[name], name)
         dim, t, seed = payload["dim"], payload["t"], payload["seed"]
+        refs = tuple(
+            SpdMatrix(symmetric_from_upper(m, dim)) for m in payload["reference_points"]
+        )
+        weights = np.array(payload["weights"], dtype=np.float64)
+        if not np.isfinite(weights).all():
+            raise ValueError("weights hold a non-finite value")
         exponent_mode = payload["exponent_mode"]
         expected_shape = (payload["p"], payload["k"])
     except (KeyError, TypeError, ValueError, SpdRoseError) as exc:
         raise ParseError(f"{path}: malformed projection model ({exc})") from exc
-    for i, ref in enumerate(refs):
-        if ref.dim != dim:
-            raise ParseError(
-                f"{path}: reference point {i} is {ref.dim}x{ref.dim}, header dim is {dim}"
-            )
     if weights.shape != expected_shape:
         raise ParseError(
             f"{path}: weights shape {weights.shape} does not match header {expected_shape}"

@@ -1,9 +1,11 @@
 """File formats: SPD matrix text files, binary PGM/PPM images and JSON.
 
-A matrix file holds one SPD matrix: the first line is the dimension
-``d`` and each of the next ``d`` lines holds ``d`` whitespace-separated
-floats.  Values are written with ``repr`` so a write/read round trip is
-bit exact.
+A matrix file holds one symmetric positive definite matrix.  Version 2,
+the one written, starts with the header line ``<d> v2``; line ``i`` of
+the next ``d`` lines holds row ``i``'s entries ``j >= i``, the upper
+triangle, as whitespace-separated floats.  Version 1, still read, has
+the header ``<d>`` alone and ``d`` full rows.  Values are written with
+``repr`` so a write/read round trip is bit exact, sign of zero included.
 
 Images are binary netpbm: P5 (grayscale) and P6 (RGB), maxval 255 only.
 Pixel bytes are normalized to [0, 1] by dividing by 255.  JSON
@@ -54,45 +56,59 @@ def read_container(path, fmt, version, version_key="version"):
     return payload
 
 
+def symmetric_from_upper(values, d) -> np.ndarray:
+    """Symmetric ``d x d`` array whose upper triangle, row by row, is ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (d * (d + 1) // 2,):
+        raise ValueError(f"{values.size} values do not fill a {d}x{d} upper triangle")
+    a = np.empty((d, d))
+    upper = np.triu_indices(d)
+    a[upper] = a.T[upper] = values
+    return a
+
+
 def write_matrix(path, matrix: SpdMatrix) -> None:
-    d = matrix.dim
-    lines = [str(d)]
-    for row in matrix.array:
-        lines.append(" ".join(map(repr, row.tolist())))
+    rows = matrix.array.tolist()
+    lines = [f"{matrix.dim} v2"]
+    lines.extend(" ".join(map(repr, row[i:])) for i, row in enumerate(rows))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_matrix(path) -> SpdMatrix:
+    """Read a version 2 (upper triangle) or version 1 (full rows) matrix file."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [fields for fields in map(str.split, text.splitlines()) if fields]
     if not lines:
         raise ParseError(f"{path}: empty matrix file")
+    (size, *version), rows = lines[0], lines[1:]
+    if version not in ([], ["v2"]):
+        raise ParseError(f"{path}: unsupported matrix file version {' '.join(version)!r}")
     try:
-        d = int(lines[0])
+        d = int(size)
     except ValueError as exc:
         raise ParseError(f"{path}: first line must be the dimension") from exc
     if d < 1:
         raise ParseError(f"{path}: dimension must be positive, got {d}")
-    if len(lines) != d + 1:
-        raise ParseError(f"{path}: expected {d} rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:], start=1):
-        fields = line.split()
-        if len(fields) != d:
+    if len(rows) != d:
+        raise ParseError(f"{path}: expected {d} rows, found {len(rows)}")
+    for i, fields in enumerate(rows):
+        expected = d - i if version else d
+        if len(fields) != expected:
             raise ParseError(
-                f"{path}: row {i} has {len(fields)} entries, expected {d}"
+                f"{path}: row {i + 1} has {len(fields)} entries, expected {expected}"
             )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i} holds a non-numeric entry") from exc
     try:
-        return SpdMatrix(np.array(rows, dtype=np.float64))
+        values = np.array([f for fields in rows for f in fields], dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
+    array = symmetric_from_upper(values, d) if version else values.reshape(d, d)
+    try:
+        return SpdMatrix(array)
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

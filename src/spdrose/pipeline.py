@@ -686,9 +686,10 @@ class _DivergenceStore:
     """What every run of one experiment shares: real divergences and training balls.
 
     Divergences are read by dataset position.  Each position that has
-    served as a training column owns one length-n row, its divergences
-    with every point, NaN until computed.  A missing pair already known
-    in the other order is copied, exact because ``J`` is exactly
+    served as a training column owns one row of an uninitialized
+    ``n x n`` table, its divergences with every point, NaN until
+    computed.  Missing pairs already known in the other order are
+    gathered from the served rows, exact because ``J`` is exactly
     symmetric; the rest come from :func:`divergence_matrix`, the column
     point against its missing rows.  Balls are keyed by ordered pool
     positions, because the Karcher mean's bits depend on point order;
@@ -698,6 +699,7 @@ class _DivergenceStore:
 
     def __init__(self, points):
         self.points = points
+        self._table = np.empty((len(points), len(points)))
         self._rows = {}
         self._served = np.zeros(len(points), dtype=bool)
         self._balls = {}
@@ -708,17 +710,18 @@ class _DivergenceStore:
         for j in cols:
             row = self._rows.get(j)
             if row is None:
-                row = self._rows[j] = np.full(len(self.points), np.nan)
+                row = self._rows[j] = self._table[j]
+                row[:] = np.nan
                 self._served[j] = True
             missing = rows[np.isnan(row[rows])]
-            for i in missing[self._served[missing]].tolist():
-                row[i] = self._rows[i][j]
+            mirrored = missing[self._served[missing]]
+            row[mirrored] = self._table[mirrored, j]
             todo = missing[np.isnan(row[missing])].tolist()
             if todo:
                 row[todo] = divergence_matrix(
                     [self.points[j]], [self.points[i] for i in todo]
                 )[0]
-        block = np.ascontiguousarray(np.array([self._rows[j] for j in cols])[:, rows].T)
+        block = np.ascontiguousarray(self._table[np.ix_(cols, rows)].T)
         block.setflags(write=False)
         return block
 

@@ -386,6 +386,22 @@ def test_eval_non_finite_model_file_exits_3(tmp_path, capsys, field):
     assert field in capsys.readouterr().err
 
 
+def test_eval_overflowing_model_weight_exits_3(tmp_path, capsys):
+    # JSON reads the raw token 1e999 as inf; eval used to die in the
+    # embedding with a bare ValueError and exit 1.
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / "model.json"
+    payload = json.loads(path.read_text())
+    payload["weights"][0][0] = "NUMBER"
+    path.write_text(json.dumps(payload).replace('"NUMBER"', "1e999"))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    assert "model.json" in capsys.readouterr().err
+
+
 def test_eval_zero_feature_scale_exits_3(tmp_path, capsys):
     # A zero scale loaded before, and eval printed scores divided by zero.
     manifest = save_benchmark_dataset(tmp_path, "data")

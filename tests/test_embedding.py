@@ -359,10 +359,11 @@ def test_model_load_rejects_corruption(rng, tmp_path):
         load_projection_model(other)
 
     # A reference point that is not SPD, and one of another size than the
-    # 3x3 "dim" header: the error names the file in both cases.
+    # 3x3 "dim" header, each stored as its upper triangle: the error names
+    # the file in both cases.
     for i, bad in [(0, np.diag([1.0, -1.0, 1.0])), (1, np.eye(2))]:
         payload = json.loads(path.read_text())
-        payload["reference_points"][i] = bad.tolist()
+        payload["reference_points"][i] = bad[np.triu_indices(len(bad))].tolist()
         other.write_text(json.dumps(payload))
         with pytest.raises(ParseError) as info:
             load_projection_model(other)
@@ -379,6 +380,37 @@ def test_model_load_rejects_non_finite_numbers(rng, tmp_path, value):
     # json writes these values as the bare tokens NaN and Infinity.
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
+        load_projection_model(path)
+
+
+def test_model_load_rejects_overflowing_weight(rng, tmp_path):
+    # JSON reads the raw token 1e999 as inf, which io.load_json lets through.
+    model = build(small_pool(rng), 3, KernelParams(0.5))
+    path = tmp_path / "model.json"
+    save_projection_model(path, model)
+    payload = json.loads(path.read_text())
+    payload["weights"][0][0] = "NUMBER"
+    path.write_text(json.dumps(payload).replace('"NUMBER"', "1e999"))
+    with pytest.raises(ParseError) as info:
+        load_projection_model(path)
+    assert str(path) in str(info.value)
+
+
+def test_model_file_stores_reference_triangles(rng, tmp_path):
+    model = build(small_pool(rng), 3, KernelParams(0.5))
+    path = tmp_path / "model.json"
+    save_projection_model(path, model)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2
+    upper = np.triu_indices(model.dim)
+    assert payload["reference_points"] == [
+        ref.array[upper].tolist() for ref in model.reference_points
+    ]
+    # A version 1 file, full reference matrices, is not read.
+    payload["format_version"] = 1
+    payload["reference_points"] = [ref.array.tolist() for ref in model.reference_points]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="unsupported format_version 1"):
         load_projection_model(path)
 
 

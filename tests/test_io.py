@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdrose import (
     ParseError,
@@ -27,39 +28,86 @@ def test_matrix_round_trip_bit_exact(rng, tmp_path):
 
 
 def test_matrix_file_layout(tmp_path):
+    # Version 2: a "<d> v2" header, then row i's entries j >= i.
     path = tmp_path / "m.txt"
     write_matrix(path, SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])))
     lines = path.read_text().splitlines()
-    assert lines[0] == "2"
+    assert lines[0] == "2 v2"
     assert lines[1].split() == ["2.0", "0.5"]
+    assert lines[2].split() == ["1.0"]
     assert len(lines) == 3
 
 
+# Off-diagonal -0.0 keeps its sign; 0.1 + 0.2 and 1 + 2**-52 need all 17
+# significant digits to round-trip.
+EDGE_MATRIX = np.array([
+    [0.1 + 0.2, -0.0, 1e-3],
+    [-0.0, 1.0 + 2.0**-52, -0.0],
+    [1e-3, -0.0, 2.0 / 3.0],
+])
+
+
 def test_matrix_file_bytes_are_repr_per_value(tmp_path):
-    # Off-diagonal -0.0 keeps its sign; 0.1 + 0.2 and 1 + 2**-52 need all
-    # 17 significant digits to round-trip.
-    a = np.array([
-        [0.1 + 0.2, -0.0, 1e-3],
-        [-0.0, 1.0 + 2.0**-52, -0.0],
-        [1e-3, -0.0, 2.0 / 3.0],
-    ])
     path = tmp_path / "m.txt"
-    write_matrix(path, SpdMatrix(a))
+    write_matrix(path, SpdMatrix(EDGE_MATRIX))
     assert path.read_bytes() == (
-        b"3\n"
+        b"3 v2\n"
         b"0.30000000000000004 -0.0 0.001\n"
-        b"-0.0 1.0000000000000002 -0.0\n"
-        b"0.001 -0.0 0.6666666666666666\n"
+        b"1.0000000000000002 -0.0\n"
+        b"0.6666666666666666\n"
     )
+    back = read_matrix(path).array
+    assert np.array_equal(back, EDGE_MATRIX)
+    assert np.array_equal(np.signbit(back), np.signbit(EDGE_MATRIX))
+
+
+def test_read_matrix_version_1_full_rows(tmp_path):
+    # Version 1 files, the dimension alone on the header line and every
+    # row in full, read to the same bits as version 2.
+    path = tmp_path / "m.txt"
+    path.write_text(
+        "3\n"
+        "0.30000000000000004 -0.0 0.001\n"
+        "-0.0 1.0000000000000002 -0.0\n"
+        "0.001 -0.0 0.6666666666666666\n"
+    )
+    back = read_matrix(path).array
+    assert np.array_equal(back, EDGE_MATRIX)
+    assert np.array_equal(np.signbit(back), np.signbit(EDGE_MATRIX))
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 43),
+    zeros=st.floats(0.0, 1.0),
+    exponent=st.integers(-60, 60),
+)
+def test_property_matrix_round_trip_bit_exact(tmp_path_factory, seed, dim, zeros, exponent):
+    # Diagonally dominant, so SPD; a share of the off-diagonal pairs are
+    # +0.0 or -0.0, and a power-of-two scale moves every exponent exactly.
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(-1.0, 1.0, size=(dim, dim))
+    off[rng.uniform(size=(dim, dim)) < zeros] = 0.0
+    off *= rng.choice([-1.0, 1.0], size=(dim, dim))
+    a = off.copy()
+    lower = np.tril_indices(dim, -1)
+    a[lower] = off.T[lower]
+    a[np.diag_indices(dim)] = rng.uniform(dim, 2.0 * dim, size=dim)
+    a = np.ldexp(a, exponent)
+    path = tmp_path_factory.mktemp("matrix") / "m.txt"
+    write_matrix(path, SpdMatrix(a))
     back = read_matrix(path).array
     assert np.array_equal(back, a)
     assert np.array_equal(np.signbit(back), np.signbit(a))
 
 
 def test_read_matrix_accepts_blank_lines(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("2\n\n1.0 0.0\n\n0.0 1.0\n")
-    assert np.array_equal(read_matrix(path).array, np.eye(2))
+    texts = {"v1.txt": "2\n\n1.0 0.0\n\n0.0 1.0\n", "v2.txt": "2 v2\n\n1.0 0.0\n\n1.0\n"}
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert np.array_equal(read_matrix(path).array, np.eye(2))
 
 
 def test_read_matrix_errors_name_the_path(tmp_path):
@@ -72,6 +120,12 @@ def test_read_matrix_errors_name_the_path(tmp_path):
         "negative.txt": "-1\n",
         "asym.txt": "2\n1.0 0.5\n0.4 1.0\n",
         "indef.txt": "2\n1.0 0.0\n0.0 -1.0\n",
+        "version.txt": "2 v3\n1.0 0.0\n1.0\n",
+        "v2_short_row.txt": "3 v2\n1.0 0.0 0.0\n1.0\n1.0\n",
+        "v2_long_row.txt": "2 v2\n1.0 0.0\n1.0 0.0\n",
+        "v2_missing_row.txt": "3 v2\n1.0 0.0 0.0\n1.0 0.0\n",
+        "v2_numeric.txt": "2 v2\n1.0 zero\n1.0\n",
+        "v2_indef.txt": "2 v2\n1.0 0.0\n-1.0\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
