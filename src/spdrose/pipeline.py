@@ -687,14 +687,14 @@ class _DivergenceStore:
 
     Divergences are read by dataset position.  Each position that has
     served as a training column owns one row of an uninitialized
-    ``n x n`` table, its divergences with every point, NaN until
-    computed.  Missing pairs already known in the other order are
-    gathered from the served rows, exact because ``J`` is exactly
-    symmetric; the rest come from :func:`divergence_matrix`, the column
-    point against its missing rows.  Balls are keyed by ordered pool
-    positions, because the Karcher mean's bits depend on point order;
-    the pipeline's synthesis configs differ only in fields the ball
-    does not read.
+    ``n x n`` table, its divergences with every point, NaN until known.
+    Missing pairs come from :func:`divergence_matrix`, the column point
+    against its missing rows, and are also written to the served rows
+    of the other points; a new row starts from the pairs the served rows
+    already hold.  Both copies are exact because ``J`` is exactly
+    symmetric.  Balls are keyed by ordered pool positions, because the
+    Karcher mean's bits depend on point order; the pipeline's synthesis
+    configs differ only in fields the ball does not read.
     """
 
     def __init__(self, points):
@@ -712,15 +712,15 @@ class _DivergenceStore:
             if row is None:
                 row = self._rows[j] = self._table[j]
                 row[:] = np.nan
+                row[self._served] = self._table[self._served, j]
                 self._served[j] = True
-            missing = rows[np.isnan(row[rows])]
-            mirrored = missing[self._served[missing]]
-            row[mirrored] = self._table[mirrored, j]
-            todo = missing[np.isnan(row[missing])].tolist()
-            if todo:
+            todo = rows[np.isnan(row[rows])]
+            if todo.size:
                 row[todo] = divergence_matrix(
-                    [self.points[j]], [self.points[i] for i in todo]
+                    [self.points[j]], [self.points[i] for i in todo.tolist()]
                 )[0]
+                mirrored = todo[self._served[todo]]
+                self._table[mirrored, j] = row[mirrored]
         block = np.ascontiguousarray(self._table[np.ix_(cols, rows)].T)
         block.setflags(write=False)
         return block

@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spdrose.pipeline
 import spdrose.stein
@@ -541,6 +541,36 @@ def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
     columns = {j for _, cols, _ in reads for j in cols}
     assert set(store._rows) == columns < set(range(len(points)))
     assert all(row.shape == (len(points),) for row in store._rows.values())
+
+
+_STORE_POSITIONS = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=40)
+# Pair (0, 2) is computed for column 2 after column 0 served; reading it
+# back for column 0 needs the copy written into row 0.
+@example(reads=[([0, 1], [0]), ([1, 2], [1]), ([2, 0], [2]), ([0, 2], [0])])
+@given(reads=st.lists(st.tuples(_STORE_POSITIONS, _STORE_POSITIONS), min_size=1, max_size=6))
+def test_property_store_computes_each_pair_once_in_any_read_order(reads):
+    # Blocks of any rows against any columns, read in any order: each
+    # unordered pair is computed at most once, and every block equals the
+    # direct divergence matrix.
+    points, _ = benchmark_pool(per_class=4)
+    divergence = spdrose.pipeline.divergence_matrix
+    calls = Counter()
+
+    def counting(xs, ys):
+        calls.update(frozenset((id(x), id(y))) for x in xs for y in ys)
+        return divergence(xs, ys)
+
+    store = spdrose.pipeline._DivergenceStore(points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spdrose.pipeline, "divergence_matrix", counting)
+        blocks = [store.block(rows, cols) for rows, cols in reads]
+    assert max(calls.values()) == 1
+    for (rows, cols), block in zip(reads, blocks):
+        expected = divergence([points[i] for i in rows], [points[j] for j in cols])
+        assert np.array_equal(block, expected)
 
 
 def test_training_ball_runs_once_per_repetition(monkeypatch):
