@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyData, NonConvergence
 from .errors import ParseError, SingleClass, require_integer
 from .io import read_container, write_json
+from .manifold import _readonly_copy
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 2
@@ -62,10 +63,10 @@ class TrainedClassifier:
     convergence: tuple = ()
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.biases, dtype=np.float64)
-        mu = np.asarray(self.feature_mean, dtype=np.float64)
-        sc = np.asarray(self.feature_scale, dtype=np.float64)
+        arrays = ("weights", "biases", "feature_mean", "feature_scale")
+        for name in arrays:
+            object.__setattr__(self, name, _readonly_copy(getattr(self, name)))
+        w, b, mu, sc = (getattr(self, name) for name in arrays)
         if w.ndim != 2 or w.shape[0] != len(self.classes):
             raise ValueError(f"weight matrix has shape {w.shape}")
         if b.shape != (len(self.classes),):
@@ -76,15 +77,9 @@ class TrainedClassifier:
         # decision_scores divides by the scale, which training never sets to 0.
         if not all(np.isfinite(a).all() for a in (w, b, mu, sc)) or (sc <= 0.0).any():
             raise ValueError("classifier arrays must be finite, feature_scale positive")
-        for a in (w, b, mu, sc):
-            a.setflags(write=False)
         for c in self.classes:
             require_integer(c, "class label")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "feature_mean", mu)
-        object.__setattr__(self, "feature_scale", sc)
 
     @property
     def n_features(self) -> int:

@@ -19,7 +19,8 @@ against the model's reference points, and ``jl-check`` computes one
 square block that every width shares.
 
 Exit codes: 0 on success, 2 for configuration and usage problems
-(out-of-range flag values included), 3 for malformed or unusable data.
+(out-of-range flag values and outputs that cannot be written included),
+3 for malformed or unusable data.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import sys
 from . import classify, pipeline
 from .descriptors import DEFAULT_EPS_REL
 from .embedding import (
+    EXPONENT_MODES,
     build_projection_model,
     embed_batch,
     jl_distortion_report,
@@ -43,7 +45,7 @@ from .embedding import (
 )
 from .errors import ConfigError, SpdRoseError
 from .pipeline import FEATURE_MODES, ExperimentConfig
-from .stein import KernelParams, divergence_matrix
+from .stein import PSD_POLICIES, KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 
 
@@ -271,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training dataset manifest")
     p.add_argument("--out", required=True, help="output model directory")
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--psd-policy", choices=("clamp", "strict"), default="clamp")
+    p.add_argument("--psd-policy", choices=PSD_POLICIES, default="clamp")
     p.add_argument("--k", type=int, default=0,
                    help="hyperplane count (overrides --k-policy)")
     p.add_argument("--k-policy", choices=sorted(pipeline.K_POLICIES), default="2n")
-    p.add_argument("--exponent-mode", choices=("whitening", "paper_literal"),
-                   default="whitening")
+    p.add_argument("--exponent-mode", choices=EXPONENT_MODES, default="whitening")
     p.add_argument("--synthetic", type=int, default=0, help="synthetic pool budget")
     p.add_argument("--direction-mode", choices=DIRECTION_MODES,
                    default="tangent_gaussian")
@@ -312,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="hyperplane count or comma list")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--psd-policy", choices=("clamp", "strict"), default="clamp")
-    p.add_argument("--exponent-mode", choices=("whitening", "paper_literal"),
-                   default="whitening")
+    p.add_argument("--psd-policy", choices=PSD_POLICIES, default="clamp")
+    p.add_argument("--exponent-mode", choices=EXPONENT_MODES, default="whitening")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_jl_check)
 
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpdRoseError as exc:

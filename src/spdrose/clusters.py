@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .manifold import SpdMatrix, symmetrize
+from .manifold import SpdMatrix, _readonly_copy, symmetrize
 from .seeding import keyed_generator
 
 MAX_SAMPLE_RETRIES = 100
@@ -35,15 +35,11 @@ class Benchmark:
     test_labels: np.ndarray
 
     def __post_init__(self):
-        tr = np.asarray(self.train_labels, dtype=np.int64)
-        te = np.asarray(self.test_labels, dtype=np.int64)
-        tr.setflags(write=False)
-        te.setflags(write=False)
         object.__setattr__(self, "centers", tuple(self.centers))
         object.__setattr__(self, "train_points", tuple(self.train_points))
-        object.__setattr__(self, "train_labels", tr)
+        object.__setattr__(self, "train_labels", _readonly_copy(self.train_labels, np.int64))
         object.__setattr__(self, "test_points", tuple(self.test_points))
-        object.__setattr__(self, "test_labels", te)
+        object.__setattr__(self, "test_labels", _readonly_copy(self.test_labels, np.int64))
 
     @property
     def n_classes(self) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import GridTooFine, ImageTooSmall
-from .manifold import SpdMatrix, symmetrize
+from .manifold import SpdMatrix, _readonly_copy, symmetrize
 
 DEFAULT_EPS_REL = 1e-5
 ABSOLUTE_RIDGE = 1e-8
@@ -47,15 +47,13 @@ class _Image:
     _channel_shape = ()
 
     def __post_init__(self):
-        a = np.asarray(self.pixels, dtype=np.float64)
+        a = _readonly_copy(self.pixels)
         if a.ndim < 2 or a.shape[2:] != self._channel_shape:
             raise ValueError(f"pixel array has shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("pixel values must be finite")
         if a.size and (a.min() < 0.0 or a.max() > 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
-        a = a.copy() if a.flags.writeable else a  # the caller's array stays writable
-        a.setflags(write=False)
         object.__setattr__(self, "pixels", a)
 
     @property
@@ -85,7 +83,7 @@ class FeatureImage:
     channel_tags: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _readonly_copy(self.values)
         if v.ndim != 3:
             raise ValueError(f"feature tensor has shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -94,8 +92,6 @@ class FeatureImage:
             raise ValueError(
                 f"{v.shape[2]} channels but {len(self.channel_tags)} tags"
             )
-        v = v.copy() if v.flags.writeable else v  # the caller's array stays writable
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "channel_tags", tuple(self.channel_tags))
 

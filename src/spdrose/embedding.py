@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
 from .errors import SpdRoseError, require_integer
 from .io import read_container, symmetric_from_upper
-from .manifold import SpdMatrix
+from .manifold import SpdMatrix, _readonly_copy
 from .seeding import keyed_generator
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
 
@@ -65,9 +65,7 @@ class ProjectionModel:
     fitted: InitVar[tuple | None] = None
 
     def __post_init__(self, fitted):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _readonly_copy(self.weights))
         if fitted is not None:
             self.__dict__["gram"], self.__dict__["kernel_power"] = fitted
 

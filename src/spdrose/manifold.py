@@ -105,10 +105,18 @@ def _cholesky_logdet(a: np.ndarray) -> float:
     return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
+
+
+def _readonly_copy(a, dtype=np.float64) -> np.ndarray:
+    """What a value type stores of a caller's array: a read-only array, copied
+    first when the input is writable, so the caller's own array stays writable."""
+    if isinstance(a, np.ndarray) and a.flags.writeable:
+        a = a.astype(dtype, order="C")
+    return _readonly(a, dtype)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,6 +57,7 @@ report bytes stable.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -94,7 +95,7 @@ from .errors import (
 from .io import load_json, read_container, read_matrix, read_pgm, read_ppm
 from .io import write_json, write_matrix
 from .seeding import derive_seed
-from .stein import KernelParams, divergence_matrix
+from .stein import PSD_POLICIES, KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
 from .synthesis import training_ball
 
@@ -192,18 +193,8 @@ class DatasetManifest:
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    payload = {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_FORMAT_VERSION,
-        "feature_mode": manifest.feature_mode,
-        "grid": list(manifest.grid) if manifest.grid else None,
-        "downsample": manifest.downsample,
-        "entries": [
-            {"path": e.path, "label": e.label, "kind": e.kind}
-            for e in manifest.entries
-        ],
-    }
-    write_json(path, payload)
+    header = {"format": MANIFEST_FORMAT, "version": MANIFEST_FORMAT_VERSION}
+    write_json(path, {**header, **asdict(manifest)})
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -374,7 +365,7 @@ class ExperimentConfig:
             )
         if self.exponent_mode not in EXPONENT_MODES:
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
-        if self.psd_policy not in ("clamp", "strict"):
+        if self.psd_policy not in PSD_POLICIES:
             raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
@@ -551,81 +542,76 @@ def _validation_count(config, size) -> int:
     return min(max(1, int(config.validation_fraction * size)), size - 1)
 
 
-def _stage(rep, name, fn, *args, **kwargs):
+@contextlib.contextmanager
+def _stage(rep, name, seconds):
+    """Add the block's wall time to ``seconds[name]``; a :class:`SpdRoseError`
+    raised in the block becomes :class:`StageFailure` for repetition ``rep``
+    and stage ``name``, with the original error as ``__cause__``."""
+    started = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        yield
     except SpdRoseError as exc:
-        if isinstance(exc, StageFailure):
-            raise
         raise StageFailure(
             f"repetition {rep}, stage {name}: {exc}", repetition=rep, stage=name
         ) from exc
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
 
 
 def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
               seed_root, divergences, rep=0, ball=None):
     """Fit a projection model and a classifier on one training set.
 
-    Hyperplanes are built from the training points at positions
-    ``pool`` plus ``synth_count`` synthetic points generated around them
-    (ROSES; ROSE when the count is zero), which are the model's
-    reference points in that order.  ``divergences`` is
-    ``divergence_matrix(train_points, train_points)``.  ``ball`` maps
-    the synthesis config to the pool's ``training_ball``; by default it
-    is computed from the pool points, while experiment runs pass their
-    store's, which computes each pool's ball once.  The classifier
-    trains on the embedded ``train_points``.  Synthesis and
-    hyperplanes each draw from their own stage seed under ``seed_root``.
-    A failing stage, a classifier that does not converge included,
-    raises :class:`StageFailure` for repetition ``rep``.  Returns the
-    model, the classifier and the seconds spent per stage.
+    Hyperplanes are built from the training points at positions ``pool``
+    plus ``synth_count`` synthetic points generated around them (ROSES;
+    ROSE when the count is zero), which are the model's reference points
+    in that order.  ``divergences`` is ``divergence_matrix(train_points,
+    train_points)``.  ``ball`` maps the synthesis config to the pool's
+    ``training_ball``; by default it is computed from the pool points,
+    while experiment runs pass their store's, which computes each pool's
+    ball once.  The classifier trains on the embedded ``train_points``.
+    Synthesis and hyperplanes each draw from their own stage seed under
+    ``seed_root``.  ``synthesize`` (the ball included), ``build`` (the
+    synthetic pairs included), ``embed`` and ``train`` are each one
+    :func:`_stage` block; a failure in one, a classifier that does not
+    converge included, raises :class:`StageFailure` for repetition
+    ``rep``.  Returns the model, the classifier and the seconds per stage.
     """
     seconds = {}
-    started = time.perf_counter()
-    pool_points = [train_points[i] for i in pool]
-    synthetic = []
-    if synth_count > 0:
-        synth_config = SynthesisConfig(
-            count=synth_count,
-            seed=derive_seed(seed_root, _STAGE_SYNTH),
-            direction_mode=config.direction_mode,
+    with _stage(rep, "synthesize", seconds):
+        pool_points = [train_points[i] for i in pool]
+        synthetic = []
+        if synth_count > 0:
+            synth_config = SynthesisConfig(
+                count=synth_count,
+                seed=derive_seed(seed_root, _STAGE_SYNTH),
+                direction_mode=config.direction_mode,
+            )
+            synthetic = generate_synthetic(
+                pool_points, synth_config, None if ball is None else ball(synth_config)
+            )
+    with _stage(rep, "build", seconds):
+        # The synthetic points' pairs with the training points serve both the
+        # Gram matrix (pool columns) and the embedding of the training points.
+        own = divergence_matrix(synthetic, synthetic)
+        cross = divergence_matrix(synthetic, train_points)
+        references = np.block([
+            [divergences[np.ix_(pool, pool)], cross[:, pool].T],
+            [cross[:, pool], own],
+        ])
+        model = build_projection_model(
+            [*pool_points, *synthetic], references, k=k,
+            params=KernelParams(sigma=sigma, psd_policy=config.psd_policy),
+            exponent_mode=config.exponent_mode,
+            seed=derive_seed(seed_root, _STAGE_EMBED),
         )
-        synthetic = _stage(rep, "synthesize", _synthesize, pool_points, synth_config, ball)
-    seconds["synthesize"] = time.perf_counter() - started
-    started = time.perf_counter()
-    # The synthetic points' pairs with the training points serve both the
-    # Gram matrix (pool columns) and the embedding of the training points.
-    own = divergence_matrix(synthetic, synthetic)
-    cross = divergence_matrix(synthetic, train_points)
-    references = np.block([
-        [divergences[np.ix_(pool, pool)], cross[:, pool].T],
-        [cross[:, pool], own],
-    ])
-    params = KernelParams(sigma=sigma, psd_policy=config.psd_policy)
-    model = _stage(
-        rep, "build", build_projection_model,
-        [*pool_points, *synthetic], references, k=k, params=params,
-        exponent_mode=config.exponent_mode,
-        seed=derive_seed(seed_root, _STAGE_EMBED),
-    )
-    seconds["build"] = time.perf_counter() - started
-    started = time.perf_counter()
-    embedded = _stage(
-        rep, "embed", embed_batch, model, np.hstack([divergences[:, pool], cross.T])
-    )
-    seconds["embed"] = time.perf_counter() - started
-    started = time.perf_counter()
-    classifier = _stage(
-        rep, "train", classify.train_ova_svm,
-        embedded, train_labels,
-        regularization=config.regularization,
-    )
-    seconds["train"] = time.perf_counter() - started
+    with _stage(rep, "embed", seconds):
+        embedded = embed_batch(model, np.hstack([divergences[:, pool], cross.T]))
+    with _stage(rep, "train", seconds):
+        classifier = classify.train_ova_svm(
+            embedded, train_labels, regularization=config.regularization
+        )
     return model, classifier, seconds
-
-
-def _synthesize(pool_points, config, ball):
-    return generate_synthetic(pool_points, config, None if ball is None else ball(config))
 
 
 def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
@@ -644,24 +630,20 @@ def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
         seed_root, block[:len(train)], rep,
         ball=functools.partial(store.ball, tuple(train[i] for i in pool)),
     )
-    started = time.perf_counter()
-    test_block = block[len(train):]
-    synthetic = model.reference_points[len(pool):]
-    test_divergences = np.hstack(
-        [test_block[:, pool], divergence_matrix([points[i] for i in test], synthetic)]
-    )
-    test_embedded = _stage(rep, "embed", embed_batch, model, test_divergences)
-    seconds["embed"] += time.perf_counter() - started
-    started = time.perf_counter()
-    predictions = classify.predict(classifier, test_embedded)
-    seconds["train"] += time.perf_counter() - started
+    with _stage(rep, "embed", seconds):
+        test_block = block[len(train):]
+        synthetic = model.reference_points[len(pool):]
+        test_divergences = np.hstack(
+            [test_block[:, pool], divergence_matrix([points[i] for i in test], synthetic)]
+        )
+        test_embedded = embed_batch(model, test_divergences)
+    with _stage(rep, "train", seconds):
+        predictions = classify.predict(classifier, test_embedded)
     evaluation = classify.evaluate_accuracy(test_labels, predictions, class_labels=classes)
     knn_accuracy = None
     if with_knn:
-        knn_predictions = _stage(
-            rep, "baseline", classify.knn_stein,
-            train_labels, config.knn_neighbors, test_block,
-        )
+        with _stage(rep, "baseline", {}):  # tagged, but kept out of stage_seconds
+            knn_predictions = classify.knn_stein(train_labels, config.knn_neighbors, test_block)
         knn_accuracy = classify.evaluate_accuracy(test_labels, knn_predictions).accuracy
     return RepRecord(
         rep=rep,
@@ -686,21 +668,22 @@ class _DivergenceStore:
     """What every run of one experiment shares: real divergences and training balls.
 
     Divergences are read by dataset position.  Each position that has
-    served as a training column owns one row of an uninitialized
-    ``n x n`` table, its divergences with every point, NaN until known.
-    Missing pairs come from :func:`divergence_matrix`, the column point
-    against its missing rows, and are also written to the served rows
-    of the other points; a new row starts from the pairs the served rows
-    already hold.  Both copies are exact because ``J`` is exactly
-    symmetric.  Balls are keyed by ordered pool positions, because the
-    Karcher mean's bits depend on point order; the pipeline's synthesis
-    configs differ only in fields the ball does not read.
+    served as a training column (``_served``) owns its row of an
+    uninitialized ``n x n`` table, its divergences with every point, NaN
+    until known; other rows stay unwritten, so resident memory grows with
+    the training columns, not with ``n**2``.  Missing pairs come from
+    :func:`divergence_matrix`, the column point against its missing rows,
+    and are also written to the served rows of the other points; a new
+    row starts from the pairs the served rows already hold.  Both copies
+    are exact because ``J`` is exactly symmetric.  Balls are keyed by
+    ordered pool positions, because the Karcher mean's bits depend on
+    point order; the pipeline's synthesis configs differ only in fields
+    the ball does not read.
     """
 
     def __init__(self, points):
         self.points = points
         self._table = np.empty((len(points), len(points)))
-        self._rows = {}
         self._served = np.zeros(len(points), dtype=bool)
         self._balls = {}
 
@@ -708,9 +691,8 @@ class _DivergenceStore:
         """Read-only ``divergence_matrix`` of the points at ``rows`` with those at ``cols``."""
         rows = np.asarray(rows, dtype=np.int64)
         for j in cols:
-            row = self._rows.get(j)
-            if row is None:
-                row = self._rows[j] = self._table[j]
+            row = self._table[j]
+            if not self._served[j]:
                 row[:] = np.nan
                 row[self._served] = self._table[self._served, j]
                 self._served[j] = True

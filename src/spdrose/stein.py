@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel
-from .manifold import SpdMatrix, _cholesky_logdet, symmetrize
+from .manifold import SpdMatrix, _cholesky_logdet, _readonly_copy, symmetrize
 
+PSD_POLICIES = ("clamp", "strict")
 GRAM_PSD_RTOL = 1e-10
 PSEUDO_INVERSE_RTOL = 1e-10
 
@@ -55,7 +56,7 @@ class KernelParams:
     def __post_init__(self):
         if not 0.0 < float(self.sigma) < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.psd_policy not in ("clamp", "strict"):
+        if self.psd_policy not in PSD_POLICIES:
             raise ValueError(f"unknown psd_policy {self.psd_policy!r}")
 
 
@@ -111,9 +112,7 @@ class GramMatrix:
     clamped_mass: float = 0.0
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.entries, dtype=np.float64)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _readonly_copy(self.entries))
 
     @property
     def size(self) -> int:

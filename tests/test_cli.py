@@ -527,6 +527,28 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "degrade", "train", "synth", "extract"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # run and degrade write into a missing directory after the whole study;
+    # the dataset and model commands cannot make a directory where a file is.
+    manifest = str(save_benchmark_dataset(tmp_path, "data"))
+    config = str(write_config(tmp_path, reps=1))
+    image = tmp_path / "a.pgm"
+    write_pgm(image, np.random.default_rng(1).uniform(size=(8, 8)))
+    missing = str(tmp_path / "nodir" / "report.json")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "run": ["--data", manifest, "--config", config, "--out", missing],
+        "degrade": ["--data", manifest, "--config", config, "--counts", "0", "--out", missing],
+        "train": ["--train", manifest, "--out", str(taken)],
+        "synth": ["--data", manifest, "--count", "3", "--out", str(taken)],
+        "extract": [str(image), "--out", str(taken)],
+    }
+    assert main([command, *argv[command]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_knn_neighbors_beyond_training_split_exits_2(tmp_path, capsys):
     # Two classes of 5 training points: the baseline votes with 10 points.
     manifest = save_benchmark_dataset(tmp_path, "data")

@@ -6,12 +6,17 @@ import scipy.linalg
 
 from spdrose import (
     AsymmetryExceedsTolerance,
+    Benchmark,
     DimensionMismatch,
+    GramMatrix,
+    KernelParams,
     NonFiniteEntry,
     NotPositiveDefinite,
     NotSquare,
+    ProjectionModel,
     SpdMatrix,
     TangentVector,
+    TrainedClassifier,
     airm_exp_map,
     airm_log_map,
     airm_norm,
@@ -119,6 +124,48 @@ def test_spd_matrix_array_is_read_only():
     m = SpdMatrix(np.eye(2))
     with pytest.raises(ValueError):
         m.array[0, 0] = 5.0
+
+
+# Each builds one value type and returns (caller's array, stored array) pairs.
+def gram_entries():
+    entries = np.array([[1.0, 0.5], [0.5, 1.0]])
+    return [(entries, GramMatrix(entries).entries)]
+
+
+def model_weights():
+    weights = np.arange(6.0).reshape(2, 3)
+    refs = (SpdMatrix(np.eye(2)), SpdMatrix(2.0 * np.eye(2)))
+    model = ProjectionModel(refs, KernelParams(0.5), weights, 1, "whitening", 0)
+    return [(weights, model.weights)]
+
+
+def classifier_arrays():
+    arrays = {
+        "weights": np.arange(6.0).reshape(2, 3),
+        "biases": np.array([0.5, -0.5]),
+        "feature_mean": np.array([1.0, 2.0, 3.0]),
+        "feature_scale": np.array([1.0, 0.5, 2.0]),
+    }
+    model = TrainedClassifier(classes=(0, 1), regularization=1e-3, **arrays)
+    return [(a, getattr(model, name)) for name, a in arrays.items()]
+
+
+def benchmark_labels():
+    train, test = np.array([0, 1]), np.array([1, 0])
+    points = (SpdMatrix(np.eye(2)), SpdMatrix(2.0 * np.eye(2)))
+    bench = Benchmark(points, points, train, points, test)
+    return [(train, bench.train_labels), (test, bench.test_labels)]
+
+
+@pytest.mark.parametrize(
+    "stored", [gram_entries, model_weights, classifier_arrays, benchmark_labels]
+)
+def test_value_types_store_a_read_only_copy_of_the_callers_array(stored):
+    for callers, kept in stored():
+        assert callers.flags.writeable
+        assert not kept.flags.writeable
+        assert np.array_equal(kept, callers) and kept.dtype == callers.dtype
+        assert not np.shares_memory(kept, callers)
 
 
 def test_logdet_matches_slogdet(rng):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import spdrose.classify
 import spdrose.pipeline
 import spdrose.stein
 import spdrose.synthesis
@@ -95,6 +96,32 @@ def test_manifest_invariants():
     assert ok.grid == (2, 3)
 
 
+# write_json sorts keys and indents by one space; a tuple is written as a list.
+MANIFEST_BYTES = """{
+ "downsample": 3,
+ "entries": [
+  {
+   "kind": "gray-image",
+   "label": 0,
+   "path": "x/a.pgm"
+  },
+  {
+   "kind": "gray-image",
+   "label": 1,
+   "path": "x/b.pgm"
+  }
+ ],
+ "feature_mode": "gabor43",
+ "format": "spdrose.dataset",
+ "grid": [
+  2,
+  2
+ ],
+ "version": 1
+}
+"""
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest(
         entries=(
@@ -107,6 +134,7 @@ def test_manifest_round_trip(tmp_path):
     )
     path = tmp_path / "manifest.json"
     save_manifest(path, manifest)
+    assert path.read_text() == MANIFEST_BYTES
     loaded = load_manifest(path)
     assert loaded == manifest
 
@@ -447,20 +475,33 @@ def test_knn_neighbors_bounded_by_the_baseline_training_points(monkeypatch, sigm
         run_experiment(points, labels, quick_config(sigma=sigma, knn_neighbors=voters + 1))
 
 
-def test_stage_failures_are_tagged(monkeypatch):
+@pytest.mark.parametrize(
+    "module, name, stage",
+    [
+        (spdrose.pipeline, "generate_synthetic", "synthesize"),
+        (spdrose.pipeline, "build_projection_model", "build"),
+        (spdrose.pipeline, "embed_batch", "embed"),
+        (spdrose.classify, "train_ova_svm", "train"),
+        (spdrose.classify, "predict", "train"),
+        (spdrose.classify, "knn_stein", "baseline"),
+    ],
+    ids=["synthesize", "build", "embed", "train", "predict", "baseline"],
+)
+def test_stage_failures_are_tagged(monkeypatch, module, name, stage):
     points, labels = benchmark_pool()
+    cause = EmptyInput(f"{name} detonated")
 
     def explode(*args, **kwargs):
-        raise EmptyInput("synthetic stage detonated")
+        raise cause
 
-    monkeypatch.setattr(spdrose.pipeline, "generate_synthetic", explode)
+    monkeypatch.setattr(module, name, explode)
     with pytest.raises(StageFailure) as info:
         run_experiment(points, labels, quick_config(synthetic=4))
     err = info.value
     assert err.repetition == 0
-    assert err.stage == "synthesize"
-    assert "repetition 0" in str(err)
-    assert "synthesize" in str(err)
+    assert err.stage == stage
+    assert err.__cause__ is cause
+    assert f"repetition 0, stage {stage}: {name} detonated" == str(err)
 
 
 def test_timing_section_is_optional():
@@ -536,11 +577,10 @@ def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
         loop = [[divergence(points[i], points[j]) for j in cols] for i in rows]
         assert not out.flags.writeable
         assert np.array_equal(out, np.array(loop))
-    # One length-n row per position that served as a training column.
+    # One table row per position that served as a training column.
     (store,) = stores
     columns = {j for _, cols, _ in reads for j in cols}
-    assert set(store._rows) == columns < set(range(len(points)))
-    assert all(row.shape == (len(points),) for row in store._rows.values())
+    assert set(np.flatnonzero(store._served)) == columns < set(range(len(points)))
 
 
 _STORE_POSITIONS = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True)
