@@ -80,6 +80,9 @@ class TrainedClassifier:
         for c in self.classes:
             require_integer(c, "class label")
         object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+        # predict sends a score tie to the earlier class, the smaller label.
+        if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
+            raise ValueError(f"classes must be strictly increasing, got {self.classes}")
 
     @property
     def n_features(self) -> int:

@@ -6,7 +6,8 @@ generated points, ``train``/``eval`` persist and score a projection
 model plus classifier, ``run`` and ``degrade`` execute the experiment
 protocols over a single labeled dataset (the config holds the split
 rule), and ``jl-check`` audits embedding fidelity.  Reports go to
-``--out`` when given, otherwise to standard output.
+``--out`` when given, otherwise to standard output; every ``--out`` is
+checked before any data is loaded.
 
 The commands call the library instead of repeating it: ``extract``
 describes each image with :func:`pipeline.image_descriptors`, as
@@ -63,6 +64,16 @@ def _ints(text, flag):
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{flag} must be integers: {text!r}") from exc
+
+
+def _check_out(args):
+    """Reject an ``--out`` that cannot be written, before any data is loaded."""
+    out = getattr(args, "out", None)
+    if out and args.command in ("run", "degrade"):
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"--out {out} is not a file path in an existing directory")
+    elif out and os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out} is an existing file, not a directory")
 
 
 def _parse_labels(args, count):
@@ -325,6 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -307,8 +307,8 @@ def load_projection_model(path) -> ProjectionModel:
     Only ``format_version`` 2 is read; a version 1 file, with full
     reference matrices, is rejected and a retrained model replaces it.
     A malformed file, including a reference point that is not SPD or
-    not of the header's ``dim`` and a non-finite weight, raises
-    :class:`ParseError` naming it.
+    not of the header's ``dim``, a non-finite weight and a ``t`` outside
+    ``1..p``, raises :class:`ParseError` naming it.
     """
     payload = read_container(
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
@@ -318,6 +318,8 @@ def load_projection_model(path) -> ProjectionModel:
         for name in ("dim", "p", "k", "t", "seed"):
             require_integer(payload[name], name)
         dim, t, seed = payload["dim"], payload["t"], payload["seed"]
+        if not 1 <= t <= payload["p"]:
+            raise ValueError(f"t={t} lies outside 1..p={payload['p']}")
         refs = tuple(
             SpdMatrix(symmetric_from_upper(m, dim)) for m in payload["reference_points"]
         )

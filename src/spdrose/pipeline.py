@@ -30,15 +30,16 @@ classes disappear.  With zero exclusions each arm reproduces
 
 The Stein divergence does not depend on sigma or on the seed, and only
 this module decides which divergences to reuse.  ``run_experiment`` and
-``degradation_study`` each keep one store of real divergences for the
-whole experiment.  Every run (validation candidates, the final run,
-each exclusion pattern of both degradation arms, the kNN baseline)
-reads its split's read-only block from it by dataset position: rows are
-the training then the test (or validation) points, columns the training
-points, and a pool is a column selection.  The store computes a real
-pair only the first time any repetition reads it, in either order,
-through :func:`~spdrose.stein.divergence_matrix`, and never the pairs
-no run reads, such as test with test.  Synthetic points are new in
+``degradation_study`` draw every repetition's split before the first
+run and keep one store of real divergences for the whole experiment.
+Every run (validation candidates, the final run, each exclusion pattern
+of both degradation arms, the kNN baseline) reads its split's read-only
+block from it by dataset position: rows are the training then the test
+(or validation) points, columns the training points, and a pool is a
+column selection.  The store computes, once and up front, every point
+against the positions that train in some repetition, in two
+:func:`~spdrose.stein.divergence_matrix` calls, and never the pairs no
+run reads, such as test with test.  Synthetic points are new in
 every fit, which computes their pairs with each other and with the
 training points; the test pass computes the test points against them.
 The training ball that synthesis samples from depends on neither sigma
@@ -667,43 +668,34 @@ def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
 class _DivergenceStore:
     """What every run of one experiment shares: real divergences and training balls.
 
-    Divergences are read by dataset position.  Each position that has
-    served as a training column (``_served``) owns its row of an
-    uninitialized ``n x n`` table, its divergences with every point, NaN
-    until known; other rows stay unwritten, so resident memory grows with
-    the training columns, not with ``n**2``.  Missing pairs come from
-    :func:`divergence_matrix`, the column point against its missing rows,
-    and are also written to the served rows of the other points; a new
-    row starts from the pairs the served rows already hold.  Both copies
-    are exact because ``J`` is exactly symmetric.  Balls are keyed by
+    Divergences are read by dataset position.  ``columns`` are the
+    positions that train in some run, fixed before the first one; the
+    table holds one row per column, its divergences with every point,
+    so memory grows with the training columns, not with ``n**2``, and
+    reading another column raises ``KeyError``.  Construction fills it
+    with two :func:`divergence_matrix` calls: the columns against
+    themselves, whose upper triangle is evaluated once and mirrored,
+    and the columns against every other position.  Balls are keyed by
     ordered pool positions, because the Karcher mean's bits depend on
     point order; the pipeline's synthesis configs differ only in fields
     the ball does not read.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, columns):
         self.points = points
-        self._table = np.empty((len(points), len(points)))
-        self._served = np.zeros(len(points), dtype=bool)
+        columns = list(columns)
+        rest = sorted(set(range(len(points))) - set(columns))
+        own = [points[j] for j in columns]
+        self._table = np.empty((len(columns), len(points)))
+        self._table[:, columns] = divergence_matrix(own, own)
+        self._table[:, rest] = divergence_matrix(own, [points[i] for i in rest])
+        self._row = {j: r for r, j in enumerate(columns)}
         self._balls = {}
 
     def block(self, rows, cols):
         """Read-only ``divergence_matrix`` of the points at ``rows`` with those at ``cols``."""
-        rows = np.asarray(rows, dtype=np.int64)
-        for j in cols:
-            row = self._table[j]
-            if not self._served[j]:
-                row[:] = np.nan
-                row[self._served] = self._table[self._served, j]
-                self._served[j] = True
-            todo = rows[np.isnan(row[rows])]
-            if todo.size:
-                row[todo] = divergence_matrix(
-                    [self.points[j]], [self.points[i] for i in todo.tolist()]
-                )[0]
-                mirrored = todo[self._served[todo]]
-                self._table[mirrored, j] = row[mirrored]
-        block = np.ascontiguousarray(self._table[np.ix_(cols, rows)].T)
+        table_rows = [self._row[j] for j in cols]
+        block = np.ascontiguousarray(self._table[np.ix_(table_rows, rows)].T)
         block.setflags(write=False)
         return block
 
@@ -744,26 +736,20 @@ def _split_rep(labels, config, rep, validate):
     return rep_seed, (train, held) if validate else None, (train, test)
 
 
-def _candidates(config, synth_choices):
-    return list(itertools.product(config.sigma, config.k_policy, synth_choices))
-
-
 def _prepare_rep(store, labels, fold, config, rep, rep_seed, grid):
     """Pick (sigma, k_policy, synthetic) from ``grid`` on the validation fold.
 
-    With a single combination there is no fold and it is returned as is.
+    Ties go to the earlier combination.  With a single combination there
+    is no fold and it is returned as is.
     """
     if fold is None:
         return grid[0]
-    best = None
-    best_accuracy = -1.0
-    for tag, combo in enumerate(grid):
-        tag_seed = derive_seed(rep_seed, _STAGE_VALIDATION, tag)
-        record = _run_single(store, labels, *fold, config, rep, tag_seed, *combo)
-        if record.accuracy > best_accuracy:
-            best_accuracy = record.accuracy
-            best = combo
-    return best
+    scores = [
+        _run_single(store, labels, *fold, config, rep,
+                    derive_seed(rep_seed, _STAGE_VALIDATION, tag), *combo).accuracy
+        for tag, combo in enumerate(grid)
+    ]
+    return grid[scores.index(max(scores))]
 
 
 def _dataset_classes(points, labels):
@@ -779,6 +765,43 @@ def _dataset_classes(points, labels):
     return labels, classes
 
 
+def _study(points, labels, classes, config, arms, patterns, with_knn=False):
+    """Every run of one experiment: all splits drawn and one store built first.
+
+    ``arms`` pairs a name with its synthetic-count candidates; its grid
+    is every (sigma, k_policy, synthetic) combination.  Each repetition
+    picks every grid's winner on its validation fold, then runs it once
+    per tuple of excluded classes in ``patterns``.  Returns ``(excluded,
+    arm, record)`` in repetition, arm, pattern order.
+    """
+    grids = [(arm, list(itertools.product(config.sigma, config.k_policy, synth)))
+             for arm, synth in arms]
+    validate = len(grids[0][1]) > 1
+    per_class = config.train_per_class
+    if validate:
+        per_class -= _validation_count(config, per_class)
+    if with_knn and config.knn_neighbors > len(classes) * per_class:
+        raise ConfigError(
+            f"knn_neighbors={config.knn_neighbors} exceeds the "
+            f"{len(classes) * per_class} training points the kNN baseline votes with"
+        )
+    plans = [_split_rep(labels, config, rep, validate) for rep in range(config.reps)]
+    columns = sorted({j for _, _, (train, _) in plans for j in train})
+    store = _DivergenceStore(points, columns)
+    runs = []
+    for rep, (rep_seed, fold, effective) in enumerate(plans):
+        for arm, grid in grids:
+            combo = _prepare_rep(store, labels, fold, config, rep, rep_seed, grid)
+            for excluded in patterns:
+                included = tuple(c for c in classes if c not in excluded)
+                record = _run_single(
+                    store, labels, *effective, config, rep, rep_seed, *combo,
+                    included_classes=included, with_knn=with_knn,
+                )
+                runs.append((excluded, arm, record))
+    return runs
+
+
 def run_experiment(points, labels, config: ExperimentConfig) -> Report:
     """Run every repetition over seeded per-class splits.
 
@@ -790,29 +813,9 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
         resolve_synthetic(v, len(classes), config.train_per_class)
         for v in config.synthetic
     )
-    grid = _candidates(config, synth_choices)
-    per_class = config.train_per_class
-    if len(grid) > 1:
-        per_class -= _validation_count(config, per_class)
-    if config.knn_neighbors > len(classes) * per_class:
-        raise ConfigError(
-            f"knn_neighbors={config.knn_neighbors} exceeds the "
-            f"{len(classes) * per_class} training points the kNN baseline votes with"
-        )
-    store = _DivergenceStore(points)
-    records = []
-    for rep in range(config.reps):
-        rep_seed, fold, effective = _split_rep(labels, config, rep, len(grid) > 1)
-        sigma, k_policy, synth = _prepare_rep(
-            store, labels, fold, config, rep, rep_seed, grid
-        )
-        records.append(
-            _run_single(
-                store, labels, *effective, config, rep, rep_seed,
-                sigma, k_policy, synth, with_knn=True,
-            )
-        )
-    return Report(config=config, records=tuple(records))
+    arms = ((MODE_PLAIN, synth_choices),)
+    runs = _study(points, labels, classes, config, arms, [()], with_knn=True)
+    return Report(config=config, records=tuple(record for *_, record in runs))
 
 
 @dataclass(frozen=True)
@@ -907,33 +910,13 @@ def degradation_study(
         raise ConfigError(
             f"synthetic budget must be nonnegative, got {synthetic_budget}"
         )
-    arms = (
-        (MODE_PLAIN, _candidates(config, (0,))),
-        (MODE_AUGMENTED, _candidates(config, (synthetic_budget,))),
-    )
-    store = _DivergenceStore(points)
-    records = []
-    for rep in range(config.reps):
-        rep_seed, fold, effective = _split_rep(
-            labels, config, rep, len(arms[0][1]) > 1
-        )
-        for arm, grid in arms:
-            sigma, k_policy, synth = _prepare_rep(
-                store, labels, fold, config, rep, rep_seed, grid
-            )
-            for count in excluded_class_counts:
-                for excluded in itertools.combinations(classes, count):
-                    included = tuple(c for c in classes if c not in excluded)
-                    record = _run_single(
-                        store, labels, *effective, config, rep, rep_seed,
-                        sigma, k_policy, synth, included_classes=included,
-                    )
-                    records.append(
-                        DegradationRecord(excluded=excluded, arm=arm, record=record)
-                    )
+    arms = ((MODE_PLAIN, (0,)), (MODE_AUGMENTED, (synthetic_budget,)))
+    patterns = [excluded for count in excluded_class_counts
+                for excluded in itertools.combinations(classes, count)]
+    runs = _study(points, labels, classes, config, arms, patterns)
     return DegradationReport(
         config=config,
         synthetic_budget=synthetic_budget,
         excluded_class_counts=excluded_class_counts,
-        records=tuple(records),
+        records=[DegradationRecord(*run) for run in runs],
     )

@@ -319,6 +319,15 @@ def test_classifier_load_rejects_corruption(tmp_path):
     with pytest.raises(ParseError):
         load_classifier(bad)
 
+    # Classes out of order or repeated break predict's rule that a score
+    # tie goes to the smaller label.
+    for classes in ([1, 0], [0, 0]):
+        payload = json.loads(path.read_text())
+        payload["classes"] = classes
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_classifier(bad)
+
 
 def saved_classifier(tmp_path):
     coords, labels = toy_problem(spread=0.2)

@@ -528,25 +528,36 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["run", "degrade", "train", "synth", "extract"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command):
-    # run and degrade write into a missing directory after the whole study;
-    # the dataset and model commands cannot make a directory where a file is.
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # Each --out is rejected before any data is loaded: run and degrade
+    # need a report path in an existing directory, and the dataset and
+    # model commands cannot make a directory where a file is.
     manifest = str(save_benchmark_dataset(tmp_path, "data"))
     config = str(write_config(tmp_path, reps=1))
     image = tmp_path / "a.pgm"
     write_pgm(image, np.random.default_rng(1).uniform(size=(8, 8)))
-    missing = str(tmp_path / "nodir" / "report.json")
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = {
-        "run": ["--data", manifest, "--config", config, "--out", missing],
-        "degrade": ["--data", manifest, "--config", config, "--counts", "0", "--out", missing],
-        "train": ["--train", manifest, "--out", str(taken)],
-        "synth": ["--data", manifest, "--count", "3", "--out", str(taken)],
-        "extract": [str(image), "--out", str(taken)],
+        "run": ["--data", manifest, "--config", config],
+        "degrade": ["--data", manifest, "--config", config, "--counts", "0"],
+        "train": ["--train", manifest],
+        "synth": ["--data", manifest, "--count", "3"],
+        "extract": [str(image)],
     }
-    assert main([command, *argv[command]]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(spdrose.pipeline, "load_dataset", no_work)
+    monkeypatch.setattr(spdrose.pipeline, "image_descriptors", no_work)
+    if command in ("run", "degrade"):
+        outs = [str(tmp_path / "nodir" / "report.json"), str(tmp_path)]
+    else:
+        outs = [str(taken)]
+    for out in outs:
+        assert main([command, *argv[command], "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_knn_neighbors_beyond_training_split_exits_2(tmp_path, capsys):

@@ -358,6 +358,14 @@ def test_model_load_rejects_corruption(rng, tmp_path):
     with pytest.raises(ParseError):
         load_projection_model(other)
 
+    # t must lie in 1..p, the range build_projection_model accepts.
+    for t in (0, model.p + 1):
+        payload = json.loads(path.read_text())
+        payload["t"] = t
+        other.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=f"t={t} lies outside 1..p={model.p}"):
+            load_projection_model(other)
+
     # A reference point that is not SPD, and one of another size than the
     # 3x3 "dim" header, each stored as its upper triangle: the error names
     # the file in both cases.

@@ -580,37 +580,54 @@ def test_each_repetition_reads_its_real_pairs_by_position(monkeypatch):
     # One table row per position that served as a training column.
     (store,) = stores
     columns = {j for _, cols, _ in reads for j in cols}
-    assert set(np.flatnonzero(store._served)) == columns < set(range(len(points)))
+    assert set(store._row) == columns < set(range(len(points)))
 
 
 _STORE_POSITIONS = st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True)
 
 
+@st.composite
+def _store_plans(draw):
+    columns = draw(_STORE_POSITIONS)
+    cols = st.lists(st.sampled_from(columns), min_size=1, max_size=len(columns), unique=True)
+    return columns, draw(st.lists(st.tuples(_STORE_POSITIONS, cols), min_size=1, max_size=6))
+
+
 @settings(max_examples=40)
-# Pair (0, 2) is computed for column 2 after column 0 served; reading it
-# back for column 0 needs the copy written into row 0.
-@example(reads=[([0, 1], [0]), ([1, 2], [1]), ([2, 0], [2]), ([0, 2], [0])])
-@given(reads=st.lists(st.tuples(_STORE_POSITIONS, _STORE_POSITIONS), min_size=1, max_size=6))
-def test_property_store_computes_each_pair_once_in_any_read_order(reads):
-    # Blocks of any rows against any columns, read in any order: each
-    # unordered pair is computed at most once, and every block equals the
-    # direct divergence matrix.
+# Column 0 meets column 2 in the square block and point 1 in the
+# rectangular one; the read takes both from one row.
+@example(plan=([2, 0], [([1, 2, 0], [0, 2])]))
+@given(plan=_store_plans())
+def test_property_store_computes_each_pair_once_in_any_read_order(plan):
+    # Construction computes each unordered pair with at least one point
+    # among the columns exactly once and no other pair; blocks read in any
+    # order equal the direct divergence matrix, and another column is a
+    # KeyError.
+    columns, reads = plan
     points, _ = benchmark_pool(per_class=4)
-    divergence = spdrose.pipeline.divergence_matrix
+    divergence = spdrose.stein.stein_divergence
     calls = Counter()
 
-    def counting(xs, ys):
-        calls.update(frozenset((id(x), id(y))) for x in xs for y in ys)
-        return divergence(xs, ys)
+    def counting(x, y):
+        calls[frozenset((id(x), id(y)))] += 1
+        return divergence(x, y)
 
-    store = spdrose.pipeline._DivergenceStore(points)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spdrose.pipeline, "divergence_matrix", counting)
-        blocks = [store.block(rows, cols) for rows, cols in reads]
+        patch.setattr(spdrose.stein, "stein_divergence", counting)
+        store = spdrose.pipeline._DivergenceStore(points, columns)
     assert max(calls.values()) == 1
-    for (rows, cols), block in zip(reads, blocks):
-        expected = divergence([points[i] for i in rows], [points[j] for j in cols])
+    positions = range(len(points))
+    assert set(calls) == {
+        frozenset((id(points[i]), id(points[j]))) for i in columns for j in positions if i != j
+    }
+    for rows, cols in reads:
+        block = store.block(rows, cols)
+        expected = divergence_matrix([points[i] for i in rows], [points[j] for j in cols])
+        assert not block.flags.writeable
         assert np.array_equal(block, expected)
+    for j in set(positions) - set(columns):
+        with pytest.raises(KeyError):
+            store.block(columns, [j])
 
 
 def test_training_ball_runs_once_per_repetition(monkeypatch):
