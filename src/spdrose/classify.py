@@ -23,15 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyData, NonConvergence
-from .errors import ParseError, SingleClass, require_integer
-from .io import read_container, write_json
+from .errors import ParseError, SingleClass, require_integer, require_positive
+from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 2
 # The fields a classifier file holds besides its format and version.
-_SAVED = ("classes", "weights", "biases", "feature_mean", "feature_scale",
-          "regularization")
+_ARRAYS = ("weights", "biases", "feature_mean", "feature_scale")
+_SAVED = ("classes", *_ARRAYS, "regularization")
 
 DEFAULT_LAMBDA = 1e-3
 GRADIENT_RTOL = 1e-8
@@ -63,10 +63,9 @@ class TrainedClassifier:
     convergence: tuple = ()
 
     def __post_init__(self):
-        arrays = ("weights", "biases", "feature_mean", "feature_scale")
-        for name in arrays:
+        for name in _ARRAYS:
             object.__setattr__(self, name, _readonly_copy(getattr(self, name)))
-        w, b, mu, sc = (getattr(self, name) for name in arrays)
+        w, b, mu, sc = (getattr(self, name) for name in _ARRAYS)
         if w.ndim != 2 or w.shape[0] != len(self.classes):
             raise ValueError(f"weight matrix has shape {w.shape}")
         if b.shape != (len(self.classes),):
@@ -83,6 +82,8 @@ class TrainedClassifier:
         # predict sends a score tie to the earlier class, the smaller label.
         if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
             raise ValueError(f"classes must be strictly increasing, got {self.classes}")
+        regularization = require_positive(self.regularization, "regularization")
+        object.__setattr__(self, "regularization", regularization)
 
     @property
     def n_features(self) -> int:
@@ -191,10 +192,7 @@ def train_ova_svm(
     classes = tuple(sorted(int(c) for c in set(y.tolist())))
     if len(classes) < 2:
         raise SingleClass(f"training set holds only class {classes}")
-    if not 0.0 < regularization < np.inf:
-        raise ValueError(
-            f"regularization must be positive and finite, got {regularization}"
-        )
+    require_positive(regularization, "regularization")
     mean, scale = x.mean(axis=0), x.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])
@@ -285,10 +283,14 @@ def evaluate_accuracy(true_labels, predicted_labels, class_labels=None) -> EvalR
     if t.size == 0:
         raise EmptyData("no labels to score")
     hits = t == p
+    seen = set(t.tolist()) | set(p.tolist())
     if class_labels is None:
-        class_labels = sorted(set(t.tolist()) | set(p.tolist()))
+        class_labels = sorted(seen)
     class_labels = tuple(int(c) for c in class_labels)
     index = {cls: i for i, cls in enumerate(class_labels)}
+    outside = sorted(seen - set(index))
+    if outside:
+        raise ValueError(f"labels {outside} are not in class_labels {class_labels}")
     matrix = [[0] * len(class_labels) for _ in class_labels]
     for true, pred in zip(t.tolist(), p.tolist()):
         matrix[index[true]][index[pred]] += 1
@@ -318,7 +320,8 @@ def load_classifier(path) -> TrainedClassifier:
     payload = read_container(path, CLASSIFIER_FORMAT, CLASSIFIER_FORMAT_VERSION)
     try:
         fields = {name: payload[name] for name in _SAVED}
-        fields["regularization"] = float(fields["regularization"])
+        for name in _ARRAYS:
+            fields[name] = json_floats(fields[name])
         return TrainedClassifier(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed classifier payload") from exc

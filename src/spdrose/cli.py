@@ -10,14 +10,14 @@ rule), and ``jl-check`` audits embedding fidelity.  Reports go to
 checked before any data is loaded.
 
 The commands call the library instead of repeating it: ``extract``
-describes each image with :func:`pipeline.image_descriptors`, as
-``load_dataset`` does for image manifests, and ``train`` is
-:func:`pipeline.fit_model` with ``--seed`` as the seed root, so it
-draws the same stage seeds as a ``run`` repetition.  Divergences come
-from :func:`~spdrose.stein.divergence_matrix`: ``train`` passes the
-training points against themselves, ``eval`` embeds the test points
-against the model's reference points, and ``jl-check`` computes one
-square block that every width shares.
+checks its recipe as an image manifest and expands it with
+:func:`pipeline.dataset_points`, the function ``load_dataset`` uses,
+and ``train`` is :func:`pipeline.fit_model` with ``--seed`` as the seed
+root, so it draws the same stage seeds as a ``run`` repetition.
+Divergences come from :func:`~spdrose.stein.divergence_matrix`:
+``train`` passes the training points against themselves, ``eval``
+embeds the test points against the model's reference points, and
+``jl-check`` computes one square block that every width shares.
 
 Exit codes: 0 on success, 2 for configuration and usage problems
 (out-of-range flag values and outputs that cannot be written included),
@@ -87,23 +87,22 @@ def _parse_labels(args, count):
 
 def _cmd_extract(args):
     labels = _parse_labels(args, len(args.images))
-    if min(args.rows, args.cols, args.downsample) < 1:
-        raise ConfigError("--rows, --cols and --downsample must be at least 1")
+    # A manifest carries no eps_rel, so the flag is checked here.
     if not 0.0 <= args.eps_rel < math.inf:
         raise ConfigError(f"--eps-rel must be finite and nonnegative, got {args.eps_rel}")
-    suffix = ".pgm" if FEATURE_MODES[args.features][0] == "gray-image" else ".ppm"
-    points, point_labels = [], []
-    for image_path, label in zip(args.images, labels):
+    kind = FEATURE_MODES[args.features][0]
+    suffix = ".pgm" if kind == "gray-image" else ".ppm"
+    for image_path in args.images:
         if os.path.splitext(image_path)[1].lower() != suffix:
             raise ConfigError(
                 f"{args.features} features need a {suffix} image, got {image_path}"
             )
-        cells = pipeline.image_descriptors(
-            image_path, args.features, (args.rows, args.cols), args.downsample,
-            args.eps_rel,
-        )
-        points.extend(cells)
-        point_labels.extend([label] * len(cells))
+    entries = [pipeline.ManifestEntry(path, label, kind)
+               for path, label in zip(args.images, labels)]
+    recipe = pipeline.DatasetManifest(
+        entries, args.features, grid=(args.rows, args.cols), downsample=args.downsample
+    )
+    points, point_labels = pipeline.dataset_points(recipe, "", args.eps_rel)
     manifest = pipeline.save_dataset(args.out, points, point_labels)
     print(f"wrote {len(points)} descriptor(s) to {manifest}")
     return 0

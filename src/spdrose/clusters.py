@@ -41,14 +41,6 @@ class Benchmark:
         object.__setattr__(self, "test_points", tuple(self.test_points))
         object.__setattr__(self, "test_labels", _readonly_copy(self.test_labels, np.int64))
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.centers)
-
-    @property
-    def dim(self) -> int:
-        return self.centers[0].dim
-
 
 def make_cluster_centers(
     n_classes: int, dim: int, separation: float, seed: int = 0

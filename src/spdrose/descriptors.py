@@ -103,10 +103,6 @@ class FeatureImage:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
 
 def _derivatives(a):
     """Central differences ``(Ix, Iy, Ixx, Iyy)`` of an (H, W) or (H, W, C) array.

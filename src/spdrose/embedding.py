@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
 from .errors import SpdRoseError, require_integer
-from .io import read_container, symmetric_from_upper
+from .io import json_floats, read_container, symmetric_from_upper
 from .manifold import SpdMatrix, _readonly_copy
 from .seeding import keyed_generator
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
@@ -50,10 +50,12 @@ class ProjectionModel:
     """Frozen state of a fitted embedding.
 
     Holds the reference pool and the ``p x k`` weight matrix whose
-    columns are the hyperplanes.  Embedding needs nothing else, so the
-    reference Gram matrix and its power are computed on first use;
-    ``fitted`` hands over the ``(gram, kernel_power)`` pair that
-    :func:`build_projection_model` already computed.
+    columns are the hyperplanes, and checks them on construction, which
+    building and loading both go through.
+    Embedding needs nothing else, so the reference Gram matrix and its
+    power are computed on first use; ``fitted`` hands over the
+    ``(gram, kernel_power)`` pair that :func:`build_projection_model`
+    already computed.
     """
 
     reference_points: tuple
@@ -65,7 +67,21 @@ class ProjectionModel:
     fitted: InitVar[tuple | None] = None
 
     def __post_init__(self, fitted):
+        object.__setattr__(self, "reference_points", tuple(self.reference_points))
         object.__setattr__(self, "weights", _readonly_copy(self.weights))
+        p, w = self.p, self.weights
+        if p < 2:
+            raise EmptyInput(f"a projection model needs two reference points, got {p}")
+        if w.ndim != 2 or len(w) != p:
+            raise ValueError(f"weights of shape {w.shape} do not fit {p} reference points")
+        if w.shape[1] < 1 or not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite with k >= 1 columns, got shape {w.shape}")
+        require_integer(self.t, "t")
+        require_integer(self.seed, "seed")
+        if not 1 <= self.t <= p:
+            raise ValueError(f"t={self.t} lies outside 1..p={p}")
+        if self.exponent_mode not in EXPONENT_MODES:
+            raise ValueError(f"unknown exponent_mode {self.exponent_mode!r}")
         if fitted is not None:
             self.__dict__["gram"], self.__dict__["kernel_power"] = fitted
 
@@ -129,10 +145,6 @@ def build_projection_model(
         Master seed; hyperplane ``j`` uses ``seed XOR j``.
     """
     points = tuple(reference_points)
-    if len(points) < 2:
-        raise EmptyInput("build_projection_model needs at least two reference points")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     if exponent_mode not in EXPONENT_MODES:
         raise ValueError(f"unknown exponent_mode {exponent_mode!r}")
     p = len(points)
@@ -295,7 +307,7 @@ def save_projection_model(path, model: ProjectionModel) -> None:
         "reference_points": [ref.array[upper].tolist() for ref in model.reference_points],
         "weights": model.weights.tolist(),
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(path).write_text(json.dumps(payload), encoding="ascii")
 
 
 def load_projection_model(path) -> ProjectionModel:
@@ -306,43 +318,30 @@ def load_projection_model(path) -> ProjectionModel:
     matrix is not needed to embed and is recomputed only on first use.
     Only ``format_version`` 2 is read; a version 1 file, with full
     reference matrices, is rejected and a retrained model replaces it.
-    A malformed file, including a reference point that is not SPD or
-    not of the header's ``dim``, a non-finite weight and a ``t`` outside
-    ``1..p``, raises :class:`ParseError` naming it.
+    :class:`ProjectionModel` checks the values read, and a file that
+    fails a check, a number written as a string included, raises
+    :class:`ParseError` naming it.
     """
     payload = read_container(
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
     )
     try:
-        params = KernelParams(payload["sigma"], payload["psd_policy"])
-        for name in ("dim", "p", "k", "t", "seed"):
+        for name in ("dim", "p", "k"):
             require_integer(payload[name], name)
-        dim, t, seed = payload["dim"], payload["t"], payload["seed"]
-        if not 1 <= t <= payload["p"]:
-            raise ValueError(f"t={t} lies outside 1..p={payload['p']}")
-        refs = tuple(
-            SpdMatrix(symmetric_from_upper(m, dim)) for m in payload["reference_points"]
+        model = ProjectionModel(
+            reference_points=tuple(
+                SpdMatrix(symmetric_from_upper(json_floats(m), payload["dim"]))
+                for m in payload["reference_points"]
+            ),
+            kernel_params=KernelParams(payload["sigma"], payload["psd_policy"]),
+            weights=json_floats(payload["weights"]),
+            t=payload["t"],
+            exponent_mode=payload["exponent_mode"],
+            seed=payload["seed"],
         )
-        weights = np.array(payload["weights"], dtype=np.float64)
-        if not np.isfinite(weights).all():
-            raise ValueError("weights hold a non-finite value")
-        exponent_mode = payload["exponent_mode"]
-        expected_shape = (payload["p"], payload["k"])
+        shape = model.weights.shape
+        if (payload["p"], payload["k"]) != shape:
+            raise ValueError(f"header p and k do not match weights of shape {shape}")
     except (KeyError, TypeError, ValueError, SpdRoseError) as exc:
         raise ParseError(f"{path}: malformed projection model ({exc})") from exc
-    if weights.shape != expected_shape:
-        raise ParseError(
-            f"{path}: weights shape {weights.shape} does not match header {expected_shape}"
-        )
-    if len(refs) != expected_shape[0]:
-        raise ParseError(f"{path}: header p does not match {len(refs)} reference points")
-    if exponent_mode not in EXPONENT_MODES:
-        raise ParseError(f"{path}: unknown exponent_mode {exponent_mode!r}")
-    return ProjectionModel(
-        reference_points=refs,
-        kernel_params=params,
-        weights=weights,
-        t=t,
-        exponent_mode=exponent_mode,
-        seed=seed,
-    )
+    return model

@@ -6,6 +6,7 @@ Every error raised on purpose by this package derives from
 code 2 and data errors to exit code 3.
 """
 
+import math
 import numbers
 
 
@@ -116,3 +117,11 @@ def require_integer(value, name, error=ValueError):
     """Raise ``error`` unless ``value`` is an integer (a ``bool`` is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive(value, name, error=ValueError) -> float:
+    """``value`` as a float; ``error`` unless it is a positive, finite real (not a bool)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return float(value)

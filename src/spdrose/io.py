@@ -9,9 +9,9 @@ the header ``<d>`` alone and ``d`` full rows.  Values are written with
 
 Images are binary netpbm: P5 (grayscale) and P6 (RGB), maxval 255 only.
 Pixel bytes are normalized to [0, 1] by dividing by 255.  JSON
-containers name their format and version and may not hold ``NaN`` or
-``Infinity``.  All parse failures raise :class:`ParseError` naming the
-offending path.
+containers name their format and an exact integer version, and may not
+hold ``NaN`` or ``Infinity``.  All parse failures raise
+:class:`ParseError` naming the offending path.
 """
 
 from __future__ import annotations
@@ -49,11 +49,20 @@ def read_container(path, fmt, version, version_key="version"):
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise ParseError(f"{path}: not a {fmt} file")
-    if payload.get(version_key) != version:
-        raise ParseError(
-            f"{path}: unsupported {version_key} {payload.get(version_key)!r}"
-        )
+    found = payload.get(version_key)
+    # 1.0 == 1 and True == 1 in Python; a version is an exact JSON integer.
+    if type(found) is not int or found != version:
+        raise ParseError(f"{path}: unsupported {version_key} {found!r}")
     return payload
+
+
+def json_floats(values) -> np.ndarray:
+    """Float64 array of parsed JSON numbers; ``ValueError`` unless numpy reads
+    ``values`` as an integer or float array, not strings, booleans or nulls."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError("arrays must hold JSON numbers only")
+    return array.astype(np.float64)
 
 
 def symmetric_from_upper(values, d) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 A dataset manifest lists labeled entries that are either precomputed
 matrix files or images to be expanded into grid covariance descriptors
-at load time by :func:`image_descriptors`, the function ``spdrose
-extract`` calls too.  An experiment config holds the split rule
-(per-class train count, repetitions, seed), hyperparameter candidates,
-and classifier settings; its JSON file mirrors the dataclass field for
-field.
+at load time by :func:`dataset_points`; ``spdrose extract`` checks its
+image recipe as a manifest and expands it with the same function.  An
+experiment config holds the split rule (per-class train count,
+repetitions, seed), hyperparameter candidates, and classifier settings;
+its JSON file mirrors the dataclass field for field.
 
 Splits are integer positions into the dataset.  Each repetition draws
 a fresh seeded per-class train/test split; with more than one (sigma, k
@@ -62,7 +62,6 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -92,12 +91,13 @@ from .errors import (
     SpdRoseError,
     StageFailure,
     require_integer,
+    require_positive,
 )
 from .io import load_json, read_container, read_matrix, read_pgm, read_ppm
 from .io import write_json, write_matrix
 from .seeding import derive_seed
-from .stein import PSD_POLICIES, KernelParams, divergence_matrix
-from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
+from .stein import KernelParams, divergence_matrix
+from .synthesis import SynthesisConfig, generate_synthetic
 from .synthesis import training_ball
 
 MANIFEST_FORMAT = "spdrose.dataset"
@@ -189,9 +189,6 @@ class DatasetManifest:
             )
         object.__setattr__(self, "downsample", int(self.downsample))
 
-    def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.entries], dtype=np.int64)
-
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
     header = {"format": MANIFEST_FORMAT, "version": MANIFEST_FORMAT_VERSION}
@@ -240,14 +237,13 @@ def image_descriptors(path, feature_mode, grid, downsample, eps_rel=DEFAULT_EPS_
     return grid_covariances(feature_map(image), rows, cols, eps_rel)
 
 
-def load_dataset(manifest_path):
-    """Load (points, labels); image entries expand into grid descriptors.
+def dataset_points(manifest: DatasetManifest, root, eps_rel=DEFAULT_EPS_REL):
+    """(points, labels) of a manifest whose entry paths are relative to ``root``.
 
-    Ordering is manifest order, then grid row-major within an entry;
-    every descriptor of an entry shares the entry's label.
+    Matrix entries are read as they are; image entries expand into grid
+    descriptors.  Ordering is manifest order, then grid row-major within
+    an entry; every descriptor of an entry shares the entry's label.
     """
-    manifest = load_manifest(manifest_path)
-    root = os.path.dirname(os.path.abspath(manifest_path))
     points, labels = [], []
     for entry in manifest.entries:
         full = os.path.join(root, entry.path)
@@ -255,16 +251,24 @@ def load_dataset(manifest_path):
             descriptors = [read_matrix(full)]
         else:
             descriptors = image_descriptors(
-                full, manifest.feature_mode, manifest.grid, manifest.downsample
+                full, manifest.feature_mode, manifest.grid, manifest.downsample, eps_rel
             )
         points.extend(descriptors)
         labels.extend([entry.label] * len(descriptors))
+    return points, np.array(labels, dtype=np.int64)
+
+
+def load_dataset(manifest_path):
+    """Load (points, labels) of a manifest file, by :func:`dataset_points`."""
+    manifest = load_manifest(manifest_path)
+    root = os.path.dirname(os.path.abspath(manifest_path))
+    points, labels = dataset_points(manifest, root)
     dims = {p.dim for p in points}
     if len(dims) > 1:
         raise DimensionMismatch(
             f"{manifest_path}: mixed descriptor dimensions {sorted(dims)}"
         )
-    return points, np.array(labels, dtype=np.int64)
+    return points, labels
 
 
 def save_dataset(directory, points, labels, prefix: str = "point") -> str:
@@ -289,10 +293,7 @@ def save_dataset(directory, points, labels, prefix: str = "point") -> str:
 
 
 def _normalize_candidates(value, kind):
-    if isinstance(value, (list, tuple)):
-        items = tuple(value)
-    else:
-        items = (value,)
+    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
     if not items:
         raise ConfigError(f"{kind} candidate list must not be empty")
     return items
@@ -325,59 +326,40 @@ class ExperimentConfig:
 
     def __post_init__(self):
         sigmas = _normalize_candidates(self.sigma, "sigma")
+        # The kernel and synthesis types own these checks.
         try:
-            sigmas = tuple(float(s) for s in sigmas)
+            kernels = [KernelParams(s, self.psd_policy) for s in sigmas]
+            SynthesisConfig(direction_mode=self.direction_mode)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sigma candidates must be numbers: {sigmas}") from exc
-        if not all(0.0 < s < math.inf for s in sigmas):
-            raise ConfigError(f"kernel widths must be positive and finite, got {sigmas}")
-        object.__setattr__(self, "sigma", sigmas)
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "sigma", tuple(kernel.sigma for kernel in kernels))
         policies = _normalize_candidates(self.k_policy, "k_policy")
         for policy in policies:
             if policy not in K_POLICIES:
                 raise ConfigError(
                     f"k_policy must be one of {sorted(K_POLICIES)}, got {policy!r}"
                 )
-        object.__setattr__(self, "k_policy", tuple(policies))
-        synth = _normalize_candidates(self.synthetic, "synthetic")
+        object.__setattr__(self, "k_policy", policies)
         cleaned = []
-        for value in synth:
+        for value in _normalize_candidates(self.synthetic, "synthetic"):
             if isinstance(value, str):
                 if value not in SYNTH_TOKENS:
-                    raise ConfigError(
-                        f"synthetic symbols are {SYNTH_TOKENS}, got {value!r}"
-                    )
+                    raise ConfigError(f"synthetic symbols are {SYNTH_TOKENS}, got {value!r}")
                 cleaned.append(value)
             else:
                 require_integer(value, "synthetic count", ConfigError)
                 if value < 0:
-                    raise ConfigError(
-                        f"synthetic counts must be nonnegative, got {value}"
-                    )
+                    raise ConfigError(f"synthetic counts must be nonnegative, got {value}")
                 cleaned.append(int(value))
         object.__setattr__(self, "synthetic", tuple(cleaned))
         for name in ("seed", "reps", "train_per_class", "knn_neighbors"):
             require_integer(getattr(self, name), name, ConfigError)
-        if self.reps < 1:
-            raise ConfigError(f"reps must be at least 1, got {self.reps}")
-        if self.train_per_class < 2:
-            raise ConfigError(
-                f"train_per_class must be at least 2, got {self.train_per_class}"
-            )
+        for name, least in (("reps", 1), ("train_per_class", 2), ("knn_neighbors", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.exponent_mode not in EXPONENT_MODES:
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
-        if self.psd_policy not in PSD_POLICIES:
-            raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
-        if self.direction_mode not in DIRECTION_MODES:
-            raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
-        if not 0.0 < self.regularization < math.inf:
-            raise ConfigError(
-                f"regularization must be positive and finite, got {self.regularization}"
-            )
-        if self.knn_neighbors < 1:
-            raise ConfigError(
-                f"knn_neighbors must be at least 1, got {self.knn_neighbors}"
-            )
+        require_positive(self.regularization, "regularization", ConfigError)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(
                 "validation_fraction must lie strictly between 0 and 1, "

@@ -27,12 +27,11 @@ compute once and reuse across kernel widths, pools and query sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel
+from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel, require_positive
 from .manifold import SpdMatrix, _cholesky_logdet, _readonly_copy, symmetrize
 
 PSD_POLICIES = ("clamp", "strict")
@@ -44,8 +43,10 @@ PSEUDO_INVERSE_RTOL = 1e-10
 class KernelParams:
     """Kernel scale and the policy for indefinite Gram spectra.
 
-    ``psd_policy`` is ``"clamp"`` (zero out negative eigenvalues and
-    record the removed mass) or ``"strict"`` (raise
+    ``sigma`` is stored as a ``float``; anything but a positive, finite
+    real number, a numeric string or a ``bool`` included, raises
+    ``ValueError``.  ``psd_policy`` is ``"clamp"`` (zero out negative
+    eigenvalues and record the removed mass) or ``"strict"`` (raise
     :class:`IndefiniteKernel` when a significantly negative eigenvalue
     appears).
     """
@@ -54,8 +55,7 @@ class KernelParams:
     psd_policy: str = "clamp"
 
     def __post_init__(self):
-        if not 0.0 < float(self.sigma) < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", require_positive(self.sigma, "sigma"))
         if self.psd_policy not in PSD_POLICIES:
             raise ValueError(f"unknown psd_policy {self.psd_policy!r}")
 
@@ -113,10 +113,6 @@ class GramMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _readonly_copy(self.entries))
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def gram_matrix(divergences, params: KernelParams) -> GramMatrix:

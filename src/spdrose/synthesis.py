@@ -11,7 +11,6 @@ stays inside the ball.  :func:`geodesic_rescale` takes the same step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -23,6 +22,7 @@ from .errors import (
     EmptyInput,
     NonConvergence,
     require_integer,
+    require_positive,
 )
 from .manifold import (
     SpdMatrix,
@@ -68,8 +68,7 @@ class SynthesisConfig:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
-        if not 0.0 < self.karcher_tol < math.inf:
-            raise ValueError("karcher_tol must be positive and finite")
+        require_positive(self.karcher_tol, "karcher_tol")
         if self.karcher_max_iter < 1:
             raise ValueError("karcher_max_iter must be at least 1")
 

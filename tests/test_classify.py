@@ -274,6 +274,14 @@ def test_evaluate_validation():
         evaluate_accuracy([0, 1], [0])
 
 
+def test_evaluate_rejects_labels_outside_class_labels():
+    # This was a bare KeyError from the confusion matrix index.
+    with pytest.raises(ValueError, match=r"labels \[2\] are not in class_labels"):
+        evaluate_accuracy([0, 1], [0, 2], class_labels=[0, 1])
+    with pytest.raises(ValueError, match=r"labels \[3\]"):
+        evaluate_accuracy([3, 1], [1, 1], class_labels=[0, 1])
+
+
 def test_classifier_round_trip_preserves_predictions(tmp_path):
     rng = np.random.default_rng(9)
     coords = np.vstack([rng.normal(-1, 0.4, (8, 4)), rng.normal(1, 0.4, (8, 4))])
@@ -325,6 +333,20 @@ def test_classifier_load_rejects_corruption(tmp_path):
         payload = json.loads(path.read_text())
         payload["classes"] = classes
         bad.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_classifier(bad)
+
+    # Numbers must be JSON numbers, the version an exact integer and the
+    # regularization what train_ova_svm accepts; each of these used to load.
+    payload = json.loads(path.read_text())
+    mutations = [
+        {"version": 2.0},
+        {"regularization": "nan"},
+        {"regularization": True},
+        {"feature_mean": [str(v) for v in payload["feature_mean"]]},
+    ]
+    for mutation in mutations:
+        bad.write_text(json.dumps({**payload, **mutation}))
         with pytest.raises(ParseError):
             load_classifier(bad)
 

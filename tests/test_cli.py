@@ -456,6 +456,40 @@ def test_eval_missing_reference_point_exits_3(tmp_path, capsys):
     assert "reference points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        # No hyperplanes: eval died in predict with a ValueError traceback.
+        ("model.json", lambda m: m.update(k=0, weights=[[]] * m["p"])),
+        # One reference point, which build_projection_model rejects.
+        ("model.json", lambda m: m.update(
+            p=1, t=1, reference_points=m["reference_points"][:1], weights=m["weights"][:1]
+        )),
+        # A string kernel width: eval died in the embedding with a TypeError.
+        ("model.json", lambda m: m.update(sigma="0.5")),
+        ("model.json", lambda m: m["weights"][0].__setitem__(0, "0.5")),
+        ("classifier.json", lambda m: m.update(regularization="nan")),
+        ("classifier.json", lambda m: m["biases"].__setitem__(0, "0.5")),
+        ("classifier.json", lambda m: m.update(version=2.0)),
+    ],
+    ids=["k0", "one-reference", "string-sigma", "string-weight",
+         "nan-regularization", "string-bias", "float-version"],
+)
+def test_eval_model_file_the_model_rejects_exits_3(tmp_path, capsys, field, mutate):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / field
+    payload = json.loads(path.read_text())
+    mutate(payload)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_run_config_with_epochs_exits_2(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     config = write_config(tmp_path, epochs=200)
@@ -475,6 +509,8 @@ def test_run_config_with_epochs_exits_2(tmp_path, capsys):
         '"seed": 1.5',
         '"knn_neighbors": 1.5',
         '"sigma": Infinity',
+        '"sigma": "0.5"',
+        '"sigma": true',
     ],
 )
 def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):

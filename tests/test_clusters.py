@@ -66,8 +66,8 @@ def test_sample_cluster_rejects_excess_spread():
 
 def test_benchmark_shapes_and_labels():
     bench = make_benchmark(3, 4, train_per_class=5, test_per_class=7, seed=2)
-    assert bench.n_classes == 3
-    assert bench.dim == 4
+    assert len(bench.centers) == 3
+    assert bench.centers[0].dim == 4
     assert len(bench.train_points) == 15
     assert len(bench.test_points) == 21
     assert np.array_equal(np.bincount(bench.train_labels), [5, 5, 5])

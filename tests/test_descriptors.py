@@ -201,7 +201,7 @@ def test_gabor_support_and_size_check():
 
 def test_gabor_constant_image_has_silent_filters():
     fi = gabor_feature_map(gray(np.full((48, 48), 0.5)))
-    assert fi.channels == 43
+    assert fi.values.shape[2] == 43
     assert fi.channel_tags[:3] == ("I", "x", "y")
     assert fi.channel_tags[3] == "|G_00|"
     assert fi.channel_tags[-1] == "|G_47|"
@@ -288,7 +288,7 @@ def check_gabor_magnitudes(pixels):
         for v in range(GABOR_ORIENTATIONS)
     ]
     assert list(fi.channel_tags) == expected_tags
-    assert len(bank) == fi.channels - 3
+    assert len(bank) == fi.values.shape[2] - 3
     probes = [
         (0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
         (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1),

@@ -1,10 +1,14 @@
 """Unit tests for the kernel-space random-projection embedding."""
 
+import functools
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spdrose.embedding
 import spdrose.stein
@@ -377,6 +381,28 @@ def test_model_load_rejects_corruption(rng, tmp_path):
             load_projection_model(other)
         assert str(other) in str(info.value)
 
+    # The model checks what the loader read: no hyperplanes, a single
+    # reference point, a kernel width that is not a number, a number
+    # written as a string and a version that only equals 2 all used to load.
+    mutations = [
+        {"k": 0, "weights": [[]] * model.p},
+        {"p": 1, "t": 1, "reference_points": payload["reference_points"][:1],
+         "weights": payload["weights"][:1]},
+        {"sigma": "0.5"},
+        {"sigma": True},
+        {"weights": [[str(w) for w in row] for row in payload["weights"]]},
+        {"reference_points": [[str(v) for v in payload["reference_points"][0]],
+                              *payload["reference_points"][1:]]},
+        {"format_version": 2.0},
+    ]
+    for mutation in mutations:
+        payload = json.loads(path.read_text())
+        payload.update(mutation)
+        other.write_text(json.dumps(payload))
+        with pytest.raises(ParseError) as info:
+            load_projection_model(other)
+        assert str(other) in str(info.value)
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_model_load_rejects_non_finite_numbers(rng, tmp_path, value):
@@ -402,6 +428,70 @@ def test_model_load_rejects_overflowing_weight(rng, tmp_path):
     with pytest.raises(ParseError) as info:
         load_projection_model(path)
     assert str(path) in str(info.value)
+
+
+SAVED_P = 6
+
+
+@functools.cache
+def saved_model():
+    """The text of a saved model file and its test points' divergences."""
+    rng = np.random.default_rng(5)
+    model = build(small_pool(rng, count=SAVED_P), 4, KernelParams(0.5), seed=2)
+    queries = [random_spd(rng, 3) for _ in range(3)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.json"
+        save_projection_model(path, model)
+        text = path.read_text(encoding="ascii")
+    return text, divergence_matrix(queries, model.reference_points)
+
+
+def test_model_file_loads_and_saves_to_the_same_bytes(tmp_path):
+    text, _ = saved_model()
+    path, again = tmp_path / "model.json", tmp_path / "again.json"
+    path.write_text(text, encoding="ascii")
+    save_projection_model(again, load_projection_model(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=80)
+@example(header={"k": 0}, sigma=None, rows="clear", row=0)
+@example(header={}, sigma="0.5", rows="keep", row=0)
+@given(
+    header=st.fixed_dictionaries(
+        {}, optional={key: st.integers(0, SAVED_P + 1) for key in ("k", "p", "t")}
+    ),
+    sigma=st.one_of(
+        st.none(), st.floats(-1.0, 4.0), st.integers(-1, 4),
+        st.sampled_from(["0.5", "1", ""]), st.booleans(),
+    ),
+    rows=st.sampled_from(["keep", "drop", "extra", "empty", "clear"]),
+    row=st.integers(0, SAVED_P - 1),
+)
+def test_property_loaded_models_embed(tmp_path_factory, header, sigma, rows, row):
+    # A mutated model file either is a ParseError or loads as a model that
+    # embeds the test points; the loader cannot drift from the model's checks.
+    text, divergences = saved_model()
+    payload = json.loads(text)
+    payload.update(header)
+    if sigma is not None:
+        payload["sigma"] = sigma
+    weights = payload["weights"]
+    if rows == "drop":
+        del weights[row]
+    elif rows == "extra":
+        weights.append(list(weights[row]))
+    elif rows == "empty":
+        weights[row] = []
+    elif rows == "clear":
+        payload["weights"] = [[] for _ in weights]
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(payload), encoding="ascii")
+    try:
+        model = load_projection_model(path)
+    except ParseError:
+        return
+    assert embed_batch(model, divergences).shape == (len(divergences), model.k)
 
 
 def test_model_file_stores_reference_triangles(rng, tmp_path):

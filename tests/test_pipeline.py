@@ -75,7 +75,7 @@ def test_manifest_entry_validation():
 def test_manifest_invariants():
     entries = (ManifestEntry("a.txt", 0), ManifestEntry("b.txt", 1))
     manifest = DatasetManifest(entries=entries)
-    assert manifest.labels().tolist() == [0, 1]
+    assert [e.label for e in manifest.entries] == [0, 1]
     with pytest.raises(ConfigError):
         DatasetManifest(entries=())
     with pytest.raises(ConfigError):
@@ -165,6 +165,12 @@ def test_manifest_load_rejections(tmp_path):
     with pytest.raises(ParseError) as info:
         load_manifest(path)
     assert "m.json" in str(info.value)
+    # A version is an exact JSON integer; true and 1.0 both equal 1 in Python.
+    payload["entries"][1]["label"] = 1
+    for version in (True, 1.0):
+        path.write_text(json.dumps({**payload, "version": version}))
+        with pytest.raises(ParseError, match="unsupported version"):
+            load_manifest(path)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +339,9 @@ def test_config_validation():
         dict(train_per_class=float("nan")),
         dict(knn_neighbors=1.5),
         dict(seed=1.5),
+        dict(sigma="0.5"),
+        dict(sigma=[0.5, True]),
+        dict(regularization=True),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):

@@ -123,6 +123,13 @@ def test_kernel_params_validation():
             KernelParams(sigma=sigma)
     with pytest.raises(ValueError):
         KernelParams(sigma=0.5, psd_policy="ignore")
+    # A numeric string was kept as a string, and the embedding later failed
+    # at -sigma * divergences; a bool is not a width either.
+    for sigma in ("0.5", True):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            KernelParams(sigma=sigma)
+    widths = [KernelParams(sigma=s).sigma for s in (1, np.float64(0.25))]
+    assert widths == [1.0, 0.25] and all(type(w) is float for w in widths)
 
 
 def test_sigma_grid():
@@ -144,7 +151,7 @@ def test_gram_unit_diagonal_and_exact_symmetry(rng):
     gram = gram_of(points, KernelParams(sigma=1.0))
     assert np.array_equal(np.diag(gram.entries), np.ones(12))
     assert np.array_equal(gram.entries, gram.entries.T)
-    assert gram.size == 12
+    assert gram.entries.shape == (12, 12)
     assert gram.clamped_mass == 0.0
 
 
@@ -249,7 +256,7 @@ def test_gram_power_rejects_other_exponents(rng):
 
 def test_gram_matrix_wrapper_accepts_prebuilt_entries():
     g = GramMatrix(np.eye(3))
-    assert g.size == 3
+    assert g.entries.shape == (3, 3)
     assert g.clamped_mass == 0.0
 
 
