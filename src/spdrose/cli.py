@@ -10,10 +10,10 @@ rule), and ``jl-check`` audits embedding fidelity.  Reports go to
 checked before any data is loaded.
 
 The commands call the library instead of repeating it: ``extract``
-checks its recipe as an image manifest and expands it with
-:func:`pipeline.dataset_points`, the function ``load_dataset`` uses,
-and ``train`` is :func:`pipeline.fit_model` with ``--seed`` as the seed
-root, so it draws the same stage seeds as a ``run`` repetition.
+builds an image manifest from its flags, which checks the whole recipe,
+and expands it with :func:`pipeline.dataset_points` as ``load_dataset``
+does, and ``train`` is :func:`pipeline.fit_model` with ``--seed`` as the
+seed root, so it draws the same stage seeds as a ``run`` repetition.
 Divergences come from :func:`~spdrose.stein.divergence_matrix`:
 ``train`` passes the training points against themselves, ``eval``
 embeds the test points against the model's reference points, and
@@ -30,12 +30,10 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 
 from . import classify, pipeline
-from .descriptors import DEFAULT_EPS_REL
 from .embedding import (
     EXPONENT_MODES,
     build_projection_model,
@@ -87,22 +85,13 @@ def _parse_labels(args, count):
 
 def _cmd_extract(args):
     labels = _parse_labels(args, len(args.images))
-    # A manifest carries no eps_rel, so the flag is checked here.
-    if not 0.0 <= args.eps_rel < math.inf:
-        raise ConfigError(f"--eps-rel must be finite and nonnegative, got {args.eps_rel}")
     kind = FEATURE_MODES[args.features][0]
-    suffix = ".pgm" if kind == "gray-image" else ".ppm"
-    for image_path in args.images:
-        if os.path.splitext(image_path)[1].lower() != suffix:
-            raise ConfigError(
-                f"{args.features} features need a {suffix} image, got {image_path}"
-            )
     entries = [pipeline.ManifestEntry(path, label, kind)
                for path, label in zip(args.images, labels)]
     recipe = pipeline.DatasetManifest(
         entries, args.features, grid=(args.rows, args.cols), downsample=args.downsample
     )
-    points, point_labels = pipeline.dataset_points(recipe, "", args.eps_rel)
+    points, point_labels = pipeline.dataset_points(recipe, "")
     manifest = pipeline.save_dataset(args.out, points, point_labels)
     print(f"wrote {len(points)} descriptor(s) to {manifest}")
     return 0
@@ -263,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", choices=sorted(image_modes), default="intensity5")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
-    p.add_argument("--eps-rel", type=float, default=DEFAULT_EPS_REL)
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--label", type=int, default=0, help="label for every image")
     p.add_argument("--labels", help="comma-separated per-image labels")

@@ -8,6 +8,9 @@ the header ``<d>`` alone and ``d`` full rows.  Values are written with
 ``repr`` so a write/read round trip is bit exact, sign of zero included.
 
 Images are binary netpbm: P5 (grayscale) and P6 (RGB), maxval 255 only.
+The header is the magic number, then width, height and maxval as runs
+of decimal digits, each after whitespace that may hold ``#`` comments
+running to the end of their line; one whitespace byte precedes the raster.
 Pixel bytes are normalized to [0, 1] by dividing by 255.  JSON
 containers name their format and an exact integer version, and may not
 hold ``NaN`` or ``Infinity``.  All parse failures raise
@@ -17,6 +20,7 @@ hold ``NaN`` or ``Infinity``.  All parse failures raise
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -122,6 +126,13 @@ def read_matrix(path) -> SpdMatrix:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# The header grammar of the module docstring.  A comment takes its line
+# break with it, so a gap splits into items one way only and a failed
+# match cannot backtrack exponentially.
+_GAP = rb"(?:\s|#[^\n\r]*[\n\r])+"
+_NETPBM_HEADER = re.compile(rb"P[56]" + 3 * (_GAP + rb"(\d+)") + rb"\s")
+
+
 def _read_netpbm(path, magic, samples):
     try:
         with open(path, "rb") as fh:
@@ -129,38 +140,17 @@ def _read_netpbm(path, magic, samples):
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if not data.startswith(magic):
-        raise ParseError(
-            f"{path}: expected {magic.decode('ascii')} header"
-        )
-    # Header tokens (width, height, maxval) may be separated by arbitrary
-    # whitespace and '#' comment lines; a single whitespace byte then
-    # precedes the raster.
-    pos = len(magic)
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"{path}: truncated header")
-        tokens.append(data[start:pos])
-    pos += 1
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric header field") from exc
+        raise ParseError(f"{path}: expected {magic.decode('ascii')} header")
+    header = _NETPBM_HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path}: malformed header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise ParseError(f"{path}: bad image size {width}x{height}")
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 is supported, got {maxval}")
     expected = width * height * samples
-    raster = data[pos : pos + expected]
+    raster = data[header.end() : header.end() + expected]
     if len(raster) != expected:
         raise ParseError(
             f"{path}: raster holds {len(raster)} bytes, expected {expected}"
@@ -183,19 +173,18 @@ def _quantize(pixels):
     return np.clip(np.rint(np.asarray(pixels) * 255.0), 0, 255).astype(np.uint8)
 
 
-def write_pgm(path, pixels) -> None:
+def _write_netpbm(path, magic, pixels, channel_shape) -> None:
     q = _quantize(pixels)
-    if q.ndim != 2:
-        raise ValueError(f"grayscale raster has shape {q.shape}")
+    if q.ndim < 2 or q.shape[2:] != channel_shape:
+        raise ValueError(f"{magic.decode('ascii')} raster has shape {q.shape}")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii"))
+        fh.write(b"%s\n%d %d\n255\n" % (magic, q.shape[1], q.shape[0]))
         fh.write(q.tobytes())
+
+
+def write_pgm(path, pixels) -> None:
+    _write_netpbm(path, b"P5", pixels, ())
 
 
 def write_ppm(path, pixels) -> None:
-    q = _quantize(pixels)
-    if q.ndim != 3 or q.shape[2] != 3:
-        raise ValueError(f"color raster has shape {q.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{q.shape[1]} {q.shape[0]}\n255\n".encode("ascii"))
-        fh.write(q.tobytes())
+    _write_netpbm(path, b"P6", pixels, (3,))

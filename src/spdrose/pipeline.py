@@ -1,9 +1,10 @@
 """End-to-end experiment pipeline and its on-disk formats.
 
 A dataset manifest lists labeled entries that are either precomputed
-matrix files or images to be expanded into grid covariance descriptors
-at load time by :func:`dataset_points`; ``spdrose extract`` checks its
-image recipe as a manifest and expands it with the same function.  An
+matrix files or images, named with their kind's suffix, to be expanded
+into grid covariance descriptors (default ridge) at load time by
+:func:`dataset_points`.  The manifest is the whole recipe: ``spdrose
+extract`` builds one from its flags and expands it the same way.  An
 experiment config holds the split rule (per-class train count,
 repetitions, seed), hyperparameter candidates, and classifier settings;
 its JSON file mirrors the dataclass field for field.
@@ -71,9 +72,6 @@ import numpy as np
 
 from . import classify
 from .descriptors import (
-    DEFAULT_EPS_REL,
-    ColorImage,
-    GrayImage,
     box_downsample,
     color_feature_map,
     gabor_feature_map,
@@ -106,7 +104,8 @@ REPORT_FORMAT = "spdrose.report"
 DEGRADATION_FORMAT = "spdrose.degradation_report"
 REPORT_FORMAT_VERSION = 1
 
-ENTRY_KINDS = ("matrix", "gray-image", "color-image")
+# Each entry kind and the file suffix its files need; a matrix may have any name.
+ENTRY_SUFFIXES = {"matrix": None, "gray-image": ".pgm", "color-image": ".ppm"}
 FEATURE_MODES = {
     "precomputed": ("matrix", None),
     "intensity5": ("gray-image", intensity_feature_map),
@@ -133,7 +132,7 @@ class ManifestEntry:
     kind: str = "matrix"
 
     def __post_init__(self):
-        if self.kind not in ENTRY_KINDS:
+        if self.kind not in ENTRY_SUFFIXES:
             raise ConfigError(f"unknown entry kind {self.kind!r}")
         require_integer(self.label, "label", ConfigError)
         if self.label < 0:
@@ -146,7 +145,8 @@ class DatasetManifest:
 
     Labels must form a dense ``0..L-1`` set and every entry kind must
     match the feature mode (``precomputed`` reads matrices verbatim,
-    the image modes extract grid covariance descriptors).
+    the image modes extract grid covariance descriptors).  An image
+    entry's path must end in its kind's suffix, in any letter case.
     """
 
     entries: tuple
@@ -164,11 +164,16 @@ class DatasetManifest:
         if not self.entries:
             raise ConfigError("manifest lists no entries")
         needed_kind = FEATURE_MODES[self.feature_mode][0]
+        suffix = ENTRY_SUFFIXES[needed_kind]
         for entry in self.entries:
             if entry.kind != needed_kind:
                 raise ConfigError(
                     f"feature_mode {self.feature_mode!r} needs {needed_kind!r} "
                     f"entries, got {entry.kind!r} for {entry.path}"
+                )
+            if suffix and os.path.splitext(entry.path)[1].lower() != suffix:
+                raise ConfigError(
+                    f"{self.feature_mode} features need a {suffix} image, got {entry.path}"
                 )
         labels = sorted({e.label for e in self.entries})
         if labels != list(range(len(labels))):
@@ -219,25 +224,24 @@ def load_manifest(path) -> DatasetManifest:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def image_descriptors(path, feature_mode, grid, downsample, eps_rel=DEFAULT_EPS_REL):
+def image_descriptors(path, feature_mode, grid, downsample):
     """Grid covariance descriptors of one image file, in row-major cell order.
 
     The image is read as the entry kind of ``feature_mode``, averaged
     over ``downsample``-sized blocks and mapped to that mode's features.
     ``grid`` is ``(rows, cols)``; ``None`` is the 1x1 grid, one
-    descriptor of the whole image.
+    descriptor of the whole image.  Descriptors use the default ridge of
+    :func:`~spdrose.descriptors.grid_covariances`.
     """
     kind, feature_map = FEATURE_MODES[feature_mode]
-    gray = kind == "gray-image"
-    image = read_pgm(path) if gray else read_ppm(path)
+    image = read_pgm(path) if kind == "gray-image" else read_ppm(path)
     if downsample > 1:
-        pixels = box_downsample(image.pixels, downsample)
-        image = GrayImage(pixels) if gray else ColorImage(pixels)
+        image = type(image)(box_downsample(image.pixels, downsample))
     rows, cols = grid or (1, 1)
-    return grid_covariances(feature_map(image), rows, cols, eps_rel)
+    return grid_covariances(feature_map(image), rows, cols)
 
 
-def dataset_points(manifest: DatasetManifest, root, eps_rel=DEFAULT_EPS_REL):
+def dataset_points(manifest: DatasetManifest, root):
     """(points, labels) of a manifest whose entry paths are relative to ``root``.
 
     Matrix entries are read as they are; image entries expand into grid
@@ -251,7 +255,7 @@ def dataset_points(manifest: DatasetManifest, root, eps_rel=DEFAULT_EPS_REL):
             descriptors = [read_matrix(full)]
         else:
             descriptors = image_descriptors(
-                full, manifest.feature_mode, manifest.grid, manifest.downsample, eps_rel
+                full, manifest.feature_mode, manifest.grid, manifest.downsample
             )
         points.extend(descriptors)
         labels.extend([entry.label] * len(descriptors))
@@ -359,12 +363,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.exponent_mode not in EXPONENT_MODES:
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
         require_positive(self.regularization, "regularization", ConfigError)
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError(
-                "validation_fraction must lie strictly between 0 and 1, "
-                f"got {self.validation_fraction}"
-            )
+        if require_positive(self.validation_fraction, "validation_fraction", ConfigError) >= 1:
+            raise ConfigError(f"validation_fraction must be below 1, got {self.validation_fraction}")
 
 
 _CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)

@@ -523,6 +523,20 @@ def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("validation_fraction", '"0.2"'), ("validation_fraction", "null"),
+     ("name", "3"), ("name", "null")],
+)
+def test_run_config_wrong_type_names_the_field(tmp_path, capsys, field, value):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"train_per_class": 8, "{field}": {value}}}')
+    code = main(["run", "--data", str(manifest), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         "train --sigma -1",
@@ -541,6 +555,8 @@ def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):
         "extract --eps-rel inf",
         "extract --eps-rel -1",
         "extract --eps-rel=-1e-7",
+        # The flag itself is gone, so an in-range value is rejected too.
+        "extract --eps-rel 1e-4",
     ],
 )
 def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spdrose import (
     ParseError,
@@ -166,6 +167,62 @@ def test_netpbm_header_comments(tmp_path):
     img = read_pgm(path)
     assert (img.height, img.width) == (2, 3)
     assert img.pixels[0, 1] == pytest.approx(1.0 / 255.0)
+    # A comment may also follow the magic number or a digit directly.
+    path.write_bytes(b"P5#m\n3#w\n2 255\n" + raster)
+    assert read_pgm(path).pixels.shape == (2, 3)
+
+
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+COMMENT = st.binary(max_size=8).map(
+    lambda text: b"#" + text.replace(b"\n", b"").replace(b"\r", b"")
+)
+
+
+@st.composite
+def netpbm_files(draw):
+    """(bytes, magic, expected pixels) of a valid file whose header varies the
+    whitespace and the comment lines between fields; a comment always comes
+    after whitespace and ends at a line break."""
+    magic, samples = draw(st.sampled_from([(b"P5", 1), (b"P6", 3)]))
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = magic
+    for field in (width, height, 255):
+        header += b"".join(draw(st.lists(WHITESPACE, min_size=1, max_size=3)))
+        for comment in draw(st.lists(COMMENT, max_size=2)):
+            header += comment + draw(st.sampled_from([b"\n", b"\r"]))
+            header += b"".join(draw(st.lists(WHITESPACE, max_size=2)))
+        header += b"%d" % field
+    header += draw(WHITESPACE)
+    raster = draw(st.binary(min_size=width * height * samples,
+                            max_size=width * height * samples))
+    pixels = np.frombuffer(raster, dtype=np.uint8) / 255.0
+    shape = (height, width) if samples == 1 else (height, width, samples)
+    return header + raster, magic, pixels.reshape(shape)
+
+
+@settings(max_examples=60)
+@given(case=netpbm_files())
+def test_property_netpbm_headers_read_and_prefixes_fail(tmp_path_factory, case):
+    data, magic, pixels = case
+    reader = read_pgm if magic == b"P5" else read_ppm
+    path = tmp_path_factory.mktemp("netpbm") / "img"
+    path.write_bytes(data)
+    assert np.array_equal(reader(path).pixels, pixels)
+    for end in range(len(data)):
+        path.write_bytes(data[:end])
+        with pytest.raises(ParseError):
+            reader(path)
+
+
+@settings(max_examples=30)
+@given(color=st.booleans(), height=st.integers(1, 4), width=st.integers(1, 4), data=st.data())
+def test_property_netpbm_write_reads_back_exactly(tmp_path_factory, color, height, width, data):
+    shape = (height, width, 3) if color else (height, width)
+    pixels = data.draw(arrays(np.uint8, shape)) / 255.0
+    writer, reader = (write_ppm, read_ppm) if color else (write_pgm, read_pgm)
+    path = tmp_path_factory.mktemp("netpbm") / "img"
+    writer(path, pixels)
+    assert np.array_equal(reader(path).pixels, pixels)
 
 
 def test_netpbm_rejections(tmp_path):
@@ -197,9 +254,20 @@ def test_netpbm_rejections(tmp_path):
     with pytest.raises(ParseError):
         read_pgm(path)
 
-    path = tmp_path / "token.pgm"
-    path.write_bytes(b"P5\ntwo 2\n255\n" + ok_raster)
-    with pytest.raises(ParseError):
+    # Header fields are digits only, after whitespace: a sign, a word, a
+    # digit separator or a width glued to the magic number is malformed,
+    # and so is a comment that runs to the end of the file.
+    for header in (b"P5\ntwo 2\n255\n", b"P5\n+2 2\n255\n", b"P5\n2 2_0\n255\n",
+                   b"P52 2\n255\n", b"P5\n2 2 # 255"):
+        path = tmp_path / "token.pgm"
+        path.write_bytes(header + ok_raster)
+        with pytest.raises(ParseError, match="token.pgm: malformed header"):
+            read_pgm(path)
+
+    # A comment of many '#' and spaces that runs to the end of the file
+    # fails at once, not after trying every way to split it into comments.
+    path.write_bytes(b"P5 " + b"# " * 20 + b"x")
+    with pytest.raises(ParseError, match="malformed header"):
         read_pgm(path)
 
     with pytest.raises(ParseError):

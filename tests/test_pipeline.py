@@ -171,6 +171,20 @@ def test_manifest_load_rejections(tmp_path):
         path.write_text(json.dumps({**payload, "version": version}))
         with pytest.raises(ParseError, match="unsupported version"):
             load_manifest(path)
+    # An image entry's suffix must be its kind's, in any letter case,
+    # before any image is read (none of these files exists).
+    gray = {**payload, "feature_mode": "intensity5", "grid": [2, 2]}
+    for name in ("b.png", "b.ppm", "b"):
+        gray["entries"] = [
+            {"path": "a.PGM", "label": 0, "kind": "gray-image"},
+            {"path": name, "label": 1, "kind": "gray-image"},
+        ]
+        path.write_text(json.dumps(gray))
+        with pytest.raises(ParseError, match=f"need a .pgm image, got {name}"):
+            load_manifest(path)
+    gray["entries"][1]["path"] = "b.pgm"
+    path.write_text(json.dumps(gray))
+    assert [e.path for e in load_manifest(path).entries] == ["a.PGM", "b.pgm"]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +356,10 @@ def test_config_validation():
         dict(sigma="0.5"),
         dict(sigma=[0.5, True]),
         dict(regularization=True),
+        dict(validation_fraction="0.2"),
+        dict(validation_fraction=None),
+        dict(name=3),
+        dict(name=None),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
