@@ -175,7 +175,7 @@ def _quantize(pixels):
 
 def _write_netpbm(path, magic, pixels, channel_shape) -> None:
     q = _quantize(pixels)
-    if q.ndim < 2 or q.shape[2:] != channel_shape:
+    if q.ndim < 2 or q.shape[2:] != channel_shape or 0 in q.shape[:2]:
         raise ValueError(f"{magic.decode('ascii')} raster has shape {q.shape}")
     with open(path, "wb") as fh:
         fh.write(b"%s\n%d %d\n255\n" % (magic, q.shape[1], q.shape[0]))

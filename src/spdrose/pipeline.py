@@ -132,6 +132,8 @@ class ManifestEntry:
     kind: str = "matrix"
 
     def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise ConfigError(f"entry path must be a string, got {self.path!r}")
         if self.kind not in ENTRY_SUFFIXES:
             raise ConfigError(f"unknown entry kind {self.kind!r}")
         require_integer(self.label, "label", ConfigError)
@@ -179,11 +181,11 @@ class DatasetManifest:
         if labels != list(range(len(labels))):
             raise ConfigError(f"labels must be dense 0..L-1, got {labels}")
         if self.grid is not None:
-            grid = tuple(self.grid)
+            grid = tuple(self.grid) if isinstance(self.grid, (list, tuple)) else ()
             for value in grid:
                 require_integer(value, "grid size", ConfigError)
             if len(grid) != 2 or min(grid) < 1:
-                raise ConfigError(f"grid must be [rows, cols], got {self.grid}")
+                raise ConfigError(f"grid must be [rows, cols], got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(int(v) for v in grid))
         if self.feature_mode == "precomputed" and self.grid is not None:
             raise ConfigError("precomputed datasets take no grid")
@@ -204,18 +206,13 @@ def load_manifest(path) -> DatasetManifest:
     payload = read_container(path, MANIFEST_FORMAT, MANIFEST_FORMAT_VERSION)
     try:
         entries = tuple(
-            ManifestEntry(
-                path=str(e["path"]),
-                label=e["label"],
-                kind=str(e.get("kind", "matrix")),
-            )
+            ManifestEntry(path=e["path"], label=e["label"], kind=e.get("kind", "matrix"))
             for e in payload["entries"]
         )
-        grid = payload.get("grid")
         return DatasetManifest(
             entries=entries,
-            feature_mode=str(payload.get("feature_mode", "precomputed")),
-            grid=tuple(grid) if grid else None,
+            feature_mode=payload.get("feature_mode", "precomputed"),
+            grid=payload.get("grid"),
             downsample=payload.get("downsample", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -552,10 +549,10 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     plus ``synth_count`` synthetic points generated around them (ROSES;
     ROSE when the count is zero), which are the model's reference points
     in that order.  ``divergences`` is ``divergence_matrix(train_points,
-    train_points)``.  ``ball`` maps the synthesis config to the pool's
-    ``training_ball``; by default it is computed from the pool points,
-    while experiment runs pass their store's, which computes each pool's
-    ball once.  The classifier trains on the embedded ``train_points``.
+    train_points)``.  ``ball`` returns the pool's ``training_ball`` when
+    called with no arguments; by default it is computed from the pool
+    points, while experiment runs pass their store's, which computes each
+    pool's ball once.  The classifier trains on the embedded ``train_points``.
     Synthesis and hyperplanes each draw from their own stage seed under
     ``seed_root``.  ``synthesize`` (the ball included), ``build`` (the
     synthetic pairs included), ``embed`` and ``train`` are each one
@@ -574,7 +571,7 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
                 direction_mode=config.direction_mode,
             )
             synthetic = generate_synthetic(
-                pool_points, synth_config, None if ball is None else ball(synth_config)
+                pool_points, synth_config, None if ball is None else ball()
             )
     with _stage(rep, "build", seconds):
         # The synthetic points' pairs with the training points serve both the
@@ -662,8 +659,7 @@ class _DivergenceStore:
     themselves, whose upper triangle is evaluated once and mirrored,
     and the columns against every other position.  Balls are keyed by
     ordered pool positions, because the Karcher mean's bits depend on
-    point order; the pipeline's synthesis configs differ only in fields
-    the ball does not read.
+    point order.
     """
 
     def __init__(self, points, columns):
@@ -684,12 +680,10 @@ class _DivergenceStore:
         block.setflags(write=False)
         return block
 
-    def ball(self, positions, config):
+    def ball(self, positions):
         """``training_ball`` of the points at ``positions``, in that order."""
         if positions not in self._balls:
-            self._balls[positions] = training_ball(
-                [self.points[i] for i in positions], config
-            )
+            self._balls[positions] = training_ball([self.points[i] for i in positions])
         return self._balls[positions]
 
 

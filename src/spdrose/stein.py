@@ -23,16 +23,19 @@ the kernel-side functions (Gram assembly, embedding, the
 nearest-neighbour baseline, the distortion report) take those float64
 blocks rather than points, and the caller decides which pairs to
 compute once and reuse across kernel widths, pools and query sets.
+
+Each :class:`GramMatrix` solves its spectrum once, on construction: the
+PSD check of :func:`gram_matrix` and :func:`gram_power` both read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel, require_positive
-from .manifold import SpdMatrix, _cholesky_logdet, _readonly_copy, symmetrize
+from .manifold import SpdMatrix, _cholesky_logdet, _readonly, _readonly_copy, symmetrize
 
 PSD_POLICIES = ("clamp", "strict")
 GRAM_PSD_RTOL = 1e-10
@@ -102,17 +105,24 @@ def divergence_matrix(rows, cols) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Kernel Gram matrix after the PSD policy has been applied.
+    """Kernel Gram matrix after the PSD policy has been applied, with its spectrum.
 
     ``clamped_mass`` is the total magnitude of eigenvalues removed by
     the clamp repair, zero when the assembled matrix was already PSD.
+    Construction solves ``entries`` once, by ``eigh``, for the read-only
+    ascending ``values`` and column ``vectors``.
     """
 
     entries: np.ndarray
     clamped_mass: float = 0.0
+    values: np.ndarray = field(init=False, repr=False)
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _readonly_copy(self.entries))
+        values, vectors = np.linalg.eigh(self.entries)
+        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "vectors", _readonly(vectors))
 
 
 def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
@@ -120,11 +130,11 @@ def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
 
     ``divergences`` is :func:`divergence_matrix` of the points with
     themselves, exactly symmetric with a zero diagonal, so the kernel
-    ``exp(-sigma * D)`` is exactly symmetric with a unit diagonal.  The
+    ``exp(-sigma * D)`` is exactly symmetric with a unit diagonal.  Its
     spectrum is then checked: negative eigenvalues below
     ``-GRAM_PSD_RTOL * lambda_max`` raise under the strict policy; under
-    the clamp policy all negative eigenvalues are zeroed and their total
-    magnitude recorded.
+    the clamp policy all negative eigenvalues are zeroed, their total
+    magnitude recorded, and the repaired matrix solved as a new Gram.
     """
     divergences = np.asarray(divergences, dtype=np.float64)
     if divergences.ndim != 2 or divergences.shape[0] != divergences.shape[1]:
@@ -133,12 +143,11 @@ def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
         )
     if divergences.size == 0:
         raise EmptyInput("gram_matrix needs at least one point")
-    k = np.exp(-params.sigma * divergences)
-
-    vals, vecs = np.linalg.eigh(k)
+    gram = GramMatrix(np.exp(-params.sigma * divergences))
+    vals, vecs = gram.values, gram.vectors
     lo, hi = float(vals[0]), float(vals[-1])
     if lo >= 0.0:
-        return GramMatrix(k, 0.0)
+        return gram
     if params.psd_policy == "strict" and lo < -GRAM_PSD_RTOL * hi:
         raise IndefiniteKernel(
             f"Gram matrix has eigenvalue {lo:.6e} (largest {hi:.6e}) at "
@@ -155,17 +164,18 @@ def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
 def gram_power(gram: GramMatrix, exponent: float) -> np.ndarray:
     """Symmetric power of a repaired Gram matrix, exponent +1/2 or -1/2.
 
-    Both branches act on the numerical range of the Gram matrix:
-    eigenvalues at or below ``PSEUDO_INVERSE_RTOL * lambda_max`` are
-    treated as exact zeros.  The -1/2 branch is therefore a
-    pseudo-inverse square root, the +1/2 branch a rank-truncated square
-    root (without the truncation, roundoff-sized eigenvalues of a
-    rank-deficient Gram would surface as sqrt-amplified noise), and
-    their product is the projector onto that range.
+    Reads the spectrum of ``gram``.  Both branches act on the numerical
+    range of the Gram matrix: eigenvalues at or below
+    ``PSEUDO_INVERSE_RTOL * lambda_max`` are treated as exact zeros.
+    The -1/2 branch is therefore a pseudo-inverse square root, the +1/2
+    branch a rank-truncated square root (without the truncation,
+    roundoff-sized eigenvalues of a rank-deficient Gram would surface as
+    sqrt-amplified noise), and their product is the projector onto that
+    range.
     """
     if exponent not in (0.5, -0.5):
         raise ValueError(f"exponent must be +0.5 or -0.5, got {exponent!r}")
-    vals, vecs = np.linalg.eigh(gram.entries)
+    vals, vecs = gram.values, gram.vectors
     cutoff = PSEUDO_INVERSE_RTOL * max(float(vals[-1]), 0.0)
     if exponent == -0.5:
         powered = np.where(vals > cutoff, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)

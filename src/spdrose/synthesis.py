@@ -22,7 +22,6 @@ from .errors import (
     EmptyInput,
     NonConvergence,
     require_integer,
-    require_positive,
 )
 from .manifold import (
     SpdMatrix,
@@ -38,9 +37,12 @@ from .seeding import keyed_generator
 
 DEGENERATE_DISTANCE = 1e-12
 MAX_DIRECTION_RETRIES = 100
-# Karcher step control: sufficient-decrease constant and halvings per step.
+# Karcher mean: sufficient-decrease constant, halvings per step, and the
+# stopping rule (residual tolerance, accepted-step cap).
 ARMIJO_SLOPE = 1e-4
 MAX_STEP_HALVINGS = 30
+KARCHER_TOL = 1e-8
+KARCHER_MAX_ITER = 100
 
 DIRECTION_MODES = ("tangent_gaussian", "training_point")
 
@@ -58,19 +60,14 @@ class SynthesisConfig:
     count: int = 0
     seed: int = 0
     direction_mode: str = "tangent_gaussian"
-    karcher_tol: float = 1e-8
-    karcher_max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("count", "seed", "karcher_max_iter"):
+        for name in ("count", "seed"):
             require_integer(getattr(self, name), name)
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.direction_mode not in DIRECTION_MODES:
             raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
-        require_positive(self.karcher_tol, "karcher_tol")
-        if self.karcher_max_iter < 1:
-            raise ValueError("karcher_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ class ConvergenceRecord:
     halvings: int
 
 
-def karcher_mean_info(points, tol: float = 1e-8, max_iter: int = 100):
+def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_MAX_ITER):
     """Karcher mean with its convergence record, never raising on a stall.
 
     Riemannian gradient descent on ``f(M) = mean_i d(M, X_i)^2 / 2``,
@@ -166,23 +163,21 @@ def _mean_tangent_and_objective(pole: SpdMatrix, stack: np.ndarray):
     return sum(tangents) / len(stack), float(np.sum(dist_sq)) / (2.0 * len(stack))
 
 
-def training_ball(points, config: SynthesisConfig = SynthesisConfig()):
+def training_ball(points):
     """Karcher mean of a training set and its covering radius, as ``(mean, radius)``.
 
     The radius is the largest geodesic distance from the mean to a point.
     Raises :class:`NonConvergence`, carrying the last iterate and
-    residual, when the mean misses the stopping rule of
-    :func:`karcher_mean_info` within ``config.karcher_max_iter`` steps.
+    residual, when :func:`karcher_mean_info` misses ``KARCHER_TOL``
+    within ``KARCHER_MAX_ITER`` steps.
     """
     points = list(points)
-    mean, record = karcher_mean_info(
-        points, tol=config.karcher_tol, max_iter=config.karcher_max_iter
-    )
+    mean, record = karcher_mean_info(points, tol=KARCHER_TOL, max_iter=KARCHER_MAX_ITER)
     if not record.converged:
         raise NonConvergence(
             f"Karcher mean residual {record.residual:.3e} after "
             f"{record.iterations} iterations and {record.halvings} step "
-            f"halvings (tol {config.karcher_tol:.1e})",
+            f"halvings (tol {KARCHER_TOL:.1e})",
             iterate=mean,
             residual=record.residual,
             iterations=record.iterations,
@@ -223,7 +218,7 @@ def _geodesic_step(tangent: TangentVector, zeta: float) -> SpdMatrix:
 def generate_synthetic(training, config: SynthesisConfig, ball=None):
     """Synthesize ``config.count`` unlabeled SPD points inside the training ball.
 
-    ``ball`` is ``training_ball(training, config)``, computed here when
+    ``ball`` is ``training_ball(training)``, computed here when
     ``None``; a caller that synthesizes around one pool more than once
     passes it in.  Each output index gets its own counter-based
     generator keyed by ``(seed, index)``, so individual points are
@@ -239,7 +234,7 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     training = list(training)
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
-    mean, radius = training_ball(training, config) if ball is None else ball
+    mean, radius = training_ball(training) if ball is None else ball
     out = []
     for index in range(config.count):
         rng = keyed_generator(config.seed, index)

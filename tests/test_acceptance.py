@@ -37,6 +37,7 @@ from spdrose import (
     spd_power,
     stein_divergence,
 )
+from spdrose.synthesis import KARCHER_MAX_ITER, KARCHER_TOL
 
 from conftest import random_orthogonal, random_spd, two_cluster_pool
 
@@ -194,11 +195,9 @@ def test_criterion_4_synthetic_containment():
     synthetic = generate_synthetic(pool, config)
     assert len(synthetic) == 10_000
 
-    mean, record = karcher_mean_info(
-        pool, tol=config.karcher_tol, max_iter=config.karcher_max_iter
-    )
+    mean, record = karcher_mean_info(pool, tol=KARCHER_TOL, max_iter=KARCHER_MAX_ITER)
     assert record.converged
-    limit = config.karcher_tol * (1.0 + np.linalg.norm(mean.array))
+    limit = KARCHER_TOL * (1.0 + np.linalg.norm(mean.array))
     assert record.residual <= limit
 
     radius = max(geodesic_distance(mean, p) for p in pool)

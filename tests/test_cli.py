@@ -682,6 +682,28 @@ def test_run_corrupt_manifest_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["entries"][0].update(path=None),
+        lambda m: m["entries"][0].update(kind=None),
+        lambda m: m.update(feature_mode=None),
+        lambda m: m.update(grid=0),
+        lambda m: m.update(grid=[]),
+    ],
+    ids=["path-null", "kind-null", "feature-mode-null", "grid-0", "grid-empty"],
+)
+def test_run_manifest_with_a_wrong_type_exits_3(tmp_path, capsys, edit):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    with open(manifest) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(manifest, "w") as fh:
+        json.dump(payload, fh)
+    assert main(["run", "--data", str(manifest)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
 def test_run_nan_matrix_exits_3(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     (tmp_path / "data" / "point_0000.txt").write_text(

@@ -298,3 +298,13 @@ def test_write_shape_validation(tmp_path):
         write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         write_ppm(tmp_path / "bad.ppm", np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_write_rejects_a_zero_side_before_opening_the_file(tmp_path, shape):
+    # The readers reject a zero width or height, so the writers must not write one.
+    with pytest.raises(ValueError):
+        write_pgm(tmp_path / "empty.pgm", np.zeros(shape))
+    with pytest.raises(ValueError):
+        write_ppm(tmp_path / "empty.ppm", np.zeros((*shape, 3)))
+    assert list(tmp_path.iterdir()) == []

@@ -70,6 +70,9 @@ def test_manifest_entry_validation():
         ManifestEntry("a.txt", 0, kind="video")
     with pytest.raises(ConfigError):
         ManifestEntry("a.txt", -1)
+    for path in (None, 7, b"a.txt"):
+        with pytest.raises(ConfigError, match="entry path must be a string"):
+            ManifestEntry(path, 0)
 
 
 def test_manifest_invariants():
@@ -92,6 +95,9 @@ def test_manifest_invariants():
     )
     with pytest.raises(ConfigError):
         DatasetManifest(entries=image_entries, feature_mode="intensity5", grid=(0, 2))
+    for grid in (0, False, [], "", "23", (2, 3, 1)):
+        with pytest.raises(ConfigError, match="grid must be"):
+            DatasetManifest(entries=image_entries, feature_mode="intensity5", grid=grid)
     ok = DatasetManifest(entries=image_entries, feature_mode="intensity5", grid=[2, 3])
     assert ok.grid == (2, 3)
 
@@ -214,6 +220,46 @@ def test_manifest_load_rejects_non_integers(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="must be an integer"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("path", None),
+        ("path", 7),
+        ("kind", None),
+        ("kind", 3),
+        ("feature_mode", None),
+        ("grid", 0),
+        ("grid", False),
+        ("grid", []),
+        ("grid", ""),
+    ],
+)
+def test_manifest_load_rejects_wrong_types(tmp_path, field, value):
+    # Each value is reported as the manifest holds it, never through str(),
+    # and a falsy grid is an error, not the 1x1 grid.
+    payload = {
+        "format": "spdrose.dataset",
+        "version": 1,
+        "feature_mode": "precomputed",
+        "grid": None,
+        "downsample": 1,
+        "entries": [
+            {"path": "a.txt", "label": 0, "kind": "matrix"},
+            {"path": "b.txt", "label": 1, "kind": "matrix"},
+        ],
+    }
+    if field in ("path", "kind"):
+        payload["entries"][1][field] = value
+    else:
+        payload[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert str(info.value).endswith(repr(value))
 
 
 def test_dataset_round_trip(tmp_path, rng):
@@ -708,8 +754,8 @@ def test_shared_divergences_and_balls_leave_reports_unchanged(monkeypatch, study
         out.setflags(write=False)
         return out
 
-    def fresh_ball(store, positions, config):
-        return training_ball([points[i] for i in positions], config)
+    def fresh_ball(store, positions):
+        return training_ball([points[i] for i in positions])
 
     monkeypatch.setattr(spdrose.pipeline._DivergenceStore, "block", fresh_block)
     monkeypatch.setattr(spdrose.pipeline._DivergenceStore, "ball", fresh_ball)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import spdrose.embedding
 from spdrose import (
     DimensionMismatch,
     EmptyInput,
@@ -15,6 +16,7 @@ from spdrose import (
     IndefiniteKernel,
     KernelParams,
     SpdMatrix,
+    build_projection_model,
     divergence_matrix,
     gram_matrix,
     gram_power,
@@ -23,7 +25,7 @@ from spdrose import (
     symmetrize,
 )
 from spdrose.manifold import EIGENVALUE_FLOOR_RTOL
-from spdrose.stein import GRAM_PSD_RTOL
+from spdrose.stein import GRAM_PSD_RTOL, PSEUDO_INVERSE_RTOL
 
 from conftest import blas_thread_env, random_orthogonal, random_spd
 
@@ -219,8 +221,61 @@ def test_gram_strict_raises_on_indefinite():
 
 def test_gram_entries_read_only(rng):
     gram = gram_of([random_spd(rng, 2) for _ in range(3)], KernelParams(0.5))
-    with pytest.raises(ValueError):
-        gram.entries[0, 0] = 2.0
+    for array in (gram.entries, gram.values, gram.vectors):
+        with pytest.raises(ValueError):
+            array[0, ...] = 2.0
+
+
+def clamped_or_not(rng, clamped):
+    """Points and a kernel whose Gram the clamp repairs, or leaves as it is."""
+    if clamped:
+        return INDEFINITE_POINTS, KernelParams(sigma=0.25, psd_policy="clamp")
+    return [random_spd(rng, 3) for _ in range(8)], KernelParams(sigma=1.0)
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+@pytest.mark.parametrize("exponent", [0.5, -0.5])
+def test_gram_power_equals_a_fresh_solve_of_the_entries(rng, clamped, exponent):
+    # The stored spectrum is the one a fresh eigh of the entries gives, so the
+    # power keeps its bits; the repaired matrix is solved, not the clamped values.
+    points, params = clamped_or_not(rng, clamped)
+    gram = gram_of(points, params)
+    assert (gram.clamped_mass > 0.0) == clamped
+    vals, vecs = np.linalg.eigh(gram.entries)
+    kept = vals > PSEUDO_INVERSE_RTOL * max(float(vals[-1]), 0.0)
+    if exponent == -0.5:
+        powered = np.where(kept, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
+    else:
+        powered = np.where(kept, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
+    expected = symmetrize((vecs * powered) @ vecs.T)
+    assert np.array_equal(gram_power(gram, exponent), expected)
+
+
+@pytest.mark.parametrize("clamped, solves", [(False, 1), (True, 2)])
+def test_model_build_solves_each_gram_spectrum_once(rng, monkeypatch, clamped, solves):
+    # A model build solves the assembled Gram once and, after a clamp, the
+    # repaired one; it reaches both Gram steps through the embedding
+    # module's names, where a tracer wraps them.
+    points, params = clamped_or_not(rng, clamped)
+    divergences = divergence_matrix(points, points)
+    calls = []
+
+    def recorded(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name if name != "eigh" else np.shape(args[0]))
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
+    for name in ("gram_matrix", "gram_power"):
+        monkeypatch.setattr(
+            spdrose.embedding, name, recorded(name, getattr(spdrose.embedding, name))
+        )
+    model = build_projection_model(points, divergences, 4, params, seed=1)
+    p = len(points)
+    assert calls == ["gram_matrix", *[(p, p)] * solves, "gram_power"]
+    assert (model.clamped_mass > 0.0) == clamped
 
 
 def test_gram_power_halves_compose(rng):

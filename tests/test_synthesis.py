@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import spdrose.synthesis
 from spdrose import (
     DegenerateDirection,
     DimensionMismatch,
@@ -97,10 +98,12 @@ def test_mean_info_meets_stopping_rule(rng):
     assert record.residual <= 1e-8 * (1.0 + np.linalg.norm(mean.array, "fro"))
 
 
-def test_mean_nonconvergence_carries_state(rng):
+def test_mean_nonconvergence_carries_state(monkeypatch, rng):
     points = [random_spd(rng, 3) for _ in range(6)]
+    monkeypatch.setattr(spdrose.synthesis, "KARCHER_TOL", 1e-300)
+    monkeypatch.setattr(spdrose.synthesis, "KARCHER_MAX_ITER", 3)
     with pytest.raises(NonConvergence) as info:
-        training_ball(points, SynthesisConfig(karcher_tol=1e-300, karcher_max_iter=3))
+        training_ball(points)
     err = info.value
     assert err.iterations == 3
     assert err.residual > 0.0
@@ -280,7 +283,7 @@ def test_rescale_rejects_bad_inputs(rng):
 def test_synthetic_points_stay_in_ball(rng):
     training = [random_spd(rng, 3) for _ in range(8)]
     config = SynthesisConfig(count=200, seed=5)
-    mean, radius = training_ball(training, config)
+    mean, radius = training_ball(training)
     for point in generate_synthetic(training, config):
         assert geodesic_distance(mean, point) <= radius + 1e-8
 
@@ -317,9 +320,6 @@ def test_synthetic_count_zero_and_validation(rng):
         dict(count=float("nan")),
         dict(count=True),
         dict(seed=2.5),
-        dict(karcher_max_iter=2.5),
-        dict(karcher_tol=float("inf")),
-        dict(karcher_tol=float("nan")),
     ],
 )
 def test_synthesis_config_rejects_non_integer_counts(kwargs):
@@ -334,7 +334,7 @@ def test_eigensolves_per_synthetic_point(monkeypatch, mode, per_point):
     rng = np.random.default_rng(12)
     training = [random_spd(rng, 6) for _ in range(8)]
     config = SynthesisConfig(count=20, seed=3, direction_mode=mode)
-    ball = training_ball(training, config)
+    ball = training_ball(training)
     calls = []
 
     def counted(solve):
@@ -360,7 +360,7 @@ def test_property_each_point_is_one_geodesic_step(seed, dim, mode):
     rng = np.random.default_rng(seed)
     training = [random_spd(rng, dim) for _ in range(5)]
     config = SynthesisConfig(count=6, seed=seed, direction_mode=mode)
-    mean, radius = training_ball(training, config)
+    mean, radius = training_ball(training)
     points = generate_synthetic(training, config, ball=(mean, radius))
     for index, point in enumerate(points):
         draws = keyed_generator(seed, index)
@@ -382,7 +382,7 @@ def test_training_point_mode_uses_training_directions(rng):
     xinv = spd_power(x, -1.0)
     training = [x, xinv]
     config = SynthesisConfig(count=50, seed=9, direction_mode="training_point")
-    mean, radius = training_ball(training, config)
+    mean, radius = training_ball(training)
     for point in generate_synthetic(training, config):
         d_center = geodesic_distance(mean, point)
         on_some_geodesic = any(
@@ -401,7 +401,7 @@ def test_distance_fractions_are_uniform():
     x = random_spd(rng, 3)
     training = [x, spd_power(x, -1.0)]
     config = SynthesisConfig(count=10000, seed=11, direction_mode="training_point")
-    mean, radius = training_ball(training, config)
+    mean, radius = training_ball(training)
     fractions = np.array(
         [
             geodesic_distance(mean, p) / radius
