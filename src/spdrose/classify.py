@@ -4,15 +4,17 @@ The main classifier is a one-vs-all linear SVM on z-scored features.
 Each class's hyperplane minimises the squared-hinge objective
 ``lam/2 |w|^2 + mean_i max(0, 1 - y_i (w . z_i + b))^2`` (bias not
 regularized) by the primal Newton method of Chapelle, "Training a
-support vector machine in the primal" (2007), in its Newton-CG form:
-each step solves the Newton system of the active set (margin below 1)
-by conjugate gradients, then moves to the exact minimiser along the
-step.  It stops once the gradient norm falls to ``GRADIENT_RTOL`` times
-its value at zero, and raises :class:`~spdrose.errors.NonConvergence`
-after ``MAX_NEWTON_STEPS`` steps.  Training draws no random numbers and
-uses only matrix-vector products, whose bits do not depend on the BLAS
-thread count.  A nearest-neighbor voter over the symmetrized log-det
-divergence is the kernel-space baseline.
+support vector machine in the primal" (2007): each step solves the
+active set's (margin below 1) Newton system exactly in its n x n Gram
+form, then moves to the exact minimiser along the step.  It stops once
+the gradient norm falls to ``GRADIENT_RTOL`` times its value at zero,
+and raises :class:`~spdrose.errors.NonConvergence` after
+``MAX_NEWTON_STEPS`` steps.  Training draws no random numbers, and with
+under 128 active rows its bits do not depend on the BLAS thread count:
+the Gram matrix is built one GEMV per row (a GEMM splits sums by thread),
+OpenBLAS runs ``dpotrf`` on such a block in one thread and ``dpotrs``
+per right-hand side.  A nearest-neighbor voter over the symmetrized
+log-det divergence is the kernel-space baseline.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import DimensionMismatch, EmptyData, NonConvergence
+from .errors import DimensionMismatch, EmptyData, NonConvergence, NotPositiveDefinite
 from .errors import ParseError, SingleClass, require_integer, require_positive
 from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy
@@ -36,15 +39,12 @@ _SAVED = ("classes", *_ARRAYS, "regularization")
 DEFAULT_LAMBDA = 1e-3
 GRADIENT_RTOL = 1e-8
 MAX_NEWTON_STEPS = 50
-# Conjugate gradients stop at this fraction of the gradient norm.
-_CG_RTOL = 0.01
 
 
 class SolverRecord(NamedTuple):
     """How one class's solve ended; the gradient ratio is relative to zero."""
 
     newton_steps: int
-    cg_steps: int
     gradient_ratio: float
     objective: float
 
@@ -129,17 +129,35 @@ def _step_length(gap, along, slope, curvature, n):
     return -intercept[j] / rate[j]
 
 
-def _newton_binary(x, y, lam):
-    """Solve one class's objective; ``x`` ends in a column of ones for b.
+def _newton_step(za, kaa, grad, lam, n):
+    """Exact ``s`` of ``(diag(lam, ..., lam, 0) + (2/n) X_a'X_a) s = -grad``.
 
-    Returns ``(w, b)`` as one vector, and the solve's record.
-    """
+    With ``X_a = [za, 1]``, ``kaa = za za'``, ``u = X_a s`` solves ``(lam n/2 I
+    + kaa) u = -(n/2) za g_w + (lam n/2) s_b``; the bias row ``1'u = -(n/2)
+    g_b`` fixes ``s_b``, then ``s_w = -(g_w + (2/n) za'u) / lam``.  With no
+    active row (no bias curvature or gradient) ``s = (-g_w / lam, 0)``."""
+    if not len(za):
+        return np.append(-grad[:-1] / lam, 0.0)
+    mu = lam * n / 2.0
+    factor, info = dpotrf(kaa + mu * np.eye(len(za)), 1, 0)  # lower=1, clean=0
+    if info:
+        raise NotPositiveDefinite(f"Newton system: dpotrf info {info}")
+    rhs = np.column_stack([-(n / 2.0) * (za @ grad[:-1]), np.full(len(za), mu)])
+    u0, u1 = dpotrs(factor, rhs, 1)[0].T  # its info flags only malformed arguments
+    s_b = (-(n / 2.0) * grad[-1] - u0.sum()) / u1.sum()
+    return np.append(-(grad[:-1] + (2.0 / n) * (za.T @ (u0 + s_b * u1))) / lam, s_b)
+
+
+def _newton_binary(x, kernel, y, lam):
+    """Solve one class; ``x`` ends in a column of ones for b and ``kernel`` is
+    the Gram matrix of the rest.  Returns ``(w, b)`` and the solve's record."""
     n, dim = x.shape
     penalty = np.append(np.full(dim - 1, lam), 0.0)
-    theta, gap, cg_steps = np.zeros(dim), np.ones(n), 0
+    theta, gap = np.zeros(dim), np.ones(n)
     for steps in range(MAX_NEWTON_STEPS + 1):
-        xa = x[gap > 0.0]
-        grad = penalty * theta - (2.0 / n) * (xa.T @ (y * gap)[gap > 0.0])
+        active = gap > 0.0
+        xa = x[active]
+        grad = penalty * theta - (2.0 / n) * (xa.T @ (y * gap)[active])
         norm = float(np.sqrt(grad @ grad))
         initial = norm if steps == 0 else initial
         if norm <= GRADIENT_RTOL * initial:
@@ -150,25 +168,14 @@ def _newton_binary(x, y, lam):
                 f"(tol {GRADIENT_RTOL:.0e})",
                 iterate=theta, residual=norm / initial, iterations=steps,
             )
-        # Conjugate gradients on H s = -grad, H d = penalty d + (2/n) xa'xa d.
-        s, r = np.zeros(dim), -grad
-        p, rr = r.copy(), r @ r
-        for _ in range(dim):
-            hp = penalty * p + (2.0 / n) * (xa.T @ (xa @ p))
-            alpha = rr / (p @ hp)
-            s, r = s + alpha * p, r - alpha * hp
-            rr, rr_prev = r @ r, rr
-            cg_steps += 1
-            if rr <= (_CG_RTOL * norm) ** 2:
-                break
-            p = r + (rr / rr_prev) * p
+        s = _newton_step(xa[:, :-1], kernel[np.ix_(active, active)], grad, lam, n)
         t = _step_length(gap, y * (x @ s), (penalty * theta) @ s, (penalty * s) @ s, n)
         theta = theta + t * s
         gap = 1.0 - y * (x @ theta)
     hinge = np.maximum(gap, 0.0)
     objective = float(0.5 * (penalty * theta) @ theta + hinge @ hinge / n)
     ratio = norm / initial if initial else 0.0
-    return theta, SolverRecord(steps, cg_steps, ratio, objective)
+    return theta, SolverRecord(steps, ratio, objective)
 
 
 def train_ova_svm(
@@ -180,11 +187,8 @@ def train_ova_svm(
 
     ``features`` is an (n, k) array with one entry of ``labels`` per
     row.  Features are z-scored first (zero-variance columns keep scale
-    1).  Each class minimises ``regularization/2 |w|^2 + mean_i max(0,
-    1 - y_i (w . z_i + b))^2`` by Newton-CG until the gradient norm is
-    at most ``GRADIENT_RTOL`` times its value at zero, and raises
-    :class:`NonConvergence` if ``MAX_NEWTON_STEPS`` steps do not get
-    there.  The result keeps each class's :class:`SolverRecord`.
+    1).  Each class is solved as the module docstring states, with
+    ``lam = regularization``, and keeps its :class:`SolverRecord`.
     """
     x, y = _check_features(features, labels)
     if x.shape[0] == 0:
@@ -195,9 +199,11 @@ def train_ova_svm(
     require_positive(regularization, "regularization")
     mean, scale = x.mean(axis=0), x.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])
+    z = (x - mean) / scale
+    design = np.hstack([z, np.ones((len(x), 1))])
+    kernel = np.array([z @ row for row in z])  # by rows: see the module docstring
     solved = [
-        _newton_binary(design, np.where(y == c, 1.0, -1.0), regularization)
+        _newton_binary(design, kernel, np.where(y == c, 1.0, -1.0), regularization)
         for c in classes
     ]
     return TrainedClassifier(

@@ -134,7 +134,7 @@ class ManifestEntry:
     def __post_init__(self):
         if not isinstance(self.path, str):
             raise ConfigError(f"entry path must be a string, got {self.path!r}")
-        if self.kind not in ENTRY_SUFFIXES:
+        if not isinstance(self.kind, str) or self.kind not in ENTRY_SUFFIXES:
             raise ConfigError(f"unknown entry kind {self.kind!r}")
         require_integer(self.label, "label", ConfigError)
         if self.label < 0:
@@ -158,7 +158,7 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.feature_mode not in FEATURE_MODES:
+        if not isinstance(self.feature_mode, str) or self.feature_mode not in FEATURE_MODES:
             raise ConfigError(
                 f"feature_mode must be one of {sorted(FEATURE_MODES)}, "
                 f"got {self.feature_mode!r}"

@@ -84,6 +84,69 @@ def test_training_is_identical_across_blas_thread_counts(tmp_path):
     assert written[0] == written[1]
 
 
+# The same check at the shape degradation_study trains: 100 descriptors,
+# k = 2n, five classes, so the first Newton steps factor a 100 x 100 block.
+_DEGRADATION_SHAPE_TRAINING = """
+import sys
+import numpy as np
+from spdrose import save_classifier, train_ova_svm
+rng = np.random.default_rng(6)
+labels = np.repeat(np.arange(5), 20)
+coords = rng.normal(size=(100, 200)) + 0.8 * rng.normal(size=(5, 200))[labels]
+save_classifier(sys.argv[1], train_ova_svm(coords, labels))
+"""
+
+
+def test_training_at_the_degradation_shape_is_identical_across_blas_thread_counts(
+    tmp_path,
+):
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        subprocess.run(
+            [sys.executable, "-c", _DEGRADATION_SHAPE_TRAINING, str(out)],
+            env=blas_thread_env(threads), check=True, timeout=120,
+        )
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def dense_newton_step(z, active, grad, lam):
+    """Reference: the full (k+1) x (k+1) Newton system, solved densely."""
+    n, k = z.shape
+    xa = np.hstack([z[active], np.ones((int(active.sum()), 1))])
+    hessian = np.diag(np.append(np.full(k, lam), 0.0)) + (2.0 / n) * xa.T @ xa
+    return np.linalg.solve(hessian, -grad)
+
+
+@pytest.mark.parametrize("n, k", [(20, 40), (30, 5)])
+def test_newton_step_matches_a_dense_solve(n, k):
+    rng = np.random.default_rng(n + k)
+    z = rng.normal(size=(n, k))
+    kernel = np.array([z @ row for row in z])
+    lam = spdrose.classify.DEFAULT_LAMBDA
+    for fraction in (1.0, 0.7, 0.3, 0.05):
+        active = rng.random(n) < fraction
+        active[rng.integers(n)] = True
+        grad = rng.normal(size=k + 1)
+        step = spdrose.classify._newton_step(
+            z[active], kernel[np.ix_(active, active)], grad, lam, n
+        )
+        reference = dense_newton_step(z, active, grad, lam)
+        assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_newton_step_without_active_rows_leaves_the_bias():
+    # With no active row the bias has neither curvature nor gradient, so
+    # the step is -g_w / lam in w and zero in b.
+    rng = np.random.default_rng(4)
+    z, lam = rng.normal(size=(20, 40)), 0.01
+    grad = np.append(rng.normal(size=40), 0.0)
+    none = np.zeros(20, dtype=bool)
+    step = spdrose.classify._newton_step(z[none], np.zeros((0, 0)), grad, lam, 20)
+    assert np.array_equal(step, np.append(-grad[:-1] / lam, 0.0))
+
+
 def squared_hinge_gradient(z, targets, w, b, lam):
     """Gradient of lam/2 |w|^2 + mean max(0, 1 - y (w.z + b))^2 in (w, b)."""
     gap = np.maximum(0.0, 1.0 - targets * (z @ w + b))
@@ -111,7 +174,6 @@ def test_solution_meets_gradient_tolerance(spread):
         record = model.convergence[ci]
         assert record.gradient_ratio <= spdrose.classify.GRADIENT_RTOL
         assert 1 <= record.newton_steps <= spdrose.classify.MAX_NEWTON_STEPS
-        assert record.cg_steps >= record.newton_steps
         objective = 0.5 * lam * model.weights[ci] @ model.weights[ci] + np.mean(gap**2)
         assert record.objective == pytest.approx(objective, rel=1e-12)
 

@@ -68,6 +68,9 @@ def benchmark_pool(n_classes=2, per_class=12, dim=3, seed=0):
 def test_manifest_entry_validation():
     with pytest.raises(ConfigError):
         ManifestEntry("a.txt", 0, kind="video")
+    # A list is unhashable: a bare membership test raised TypeError.
+    with pytest.raises(ConfigError, match="entry kind"):
+        ManifestEntry("a.txt", 0, kind=["matrix"])
     with pytest.raises(ConfigError):
         ManifestEntry("a.txt", -1)
     for path in (None, 7, b"a.txt"):
@@ -85,6 +88,8 @@ def test_manifest_invariants():
         DatasetManifest(entries=(ManifestEntry("a.txt", 0), ManifestEntry("b.txt", 2)))
     with pytest.raises(ConfigError):
         DatasetManifest(entries=entries, feature_mode="intensity5")
+    with pytest.raises(ConfigError, match="feature_mode"):
+        DatasetManifest(entries=entries, feature_mode=["precomputed"])
     with pytest.raises(ConfigError):
         DatasetManifest(entries=entries, grid=(2, 2))
     with pytest.raises(ConfigError):
@@ -229,7 +234,9 @@ def test_manifest_load_rejects_non_integers(tmp_path, field, value):
         ("path", 7),
         ("kind", None),
         ("kind", 3),
+        ("kind", ["matrix"]),
         ("feature_mode", None),
+        ("feature_mode", ["precomputed"]),
         ("grid", 0),
         ("grid", False),
         ("grid", []),
