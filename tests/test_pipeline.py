@@ -234,13 +234,13 @@ def test_manifest_load_rejects_non_integers(tmp_path, field, value):
         ("path", 7),
         ("kind", None),
         ("kind", 3),
-        ("kind", ["matrix"]),
         ("feature_mode", None),
-        ("feature_mode", ["precomputed"]),
         ("grid", 0),
         ("grid", False),
         ("grid", []),
         ("grid", ""),
+        ("kind", ["matrix"]),
+        ("feature_mode", ["precomputed"]),
     ],
 )
 def test_manifest_load_rejects_wrong_types(tmp_path, field, value):
