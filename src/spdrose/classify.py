@@ -5,15 +5,17 @@ Each class's hyperplane minimises the squared-hinge objective
 ``lam/2 |w|^2 + mean_i max(0, 1 - y_i (w . z_i + b))^2`` (bias not
 regularized) by the primal Newton method of Chapelle, "Training a
 support vector machine in the primal" (2007): each step solves the
-active set's (margin below 1) Newton system exactly in its n x n Gram
-form, then moves to the exact minimiser along the step.  It stops once
-the gradient norm falls to ``GRADIENT_RTOL`` times its value at zero,
-and raises :class:`~spdrose.errors.NonConvergence` after
-``MAX_NEWTON_STEPS`` steps.  Training draws no random numbers, and with
-under 128 active rows its bits do not depend on the BLAS thread count:
-the Gram matrix is built one GEMV per row (a GEMM splits sums by thread),
-OpenBLAS runs ``dpotrf`` on such a block in one thread and ``dpotrs``
-per right-hand side.  A nearest-neighbor voter over the symmetrized
+active set's (margin below 1) Newton system exactly, in its Gram form
+while the rows are no more than the features, else in its feature form,
+then moves to the exact minimiser along the step.  It stops once the
+gradient norm falls to ``GRADIENT_RTOL`` times its value at zero, and
+raises :class:`~spdrose.errors.NonConvergence` after ``MAX_NEWTON_STEPS``
+steps.  Training draws no random numbers, and its bits do not depend on
+the BLAS thread count: a GEMM splits its sums by thread, and OpenBLAS
+(0.3.31) runs ``dpotrf`` in parallel from 128 rows (``dtrtri`` from a
+few more), so Gram matrices are built one GEMV per row and
+:func:`_cholesky` hands those two only blocks of at most ``_BLOCK`` rows;
+``dpotrs`` measured invariant up to 2000 rows.  A nearest-neighbor voter over the symmetrized
 log-det divergence is the kernel-space baseline.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, EmptyData, NonConvergence, NotPositiveDefinite
 from .errors import ParseError, SingleClass, require_integer, require_positive
@@ -39,6 +41,7 @@ _SAVED = ("classes", *_ARRAYS, "regularization")
 DEFAULT_LAMBDA = 1e-3
 GRADIENT_RTOL = 1e-8
 MAX_NEWTON_STEPS = 50
+_BLOCK = 127  # rows of the largest block _cholesky factors and inverts
 
 
 class SolverRecord(NamedTuple):
@@ -129,19 +132,42 @@ def _step_length(gap, along, slope, curvature, n):
     return -intercept[j] / rate[j]
 
 
+def _cholesky(a):
+    """Lower Cholesky factor of ``a`` by blocks of ``_BLOCK`` rows: ``dpotrf``
+    factors the leading block, its ``dtrtri`` inverse solves the rows
+    below, and the Schur complement of the rest, one GEMV per row, is
+    factored the same way."""
+    b = _BLOCK
+    if len(a) <= b:
+        low, info = dpotrf(a, 1, 1)  # lower=1, clean=1
+        if info:
+            raise NotPositiveDefinite(f"Newton system: dpotrf info {info}")
+        return low
+    top = _cholesky(a[:b, :b])
+    inverse = dtrtri(top, 1)[0]
+    below = np.array([inverse @ r for r in a[b:, :b]])
+    rest = _cholesky(a[b:, b:] - np.array([below @ r for r in below]))
+    return np.block([[top, np.zeros((b, len(rest)))], [below, rest]])
+
+
 def _newton_step(za, kaa, grad, lam, n):
     """Exact ``s`` of ``(diag(lam, ..., lam, 0) + (2/n) X_a'X_a) s = -grad``.
 
-    With ``X_a = [za, 1]``, ``kaa = za za'``, ``u = X_a s`` solves ``(lam n/2 I
-    + kaa) u = -(n/2) za g_w + (lam n/2) s_b``; the bias row ``1'u = -(n/2)
-    g_b`` fixes ``s_b``, then ``s_w = -(g_w + (2/n) za'u) / lam``.  With no
-    active row (no bias curvature or gradient) ``s = (-g_w / lam, 0)``."""
+    With ``X_a = [za, 1]`` and no ``kaa`` (the feature form) the system
+    times n/2 is factored.  Given ``kaa = za za'`` (the Gram form), ``u = X_a
+    s`` solves ``(lam n/2 I + kaa) u = -(n/2) za g_w + (lam n/2) s_b``; the
+    bias row ``1'u = -(n/2) g_b`` fixes ``s_b``, then ``s_w = -(g_w + (2/n)
+    za'u) / lam``.  With no active row (no bias curvature or gradient) ``s
+    = (-g_w / lam, 0)``."""
     if not len(za):
         return np.append(-grad[:-1] / lam, 0.0)
     mu = lam * n / 2.0
-    factor, info = dpotrf(kaa + mu * np.eye(len(za)), 1, 0)  # lower=1, clean=0
-    if info:
-        raise NotPositiveDefinite(f"Newton system: dpotrf info {info}")
+    if kaa is None:
+        xt = np.vstack([za.T, np.ones(len(za))])
+        hessian = np.array([xt @ r for r in xt])  # by rows: see the module docstring
+        hessian[:-1, :-1] += mu * np.eye(za.shape[1])
+        return dpotrs(_cholesky(hessian), -(n / 2.0) * grad, 1)[0]
+    factor = _cholesky(kaa + mu * np.eye(len(za)))
     rhs = np.column_stack([-(n / 2.0) * (za @ grad[:-1]), np.full(len(za), mu)])
     u0, u1 = dpotrs(factor, rhs, 1)[0].T  # its info flags only malformed arguments
     s_b = (-(n / 2.0) * grad[-1] - u0.sum()) / u1.sum()
@@ -150,7 +176,8 @@ def _newton_step(za, kaa, grad, lam, n):
 
 def _newton_binary(x, kernel, y, lam):
     """Solve one class; ``x`` ends in a column of ones for b and ``kernel`` is
-    the Gram matrix of the rest.  Returns ``(w, b)`` and the solve's record."""
+    the Gram matrix of the rest, or None for the feature form.  Returns
+    ``(w, b)`` and the solve's record."""
     n, dim = x.shape
     penalty = np.append(np.full(dim - 1, lam), 0.0)
     theta, gap = np.zeros(dim), np.ones(n)
@@ -168,7 +195,8 @@ def _newton_binary(x, kernel, y, lam):
                 f"(tol {GRADIENT_RTOL:.0e})",
                 iterate=theta, residual=norm / initial, iterations=steps,
             )
-        s = _newton_step(xa[:, :-1], kernel[np.ix_(active, active)], grad, lam, n)
+        kaa = None if kernel is None else kernel[np.ix_(active, active)]
+        s = _newton_step(xa[:, :-1], kaa, grad, lam, n)
         t = _step_length(gap, y * (x @ s), (penalty * theta) @ s, (penalty * s) @ s, n)
         theta = theta + t * s
         gap = 1.0 - y * (x @ theta)
@@ -199,9 +227,9 @@ def train_ova_svm(
     require_positive(regularization, "regularization")
     mean, scale = x.mean(axis=0), x.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    z = (x - mean) / scale
-    design = np.hstack([z, np.ones((len(x), 1))])
-    kernel = np.array([z @ row for row in z])  # by rows: see the module docstring
+    design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])
+    gram = x.shape[0] <= x.shape[1]  # else the feature form: see _newton_step
+    kernel = np.array([design[:, :-1] @ r[:-1] for r in design]) if gram else None
     solved = [
         _newton_binary(design, kernel, np.where(y == c, 1.0, -1.0), regularization)
         for c in classes

@@ -59,56 +59,72 @@ def test_training_is_deterministic():
     assert np.array_equal(a.biases, b.biases)
 
 
-# Trains on a 48 x 96 problem, the shape of 48 descriptors embedded with
-# k = 2n hyperplanes, and writes the saved classifier file.
+# Trains each problem named after the output directory, "n x k x classes
+# x seed", and writes its saved classifier file there.
 _THREADED_TRAINING = """
 import sys
 import numpy as np
 from spdrose import save_classifier, train_ova_svm
-rng = np.random.default_rng(5)
-labels = np.repeat(np.arange(4), 12)
-coords = rng.normal(size=(48, 96)) + 0.8 * rng.normal(size=(4, 96))[labels]
-save_classifier(sys.argv[1], train_ova_svm(coords, labels))
+for shape in sys.argv[2:]:
+    n, k, classes, seed = (int(a) for a in shape.split("x"))
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(classes), n // classes)
+    coords = rng.normal(size=(n, k)) + 0.8 * rng.normal(size=(classes, k))[labels]
+    save_classifier(f"{sys.argv[1]}/{shape}.json", train_ova_svm(coords, labels))
 """
+# 48 descriptors embedded with k = 2n hyperplanes; degradation_study's 100
+# descriptors, k = 2n, five classes, whose first Newton steps factor a
+# 100 x 100 block; the Gram and the feature form past one _BLOCK-row block.
+_THREADED_SHAPES = ("48x96x4x5", "100x200x5x6", "200x400x5x7", "400x150x5x7")
 
 
-def test_training_is_identical_across_blas_thread_counts(tmp_path):
-    written = []
+@pytest.fixture(scope="module")
+def saved_at_one_and_two_blas_threads(tmp_path_factory):
+    """Each shape's saved classifier bytes at 1 and at 2 BLAS threads."""
+    saved = {shape: [] for shape in _THREADED_SHAPES}
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.json"
+        out = tmp_path_factory.mktemp(f"threads{threads}")
         subprocess.run(
-            [sys.executable, "-c", _THREADED_TRAINING, str(out)],
+            [sys.executable, "-c", _THREADED_TRAINING, str(out), *_THREADED_SHAPES],
             env=blas_thread_env(threads), check=True, timeout=120,
         )
-        written.append(out.read_bytes())
-    assert written[0] == written[1]
+        for shape in _THREADED_SHAPES:
+            saved[shape].append((out / f"{shape}.json").read_bytes())
+    return saved
 
 
-# The same check at the shape degradation_study trains: 100 descriptors,
-# k = 2n, five classes, so the first Newton steps factor a 100 x 100 block.
-_DEGRADATION_SHAPE_TRAINING = """
-import sys
-import numpy as np
-from spdrose import save_classifier, train_ova_svm
-rng = np.random.default_rng(6)
-labels = np.repeat(np.arange(5), 20)
-coords = rng.normal(size=(100, 200)) + 0.8 * rng.normal(size=(5, 200))[labels]
-save_classifier(sys.argv[1], train_ova_svm(coords, labels))
-"""
+def test_training_is_identical_across_blas_thread_counts(
+    saved_at_one_and_two_blas_threads,
+):
+    first, second = saved_at_one_and_two_blas_threads["48x96x4x5"]
+    assert first == second
 
 
 def test_training_at_the_degradation_shape_is_identical_across_blas_thread_counts(
-    tmp_path,
+    saved_at_one_and_two_blas_threads,
 ):
-    written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.json"
-        subprocess.run(
-            [sys.executable, "-c", _DEGRADATION_SHAPE_TRAINING, str(out)],
-            env=blas_thread_env(threads), check=True, timeout=120,
-        )
-        written.append(out.read_bytes())
-    assert written[0] == written[1]
+    first, second = saved_at_one_and_two_blas_threads["100x200x5x6"]
+    assert first == second
+
+
+@pytest.mark.parametrize("shape", ["200x400x5x7", "400x150x5x7"])
+def test_training_past_one_factor_block_is_identical_across_blas_thread_counts(
+    saved_at_one_and_two_blas_threads, shape
+):
+    first, second = saved_at_one_and_two_blas_threads[shape]
+    assert first == second
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 130])
+def test_blocked_cholesky_matches_lapack(extra):
+    n = spdrose.classify._BLOCK + extra
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, n + 10))
+    a = z @ z.T + 0.05 * np.eye(n)
+    low = spdrose.classify._cholesky(a)
+    assert np.array_equal(low, np.tril(low))
+    reference = np.linalg.cholesky(a)
+    assert np.linalg.norm(low - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def dense_newton_step(z, active, grad, lam):
@@ -119,8 +135,9 @@ def dense_newton_step(z, active, grad, lam):
     return np.linalg.solve(hessian, -grad)
 
 
-@pytest.mark.parametrize("n, k", [(20, 40), (30, 5)])
+@pytest.mark.parametrize("n, k", [(20, 40), (30, 5), (150, 300), (300, 150)])
 def test_newton_step_matches_a_dense_solve(n, k):
+    # Gram form for n <= k, feature form otherwise, as train_ova_svm picks.
     rng = np.random.default_rng(n + k)
     z = rng.normal(size=(n, k))
     kernel = np.array([z @ row for row in z])
@@ -129,9 +146,8 @@ def test_newton_step_matches_a_dense_solve(n, k):
         active = rng.random(n) < fraction
         active[rng.integers(n)] = True
         grad = rng.normal(size=k + 1)
-        step = spdrose.classify._newton_step(
-            z[active], kernel[np.ix_(active, active)], grad, lam, n
-        )
+        kaa = kernel[np.ix_(active, active)] if n <= k else None
+        step = spdrose.classify._newton_step(z[active], kaa, grad, lam, n)
         reference = dense_newton_step(z, active, grad, lam)
         assert np.linalg.norm(step - reference) <= 1e-10 * np.linalg.norm(reference)
 
