@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     NonConvergence,
     require_integer,
+    require_positive,
 )
 from .manifold import (
     SpdMatrix,
@@ -94,25 +95,38 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
     SPD.  Each iteration whitens every point at the current estimate
     and solves all of them in one batched eigensolve
     (:func:`airm_log_map_stack`), which yields the tangents and ``f``
-    together.  The step tries ``t = 1`` first, the classic fixed-point
-    update, and halves ``t`` until the Armijo decrease
-    ``f(exp_M(t g)) <= f(M) - ARMIJO_SLOPE * t * ||M^{-1/2} g M^{-1/2}||_F^2``
-    holds, or until the slope of ``f`` at the trial point shows that the
-    step stops short of the minimum along the geodesic, which still
-    decides near the mean, where ``f`` rounds away the decrease.  The
-    unit step alone can diverge on widely spread points (Bini &
-    Iannazzo, LAA 2013).  Where every unit step passes the Armijo test,
-    the iterates are those of the fixed-point iteration, bit for bit.
+    together.  Along the geodesic ``P = exp_M(t g)``, ``f`` falls at the
+    rate ``s_t = trace(P^{-1} g_P M^{-1} g)``, with
+    ``s_0 = s = ||M^{-1/2} g M^{-1/2}||_F^2``.  A trial ``t`` is halved
+    until the Armijo decrease ``f(P) <= f(M) - ARMIJO_SLOPE * t * s``
+    holds, or until ``s_t >= 0`` shows that the step stops short of the
+    minimum along the geodesic, which still decides near the mean, where
+    ``f`` rounds away the decrease.
+
+    The first iteration tries ``t = 1``, the fixed-point update, which
+    overshoots, and can diverge, on widely spread points (Bini &
+    Iannazzo, LAA 2013).  Each later one starts from the secant zero of
+    the rate along the last geodesic, ``min(1, t * s / (s - s_t))`` for
+    the accepted ``t`` (``t`` itself when ``s_t >= s``): the
+    one-dimensional Barzilai-Borwein step (Iannazzo & Porcelli, IMA J.
+    Numer. Anal. 2018).  The cap is not tuned: on this Hadamard manifold
+    the Hessian of ``f`` is at least the identity, so the minimum along
+    a geodesic lies at ``t <= 1``.
 
     Stops, converged, when the Frobenius norm of the mean tangent drops
     to ``tol * (1 + ||M||_F)``; stops unconverged after ``max_iter``
     accepted steps, or when ``MAX_STEP_HALVINGS`` halvings of one step
-    find no acceptable step.
+    find no acceptable step.  ``tol`` must be positive and finite and
+    ``max_iter`` a nonnegative integer, else ``ValueError``.
 
     Returns
     -------
     (SpdMatrix, ConvergenceRecord)
     """
+    tol = require_positive(tol, "tol")
+    require_integer(max_iter, "max_iter")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     points = list(points)
     if not points:
         raise EmptyInput("karcher_mean_info needs at least one point")
@@ -125,6 +139,7 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
     current = SpdMatrix(sum(stack) / len(points))
     mean_tangent, objective = _mean_tangent_and_objective(current, stack)
     iterations = halvings = 0
+    step = 1.0
     while True:
         residual = float(np.linalg.norm(mean_tangent, "fro"))
         scale = 1.0 + float(np.linalg.norm(current.array, "fro"))
@@ -132,21 +147,16 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
             return current, ConvergenceRecord(True, iterations, residual, halvings)
         if iterations >= max_iter:
             return current, ConvergenceRecord(False, iterations, residual, halvings)
-        decrease = ARMIJO_SLOPE * airm_norm(TangentVector(current, mean_tangent)) ** 2
+        rate = airm_norm(TangentVector(current, mean_tangent)) ** 2
+        decrease = ARMIJO_SLOPE * rate
         isq = current.inv_sqrt_array
         pull = isq @ isq @ mean_tangent
-        step = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
             trial = airm_exp_map(TangentVector(current, step * mean_tangent))
             trial_tangent, trial_objective = _mean_tangent_and_objective(trial, stack)
-            if trial_objective <= objective - step * decrease:
-                break
-            # The slope of f along the geodesic at the trial point P is
-            # -trace(P^{-1} g_P M^{-1} g).  If f still falls there, the step
-            # stops short of the minimum on the geodesic, and f, convex
-            # along it, has decreased even where rounding hides that.
             trial_isq = trial.inv_sqrt_array
-            if np.sum((trial_isq @ trial_isq @ trial_tangent) * pull.T) >= 0.0:
+            trial_rate = float(np.sum((trial_isq @ trial_isq @ trial_tangent) * pull.T))
+            if trial_objective <= objective - step * decrease or trial_rate >= 0.0:
                 break
             step /= 2.0
             halvings += 1
@@ -154,6 +164,8 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
             return current, ConvergenceRecord(False, iterations, residual, halvings)
         current, mean_tangent, objective = trial, trial_tangent, trial_objective
         iterations += 1
+        if trial_rate < rate:
+            step = min(1.0, step * rate / (rate - trial_rate))
 
 
 def _mean_tangent_and_objective(pole: SpdMatrix, stack: np.ndarray):

@@ -48,6 +48,11 @@ def unit_step_karcher(points, tol=1e-8, max_iter=100):
         iterations += 1
 
 
+def random_pool(seed, dim, count, log_spread=2.0):
+    rng = np.random.default_rng(seed)
+    return [random_spd(rng, dim, log_spread) for _ in range(count)]
+
+
 def converged_mean(points):
     mean, record = karcher_mean_info(points)
     assert record.converged
@@ -114,30 +119,34 @@ def test_mean_nonconvergence_carries_state(monkeypatch, rng):
     "pool",
     [
         two_cluster_pool(6, 10, 0.1, 7, [1.0, -1.0, 0.8, -0.6, 0.4, 0.2]),
-        [random_spd(np.random.default_rng(4), 4) for _ in range(8)],
+        random_pool(4, 4, 8),
     ],
     ids=["two-cluster-d6", "random-d4"],
 )
-def test_mean_equals_unit_step_reference_bit_for_bit(pool):
-    # Where every unit step passes the Armijo test, the step rule never
-    # halves and the stacked iteration reproduces the per-point loop exactly.
+def test_mean_matches_unit_step_reference(pool):
+    # On pools where the fixed-point iteration converges, the secant step
+    # reaches the same mean in no more iterations.
     expected, iterations, converged = unit_step_karcher(pool)
     assert converged
     mean, record = karcher_mean_info(pool)
-    assert record.halvings == 0
-    assert record.iterations == iterations
-    assert mean.array.tobytes() == expected.array.tobytes()
+    assert record.converged
+    assert record.iterations <= iterations
+    gap = np.linalg.norm(mean.array - expected.array, "fro")
+    assert gap <= 1e-7 * np.linalg.norm(expected.array, "fro")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the first-order step stalls at residual 1.2e-3 after 100 unit steps "
-    "on this pool; a second-order step is ROADMAP item 4",
+# The pool on which the unit step stalled after 100 steps, then 18 more
+# spread pools by one rule: seed 100 + s, d = 3 + s % 4, 6 + s % 5 points.
+_SPREAD_POOLS = [(2, 3, 6)] + [(100 + s, 3 + s % 4, 6 + s % 5) for s in range(18)]
+
+
+@pytest.mark.parametrize(
+    "seed, dim, count", _SPREAD_POOLS, ids=[f"seed{s}-d{d}-n{n}" for s, d, n in _SPREAD_POOLS]
 )
-def test_mean_converges_on_a_widely_spread_pool():
-    rng = np.random.default_rng(2)
-    points = [random_spd(rng, 3, log_spread=6.0) for _ in range(6)]
-    assert karcher_mean_info(points)[1].converged
+def test_mean_converges_on_a_widely_spread_pool(seed, dim, count):
+    _, record = karcher_mean_info(random_pool(seed, dim, count, log_spread=6.0))
+    assert record.converged
+    assert record.iterations <= 20
 
 
 def test_mean_converges_where_unit_step_diverges():
@@ -149,8 +158,7 @@ def test_mean_converges_where_unit_step_diverges():
     assert not unit_converged
     mean, record = karcher_mean_info(points)
     assert record.converged
-    assert record.halvings > 0
-    assert record.iterations <= 30
+    assert record.iterations <= 15
     assert record.residual <= 1e-8 * (1.0 + np.linalg.norm(mean.array, "fro"))
 
 
@@ -165,7 +173,7 @@ rng = np.random.default_rng(8)
 points = []
 for _ in range(12):
     q, _ = np.linalg.qr(rng.standard_normal((43, 43)))
-    points.append(SpdMatrix((q * np.exp(rng.uniform(-5.0, 5.0, 43))) @ q.T))
+    points.append(SpdMatrix((q * np.exp(rng.uniform(-6.0, 6.0, 43))) @ q.T))
 _, record = karcher_mean_info(points)
 out = generate_synthetic(points, SynthesisConfig(count=4, seed=1))
 np.save(sys.argv[1], np.stack([p.array for p in out]))
@@ -193,6 +201,32 @@ def test_mean_input_validation(rng):
         karcher_mean_info([])
     with pytest.raises(DimensionMismatch):
         karcher_mean_info([random_spd(rng, 2), random_spd(rng, 3)])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(tol=float("nan")),
+        dict(tol=-1.0),
+        dict(tol=0.0),
+        dict(tol=float("inf")),
+        dict(tol="1e-8"),
+        dict(max_iter=-5),
+        dict(max_iter=2.5),
+        dict(max_iter="3"),
+        dict(max_iter=True),
+    ],
+)
+def test_mean_rejects_bad_stopping_rule(rng, kwargs):
+    with pytest.raises(ValueError):
+        karcher_mean_info([random_spd(rng, 3), random_spd(rng, 3)], **kwargs)
+
+
+def test_mean_with_no_steps_returns_the_start(rng):
+    points = [random_spd(rng, 3) for _ in range(4)]
+    mean, record = karcher_mean_info(points, max_iter=0)
+    assert not record.converged and record.iterations == 0
+    assert np.array_equal(mean.array, sum(p.array for p in points) / 4)
 
 
 _SEEDS = st.integers(0, 2**32 - 1)
