@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-from .errors import DimensionMismatch, EmptyData, NonConvergence, NotPositiveDefinite
-from .errors import ParseError, SingleClass, require_integer, require_positive
+from .errors import DimensionMismatch, EmptyData, NonConvergence, NonFiniteEntry, ParseError
+from .errors import NotPositiveDefinite, SingleClass, require_integer, require_positive
 from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy
 
@@ -252,8 +252,13 @@ def decision_scores(model: TrainedClassifier, features) -> np.ndarray:
         raise DimensionMismatch(
             f"{x.shape[1]} features but the model expects {model.n_features}"
         )
-    z = (x - model.feature_mean) / model.feature_scale
-    return z @ model.weights.T + model.biases
+    # Finite weights can still overflow; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (x - model.feature_mean) / model.feature_scale
+        scores = z @ model.weights.T + model.biases
+    if not np.isfinite(scores).all():
+        raise NonFiniteEntry("classifier produced non-finite scores")
+    return scores
 
 
 def predict(model: TrainedClassifier, features) -> np.ndarray:

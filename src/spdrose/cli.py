@@ -19,9 +19,10 @@ Divergences come from :func:`~spdrose.stein.divergence_matrix`:
 embeds the test points against the model's reference points, and
 ``jl-check`` computes one square block that every width shares.
 
-Exit codes: 0 on success, 2 for configuration and usage problems
-(out-of-range flag values and outputs that cannot be written included),
-3 for malformed or unusable data.
+Exit codes: 0 on success, 2 for a :class:`~spdrose.errors.ConfigError`,
+which the library raises where it rejects a flag or config value, and
+for an output that cannot be written, 3 for any other library error,
+malformed or unusable data.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ from .errors import ConfigError, SpdRoseError
 from .pipeline import FEATURE_MODES, ExperimentConfig
 from .stein import PSD_POLICIES, KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
-
-
-def _from_flags(factory, **values):
-    """``factory(**values)``, with a value the library rejects as a usage error."""
-    try:
-        return factory(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _ints(text, flag):
@@ -104,10 +97,7 @@ def _cmd_synth(args):
     written = os.path.realpath(os.path.join(args.out, "manifest.json"))
     if written == os.path.realpath(args.data):
         raise ConfigError(f"--out {args.out} would overwrite the --data manifest")
-    config = _from_flags(
-        SynthesisConfig,
-        count=args.count, seed=args.seed, direction_mode=args.direction_mode,
-    )
+    config = SynthesisConfig(count=args.count, seed=args.seed, direction_mode=args.direction_mode)
     points, _ = pipeline.load_dataset(args.data)
     synthetic = generate_synthetic(points, config)
     # Synthetic points are unlabeled; the placeholder label 0 keeps the
@@ -218,7 +208,7 @@ def _cmd_jl_check(args):
         raise ConfigError(f"k must be at least 1, got {args.k!r}")
     if not 0.0 < args.epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon}")
-    params = _from_flags(KernelParams, sigma=args.sigma, psd_policy=args.psd_policy)
+    params = KernelParams(args.sigma, args.psd_policy)
     points, _ = pipeline.load_dataset(args.data)
     # Every width reuses the same pairwise divergences.
     divergences = divergence_matrix(points, points)

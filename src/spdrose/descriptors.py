@@ -30,7 +30,7 @@ from scipy import fft
 from .errors import GridTooFine, ImageTooSmall
 from .manifold import SpdMatrix, _readonly_copy, symmetrize
 
-DEFAULT_EPS_REL = 1e-5
+RELATIVE_RIDGE = 1e-5
 ABSOLUTE_RIDGE = 1e-8
 
 GABOR_WAVELENGTHS = (4.0, 4.0 * math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0), 16.0)
@@ -235,30 +235,25 @@ def gabor_feature_map(image: GrayImage) -> FeatureImage:
     return FeatureImage(values, ("I", "x", "y", *tags))
 
 
-def _covariance(block: np.ndarray, eps_rel: float) -> SpdMatrix:
+def _covariance(block: np.ndarray) -> SpdMatrix:
     """Shrunk sample covariance of the feature vectors of an (h, w, C) block."""
     channels = block.shape[2]
     flat = block.reshape(-1, channels)
     deviations = flat - flat.mean(axis=0)
     cov = symmetrize(deviations.T @ deviations) / (flat.shape[0] - 1)
-    ridge = eps_rel * float(np.trace(cov)) / channels + ABSOLUTE_RIDGE
+    ridge = RELATIVE_RIDGE * float(np.trace(cov)) / channels + ABSOLUTE_RIDGE
     return SpdMatrix(cov + ridge * np.eye(channels))
 
 
-def grid_covariances(
-    feature_image: FeatureImage,
-    rows: int,
-    cols: int,
-    eps_rel: float = DEFAULT_EPS_REL,
-):
+def grid_covariances(feature_image: FeatureImage, rows: int, cols: int):
     """Covariance descriptors of an even rows-by-cols partition.
 
     Cells are ``H // rows`` by ``W // cols`` pixels; remainder pixels
     are folded into the last row and column.  Each cell's descriptor is
-    ``cov + (eps_rel * trace(cov) / C + 1e-8) * I`` with ``cov`` the
-    unbiased (1/(N-1)) sample covariance of its N feature vectors, so
-    flat cells yield ``1e-8 * I`` rather than a singular matrix.  Cells
-    are emitted in row-major order.
+    ``cov`` plus the fixed ridge ``(1e-5 * trace(cov) / C + 1e-8) * I``,
+    with ``cov`` the unbiased (1/(N-1)) sample covariance of its N
+    feature vectors, so flat cells yield ``1e-8 * I`` rather than a
+    singular matrix.  Cells are emitted in row-major order.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid must have at least one row and one column")
@@ -274,7 +269,7 @@ def grid_covariances(
         for c in range(cols):
             x1 = (c + 1) * w0 if c < cols - 1 else w
             cell = feature_image.values[r * h0 : y1, c * w0 : x1]
-            out.append(_covariance(cell, eps_rel))
+            out.append(_covariance(cell))
     return out
 
 

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, ParseError, TSampleTooLarge
-from .errors import SpdRoseError, require_integer
+from .errors import DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
+from .errors import SpdRoseError, TSampleTooLarge, require_integer
 from .io import json_floats, read_container, symmetric_from_upper
 from .manifold import SpdMatrix, _readonly_copy
 from .seeding import keyed_generator
@@ -195,9 +195,11 @@ def _kernel_rows(model: ProjectionModel, divergences) -> np.ndarray:
 def _project(model: ProjectionModel, kappas: np.ndarray) -> np.ndarray:
     """Hyperplane responses to each kernel row, as a read-only ``(n, k)`` array."""
     # One product per row: a single kappas @ weights GEMM rounds differently.
-    coords = np.array([model.weights.T @ kappa for kappa in kappas]).reshape(-1, model.k)
+    # Finite weights can still overflow; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = np.array([model.weights.T @ kappa for kappa in kappas]).reshape(-1, model.k)
     if not np.all(np.isfinite(coords)):
-        raise ValueError("embedding produced non-finite coordinates")
+        raise NonFiniteEntry("embedding produced non-finite coordinates")
     coords.setflags(write=False)
     return coords
 

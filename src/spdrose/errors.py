@@ -2,8 +2,11 @@
 
 Every error raised on purpose by this package derives from
 :class:`SpdRoseError`, so callers can catch the whole family with one
-``except`` clause.  The command line maps configuration errors to exit
-code 2 and data errors to exit code 3.
+``except`` clause.  A rejected value, such as a kernel width, a
+synthetic count or a config field, raises :class:`ConfigError` where it
+is checked; it is also a ``ValueError``.  The command line exits 2 on a
+``ConfigError`` and 3 on any other ``SpdRoseError``, a data error; no
+other exception type is meant to reach it.
 """
 
 import math
@@ -19,7 +22,7 @@ class NotSquare(SpdRoseError):
 
 
 class NonFiniteEntry(SpdRoseError):
-    """Input matrix holds a NaN or infinite entry."""
+    """A matrix, or a computed embedding or score, holds a NaN or infinite entry."""
 
 
 class AsymmetryExceedsTolerance(SpdRoseError):
@@ -97,8 +100,8 @@ class ExclusionExceedsClasses(SpdRoseError):
     """A degradation study asked to exclude at least as many classes as exist."""
 
 
-class ConfigError(SpdRoseError):
-    """An experiment configuration or manifest is invalid."""
+class ConfigError(SpdRoseError, ValueError):
+    """A configuration value, parameter or manifest field is rejected."""
 
 
 class StageFailure(SpdRoseError):
@@ -113,15 +116,15 @@ class StageFailure(SpdRoseError):
         self.stage = stage
 
 
-def require_integer(value, name, error=ValueError):
-    """Raise ``error`` unless ``value`` is an integer (a ``bool`` is not)."""
+def require_integer(value, name):
+    """Raise :class:`ConfigError` unless ``value`` is an integer (a ``bool`` is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def require_positive(value, name, error=ValueError) -> float:
-    """``value`` as a float; ``error`` unless it is a positive, finite real (not a bool)."""
+def require_positive(value, name) -> float:
+    """``value`` as a float; :class:`ConfigError` unless a positive, finite real (not a bool)."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and 0 < value < math.inf):
-        raise error(f"{name} must be positive and finite, got {value!r}")
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return float(value)

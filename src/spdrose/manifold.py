@@ -210,10 +210,6 @@ class TangentVector:
             )
         object.__setattr__(self, "value", _readonly(v))
 
-    @property
-    def dim(self) -> int:
-        return self.pole.dim
-
 
 def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     """Tangent-space logarithms at ``pole`` of a stack of SPD arrays.

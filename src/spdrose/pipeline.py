@@ -2,7 +2,7 @@
 
 A dataset manifest lists labeled entries that are either precomputed
 matrix files or images, named with their kind's suffix, to be expanded
-into grid covariance descriptors (default ridge) at load time by
+into grid covariance descriptors (fixed ridge) at load time by
 :func:`dataset_points`.  The manifest is the whole recipe: ``spdrose
 extract`` builds one from its flags and expands it the same way.  An
 experiment config holds the split rule (per-class train count,
@@ -136,7 +136,7 @@ class ManifestEntry:
             raise ConfigError(f"entry path must be a string, got {self.path!r}")
         if not isinstance(self.kind, str) or self.kind not in ENTRY_SUFFIXES:
             raise ConfigError(f"unknown entry kind {self.kind!r}")
-        require_integer(self.label, "label", ConfigError)
+        require_integer(self.label, "label")
         if self.label < 0:
             raise ConfigError(f"labels must be nonnegative, got {self.label}")
 
@@ -183,13 +183,13 @@ class DatasetManifest:
         if self.grid is not None:
             grid = tuple(self.grid) if isinstance(self.grid, (list, tuple)) else ()
             for value in grid:
-                require_integer(value, "grid size", ConfigError)
+                require_integer(value, "grid size")
             if len(grid) != 2 or min(grid) < 1:
                 raise ConfigError(f"grid must be [rows, cols], got {self.grid!r}")
             object.__setattr__(self, "grid", tuple(int(v) for v in grid))
         if self.feature_mode == "precomputed" and self.grid is not None:
             raise ConfigError("precomputed datasets take no grid")
-        require_integer(self.downsample, "downsample", ConfigError)
+        require_integer(self.downsample, "downsample")
         if self.downsample < 1:
             raise ConfigError(
                 f"downsample must be at least 1, got {self.downsample}"
@@ -215,10 +215,10 @@ def load_manifest(path) -> DatasetManifest:
             grid=payload.get("grid"),
             downsample=payload.get("downsample", 1),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed manifest: {exc}") from exc
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed manifest: {exc}") from exc
 
 
 def image_descriptors(path, feature_mode, grid, downsample):
@@ -227,7 +227,7 @@ def image_descriptors(path, feature_mode, grid, downsample):
     The image is read as the entry kind of ``feature_mode``, averaged
     over ``downsample``-sized blocks and mapped to that mode's features.
     ``grid`` is ``(rows, cols)``; ``None`` is the 1x1 grid, one
-    descriptor of the whole image.  Descriptors use the default ridge of
+    descriptor of the whole image.  Descriptors use the fixed ridge of
     :func:`~spdrose.descriptors.grid_covariances`.
     """
     kind, feature_map = FEATURE_MODES[feature_mode]
@@ -328,15 +328,12 @@ class ExperimentConfig:
     def __post_init__(self):
         sigmas = _normalize_candidates(self.sigma, "sigma")
         # The kernel and synthesis types own these checks.
-        try:
-            kernels = [KernelParams(s, self.psd_policy) for s in sigmas]
-            SynthesisConfig(direction_mode=self.direction_mode)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        kernels = [KernelParams(s, self.psd_policy) for s in sigmas]
+        SynthesisConfig(direction_mode=self.direction_mode)
         object.__setattr__(self, "sigma", tuple(kernel.sigma for kernel in kernels))
         policies = _normalize_candidates(self.k_policy, "k_policy")
         for policy in policies:
-            if policy not in K_POLICIES:
+            if not isinstance(policy, str) or policy not in K_POLICIES:
                 raise ConfigError(
                     f"k_policy must be one of {sorted(K_POLICIES)}, got {policy!r}"
                 )
@@ -348,13 +345,13 @@ class ExperimentConfig:
                     raise ConfigError(f"synthetic symbols are {SYNTH_TOKENS}, got {value!r}")
                 cleaned.append(value)
             else:
-                require_integer(value, "synthetic count", ConfigError)
+                require_integer(value, "synthetic count")
                 if value < 0:
                     raise ConfigError(f"synthetic counts must be nonnegative, got {value}")
                 cleaned.append(int(value))
         object.__setattr__(self, "synthetic", tuple(cleaned))
         for name in ("seed", "reps", "train_per_class", "knn_neighbors"):
-            require_integer(getattr(self, name), name, ConfigError)
+            require_integer(getattr(self, name), name)
         for name, least in (("reps", 1), ("train_per_class", 2), ("knn_neighbors", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
@@ -362,8 +359,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string, got {self.name!r}")
-        require_positive(self.regularization, "regularization", ConfigError)
-        if require_positive(self.validation_fraction, "validation_fraction", ConfigError) >= 1:
+        require_positive(self.regularization, "regularization")
+        if require_positive(self.validation_fraction, "validation_fraction") >= 1:
             raise ConfigError(f"validation_fraction must be below 1, got {self.validation_fraction}")
 
 
@@ -378,12 +375,7 @@ def config_from_mapping(payload) -> ExperimentConfig:
     unknown = sorted(set(payload) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return ExperimentConfig(**payload)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**payload)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -872,7 +864,7 @@ def degradation_study(
         excluded_class_counts = tuple(range(len(classes)))
     excluded_class_counts = tuple(excluded_class_counts)
     for count in excluded_class_counts:
-        require_integer(count, "excluded class count", ConfigError)
+        require_integer(count, "excluded class count")
         if not 0 <= count <= len(classes) - 1:
             raise ExclusionExceedsClasses(
                 f"cannot exclude {count} of {len(classes)} classes"
@@ -883,7 +875,7 @@ def degradation_study(
             resolve_synthetic(v, len(classes), config.train_per_class)
             for v in config.synthetic
         )
-    require_integer(synthetic_budget, "synthetic budget", ConfigError)
+    require_integer(synthetic_budget, "synthetic budget")
     synthetic_budget = int(synthetic_budget)
     if synthetic_budget < 0:
         raise ConfigError(

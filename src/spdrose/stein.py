@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel, require_positive
+from .errors import ConfigError, DimensionMismatch, EmptyInput, IndefiniteKernel, require_positive
 from .manifold import SpdMatrix, _cholesky_logdet, _readonly, _readonly_copy, symmetrize
 
 PSD_POLICIES = ("clamp", "strict")
@@ -48,7 +48,7 @@ class KernelParams:
 
     ``sigma`` is stored as a ``float``; anything but a positive, finite
     real number, a numeric string or a ``bool`` included, raises
-    ``ValueError``.  ``psd_policy`` is ``"clamp"`` (zero out negative
+    :class:`ConfigError`.  ``psd_policy`` is ``"clamp"`` (zero out negative
     eigenvalues and record the removed mass) or ``"strict"`` (raise
     :class:`IndefiniteKernel` when a significantly negative eigenvalue
     appears).
@@ -60,7 +60,7 @@ class KernelParams:
     def __post_init__(self):
         object.__setattr__(self, "sigma", require_positive(self.sigma, "sigma"))
         if self.psd_policy not in PSD_POLICIES:
-            raise ValueError(f"unknown psd_policy {self.psd_policy!r}")
+            raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
 
 
 def sigma_guarantees_psd(sigma: float, dim: int) -> bool:

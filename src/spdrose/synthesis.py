@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateDirection,
     DimensionMismatch,
     EmptyInput,
@@ -66,9 +67,9 @@ class SynthesisConfig:
         for name in ("count", "seed"):
             require_integer(getattr(self, name), name)
         if self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
+            raise ConfigError(f"count must be nonnegative, got {self.count}")
         if self.direction_mode not in DIRECTION_MODES:
-            raise ValueError(f"unknown direction_mode {self.direction_mode!r}")
+            raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
     to ``tol * (1 + ||M||_F)``; stops unconverged after ``max_iter``
     accepted steps, or when ``MAX_STEP_HALVINGS`` halvings of one step
     find no acceptable step.  ``tol`` must be positive and finite and
-    ``max_iter`` a nonnegative integer, else ``ValueError``.
+    ``max_iter`` a nonnegative integer, else :class:`ConfigError`.
 
     Returns
     -------
@@ -126,7 +127,7 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
     tol = require_positive(tol, "tol")
     require_integer(max_iter, "max_iter")
     if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+        raise ConfigError(f"max_iter must be nonnegative, got {max_iter}")
     points = list(points)
     if not points:
         raise EmptyInput("karcher_mean_info needs at least one point")

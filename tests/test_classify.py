@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spdrose import (
     DimensionMismatch,
     EmptyData,
     NonConvergence,
+    NonFiniteEntry,
     ParseError,
     SingleClass,
     SpdMatrix,
@@ -224,6 +226,18 @@ def test_scores_shapes_and_dimension_check():
         predict(model, coords[0])
     with pytest.raises(DimensionMismatch):
         decision_scores(model, np.zeros((1, 3)))
+
+
+def test_scores_that_overflow_raise_a_data_error_without_a_warning():
+    # The largest finite weights and biases overflow the margins; predict
+    # used to warn and pick classes from infinite scores.
+    coords, labels = toy_problem()
+    model = train_ova_svm(coords, labels)
+    top = np.finfo(np.float64).max
+    huge = replace(model, weights=[[top], [-top]], biases=[top, -top])
+    for score in (decision_scores, predict):
+        with pytest.raises(NonFiniteEntry, match="non-finite scores"):
+            score(huge, coords)
 
 
 @pytest.mark.parametrize("regularization", [0.0, -1.0, np.nan, np.inf])

@@ -402,6 +402,27 @@ def test_eval_overflowing_model_weight_exits_3(tmp_path, capsys):
     assert "model.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["model.json", "classifier.json"])
+def test_eval_finite_weights_that_overflow_exit_3(tmp_path, capsys, field):
+    # Weights of +-1e308 load, but their products overflow: the model file
+    # used to end in a bare ValueError (exit 1), the classifier file in an
+    # accuracy scored from non-finite margins (exit 0).
+    manifest = save_benchmark_dataset(tmp_path, "data", per_class=6)
+    model_dir = tmp_path / "model"
+    assert main(["train", "--train", str(manifest), "--out", str(model_dir)]) == 0
+    path = model_dir / field
+    payload = json.loads(path.read_text())
+    payload["weights"] = [[1e308 * (-1) ** j for j in range(len(row))]
+                          for row in payload["weights"]]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_dir), "--test", str(manifest)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_eval_zero_feature_scale_exits_3(tmp_path, capsys):
     # A zero scale loaded before, and eval printed scores divided by zero.
     manifest = save_benchmark_dataset(tmp_path, "data")
@@ -534,6 +555,16 @@ def test_run_config_wrong_type_names_the_field(tmp_path, capsys, field, value):
     code = main(["run", "--data", str(manifest), "--config", str(config)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
+def test_run_config_with_a_nested_k_policy_exits_2(tmp_path, capsys):
+    # A list policy used to reach the K_POLICIES lookup and print
+    # "error: unhashable type: 'list'".
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = write_config(tmp_path, k_policy=[["2n"]])
+    code = main(["run", "--data", str(manifest), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: k_policy must be one of")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from spdrose import (
     DimensionMismatch,
     EmptyInput,
     KernelParams,
+    NonFiniteEntry,
     ParseError,
     SpdMatrix,
     TSampleTooLarge,
@@ -591,3 +593,14 @@ def test_points_near_the_conditioning_floor_at_d43(rng, policy):
     coords = embed(model, points + [random_spd(rng, dim)])
     assert coords.shape == (len(points) + 1, 8)
     assert np.all(np.isfinite(coords))
+
+
+def test_weights_that_overflow_raise_a_data_error_without_a_warning():
+    # Each weight is finite, but their sums overflow; the embedding used to
+    # warn and raise a bare ValueError.
+    pool = small_pool(np.random.default_rng(3))
+    model = build(pool, 4, KernelParams(0.5))
+    signs = (-1.0) ** np.arange(model.k)
+    huge = replace(model, weights=np.full_like(model.weights, 1e308) * signs)
+    with pytest.raises(NonFiniteEntry, match="non-finite coordinates"):
+        embed_batch(huge, divergence_matrix(pool, pool))

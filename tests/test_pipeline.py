@@ -419,6 +419,15 @@ def test_config_validation():
             ExperimentConfig(**kwargs)
 
 
+def test_config_rejects_a_policy_that_is_not_a_string():
+    # An unhashable policy used to raise a bare TypeError at the lookup.
+    for value in ([["2n"]], [{"n": 1}], [2]):
+        with pytest.raises(ConfigError, match="k_policy must be one of"):
+            ExperimentConfig(k_policy=value)
+    with pytest.raises(ConfigError, match="k_policy"):
+        config_from_mapping({"k_policy": [["2n"]]})
+
+
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError) as info:
         config_from_mapping({"seed": 1, "sgima": 0.5})
