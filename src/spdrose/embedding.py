@@ -35,7 +35,7 @@ from .errors import DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
 from .errors import SpdRoseError, TSampleTooLarge, require_integer
 from .io import json_floats, read_container, symmetric_from_upper
 from .manifold import SpdMatrix, _readonly_copy
-from .seeding import keyed_generator
+from .seeding import keyed_generator, rekey
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
 
 EXPONENTS = {"whitening": -0.5, "paper_literal": 0.5}
@@ -164,8 +164,9 @@ def build_projection_model(
 
     weights = np.empty((p, k))
     base = np.full(p, -1.0 / p)
+    rng = keyed_generator(seed)
     for j in range(k):
-        rng = keyed_generator(seed ^ j)
+        rekey(rng, seed ^ j)
         chosen = rng.choice(p, size=t, replace=False)
         alpha = base.copy()
         alpha[chosen] += 1.0 / t

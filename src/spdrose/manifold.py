@@ -211,6 +211,17 @@ class TangentVector:
         object.__setattr__(self, "value", _readonly(v))
 
 
+def _whitened(pole: SpdMatrix, stack) -> np.ndarray:
+    """Exactly symmetric ``pole^{-1/2} a pole^{-1/2}`` for each ``a`` of an ``(n, d, d)`` stack."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1:] != (pole.dim, pole.dim):
+        raise DimensionMismatch(
+            f"expected a stack of {pole.dim}x{pole.dim} matrices, got shape {stack.shape}"
+        )
+    isq = pole.inv_sqrt_array
+    return symmetrize(isq @ stack @ isq)
+
+
 def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     """Tangent-space logarithms at ``pole`` of a stack of SPD arrays.
 
@@ -230,14 +241,7 @@ def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     (ndarray of shape (n, d, d), ndarray of shape (n,))
         Exactly symmetric tangent values and squared distances.
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1:] != (pole.dim, pole.dim):
-        raise DimensionMismatch(
-            f"expected a stack of {pole.dim}x{pole.dim} matrices, got shape {stack.shape}"
-        )
-    isq = pole.inv_sqrt_array
-    sq = pole.sqrt_array
-    inner = symmetrize(isq @ stack @ isq)
+    inner = _whitened(pole, stack)
     _finite_peak(inner)
     vals, vecs = np.linalg.eigh(inner)
     for lo, hi in zip(vals[:, 0].tolist(), vals[:, -1].tolist()):
@@ -247,6 +251,7 @@ def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     logs = np.log(vals)[:, ::-1]
     vecs = np.ascontiguousarray(vecs[:, :, ::-1])
     flat = symmetrize((vecs * logs[:, None, :]) @ np.swapaxes(vecs, -1, -2))
+    sq = pole.sqrt_array
     values = symmetrize(sq @ flat @ sq)
     _finite_peak(values)
     return values, np.sum(logs * logs, axis=1)
@@ -262,18 +267,27 @@ def airm_log_map(pole: SpdMatrix, x: SpdMatrix) -> TangentVector:
     return TangentVector(pole, values[0])
 
 
+def airm_exp_map_stack(pole: SpdMatrix, values: np.ndarray) -> list:
+    """Exponential maps at ``pole`` of an ``(n, d, d)`` stack of tangent values.
+
+    Each ``v`` maps to ``pole^{1/2} exp(pole^{-1/2} v pole^{-1/2}) pole^{1/2}``
+    by one batched whitening, eigensolve and sandwich.  Each result is
+    checked as an :class:`SpdMatrix` and has the bits of its own stack of
+    one, which is :func:`airm_exp_map`.
+    """
+    vals, vecs = np.linalg.eigh(_whitened(pole, values))
+    expd = symmetrize((vecs * np.exp(vals)[:, None, :]) @ np.swapaxes(vecs, -1, -2))
+    sq = pole.sqrt_array
+    return [SpdMatrix(a) for a in symmetrize(sq @ expd @ sq)]
+
+
 def airm_exp_map(tangent: TangentVector) -> SpdMatrix:
     """Inverse of :func:`airm_log_map`:  maps a tangent vector back to the cone.
 
-    Computes ``pole^{1/2} exp(pole^{-1/2} v pole^{-1/2}) pole^{1/2}``.
+    Computes ``pole^{1/2} exp(pole^{-1/2} v pole^{-1/2}) pole^{1/2}``
+    through :func:`airm_exp_map_stack` with a stack of one.
     """
-    pole = tangent.pole
-    isq = pole.inv_sqrt_array
-    sq = pole.sqrt_array
-    inner = symmetrize(isq @ tangent.value @ isq)
-    vals, vecs = np.linalg.eigh(inner)
-    expd = symmetrize((vecs * np.exp(vals)) @ vecs.T)
-    return SpdMatrix(symmetrize(sq @ expd @ sq))
+    return airm_exp_map_stack(tangent.pole, tangent.value[None])[0]
 
 
 def airm_norm(tangent: TangentVector) -> float:
@@ -287,15 +301,24 @@ def airm_norm(tangent: TangentVector) -> float:
     return float(np.linalg.norm(isq @ tangent.value @ isq, "fro"))
 
 
+def geodesic_distance_stack(x: SpdMatrix, stack: np.ndarray) -> np.ndarray:
+    """Geodesic distances from ``x`` to each SPD array of an ``(n, d, d)`` stack.
+
+    One batched eigenvalue solve of the whitened points; each distance
+    has the bits of :func:`geodesic_distance` of its point.
+    """
+    logs = np.log(np.linalg.eigvalsh(_whitened(x, stack)))
+    # One dot product per point: a batched reduction rounds differently.
+    return np.sqrt([np.dot(row, row) for row in logs])
+
+
 def geodesic_distance(x: SpdMatrix, y: SpdMatrix) -> float:
     """Affine-invariant geodesic distance ``sqrt(trace(log^2(x^{-1/2} y x^{-1/2})))``.
 
     Invariant under congruence by any invertible matrix and under joint
-    inversion of both arguments.
+    inversion of both arguments.  Computed by :func:`geodesic_distance_stack`
+    with a stack of one.
     """
     if x.dim != y.dim:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-    isq = x.inv_sqrt_array
-    inner = symmetrize(isq @ y.array @ isq)
-    logs = np.log(np.linalg.eigvalsh(inner))
-    return float(np.sqrt(np.dot(logs, logs)))
+    return float(geodesic_distance_stack(x, y.array[None])[0])

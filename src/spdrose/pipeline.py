@@ -865,7 +865,9 @@ def degradation_study(
     excluded_class_counts = tuple(excluded_class_counts)
     for count in excluded_class_counts:
         require_integer(count, "excluded class count")
-        if not 0 <= count <= len(classes) - 1:
+        if count < 0:
+            raise ConfigError(f"excluded class counts must be nonnegative, got {count}")
+        if count > len(classes) - 1:
             raise ExclusionExceedsClasses(
                 f"cannot exclude {count} of {len(classes)} classes"
             )

@@ -12,7 +12,6 @@ stays inside the ball.  :func:`geodesic_rescale` takes the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -29,13 +28,14 @@ from .manifold import (
     SpdMatrix,
     TangentVector,
     airm_exp_map,
+    airm_exp_map_stack,
     airm_log_map,
     airm_log_map_stack,
     airm_norm,
-    geodesic_distance,
+    geodesic_distance_stack,
     symmetrize,
 )
-from .seeding import keyed_generator
+from .seeding import keyed_generator, rekey
 
 DEGENERATE_DISTANCE = 1e-12
 MAX_DIRECTION_RETRIES = 100
@@ -179,7 +179,9 @@ def _mean_tangent_and_objective(pole: SpdMatrix, stack: np.ndarray):
 def training_ball(points):
     """Karcher mean of a training set and its covering radius, as ``(mean, radius)``.
 
-    The radius is the largest geodesic distance from the mean to a point.
+    The radius is the largest geodesic distance from the mean to a point,
+    all of them from one batched eigenvalue solve
+    (:func:`geodesic_distance_stack`).
     Raises :class:`NonConvergence`, carrying the last iterate and
     residual, when :func:`karcher_mean_info` misses ``KARCHER_TOL``
     within ``KARCHER_MAX_ITER`` steps.
@@ -195,7 +197,8 @@ def training_ball(points):
             residual=record.residual,
             iterations=record.iterations,
         )
-    return mean, max(geodesic_distance(mean, p) for p in points)
+    distances = geodesic_distance_stack(mean, np.stack([p.array for p in points]))
+    return mean, float(np.max(distances))
 
 
 def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
@@ -217,15 +220,16 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     zeta = float(zeta)
     if zeta < 0.0:
         raise ValueError(f"zeta must be nonnegative, got {zeta}")
-    return _geodesic_step(airm_log_map(pole, x), zeta)
+    step = _rescaled(pole, airm_log_map(pole, x).value, zeta)
+    return airm_exp_map(TangentVector(pole, step))
 
 
-def _geodesic_step(tangent: TangentVector, zeta: float) -> SpdMatrix:
-    """Exp map at the tangent's pole of the tangent rescaled to metric length ``zeta``."""
-    norm = airm_norm(tangent)
+def _rescaled(pole: SpdMatrix, direction: np.ndarray, zeta: float) -> np.ndarray:
+    """The tangent ``direction`` at ``pole`` rescaled to metric length ``zeta``."""
+    norm = airm_norm(TangentVector(pole, direction))
     if norm <= DEGENERATE_DISTANCE:
         raise DegenerateDirection(f"direction tangent has metric norm {norm:.3e}")
-    return airm_exp_map(TangentVector(tangent.pole, tangent.value * (zeta / norm)))
+    return direction * (zeta / norm)
 
 
 def generate_synthetic(training, config: SynthesisConfig, ball=None):
@@ -234,11 +238,16 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     ``ball`` is ``training_ball(training)``, computed here when
     ``None``; a caller that synthesizes around one pool more than once
     passes it in.  Each output index gets its own counter-based
-    generator keyed by ``(seed, index)``, so individual points are
-    reproducible in isolation and the list is independent of generation
-    order.  Each point draws a tangent (a training point's index or a
-    Gaussian), then ``delta``; a degenerate tangent is redrawn up to
-    ``MAX_DIRECTION_RETRIES`` times before the error propagates.
+    stream keyed by ``(seed, index)`` (one generator re-keyed per index,
+    drawing no OS entropy), so individual points are reproducible in
+    isolation and the list is independent of generation order.  Each
+    point draws a tangent (a training point's index or a Gaussian), then
+    ``delta``; a degenerate tangent is redrawn up to
+    ``MAX_DIRECTION_RETRIES`` times before the error propagates.  The
+    draws run point by point, but the training points' tangents come
+    from one batched log map at the mean and every point from one
+    batched exp map (:func:`airm_exp_map_stack`), with the bits of a
+    step taken for that point alone.
 
     Returns
     -------
@@ -248,18 +257,19 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     if len(training) < 2:
         raise EmptyInput("generate_synthetic needs at least two training points")
     mean, radius = training_ball(training) if ball is None else ball
-    out = []
+    if config.direction_mode == "training_point":
+        directions, _ = airm_log_map_stack(mean, np.stack([p.array for p in training]))
+    steps = np.empty((config.count, mean.dim, mean.dim))
+    rng = keyed_generator(config.seed, 0)
     for index in range(config.count):
-        rng = keyed_generator(config.seed, index)
+        rekey(rng, config.seed, index)
         for _ in range(MAX_DIRECTION_RETRIES):
             if config.direction_mode == "training_point":
-                target = training[int(rng.integers(len(training)))]
-                step = partial(geodesic_rescale, target, mean)
+                direction = directions[int(rng.integers(len(training)))]
             else:
-                gaussian = symmetrize(rng.standard_normal((mean.dim, mean.dim)))
-                step = partial(_geodesic_step, TangentVector(mean, gaussian))
+                direction = symmetrize(rng.standard_normal((mean.dim, mean.dim)))
             try:
-                out.append(step(float(rng.uniform()) * radius))
+                steps[index] = _rescaled(mean, direction, float(rng.uniform()) * radius)
                 break
             except DegenerateDirection:
                 continue
@@ -268,4 +278,4 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
                 f"no usable direction after {MAX_DIRECTION_RETRIES} draws "
                 f"for output index {index}"
             )
-    return out
+    return airm_exp_map_stack(mean, steps)

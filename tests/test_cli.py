@@ -780,6 +780,21 @@ def test_degrade_excessive_count_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts", ["-1", "0,-1"])
+def test_degrade_negative_count_exits_2(tmp_path, capsys, counts):
+    manifest = save_benchmark_dataset(tmp_path, "data")
+    config = write_config(tmp_path, reps=1)
+    code = main(
+        ["degrade", "--data", str(manifest), "--config", str(config), f"--counts={counts}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "nonnegative" in lines[0]
+
+
 def test_degrade_bad_counts_exits_2(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     code = main(["degrade", "--data", str(manifest), "--counts", "a,b"])

@@ -30,7 +30,9 @@ from spdrose.manifold import (
     EIGENVALUE_FLOOR_RTOL,
     SYMMETRY_RTOL,
     _cholesky_logdet,
+    airm_exp_map_stack,
     airm_log_map_stack,
+    geodesic_distance_stack,
 )
 
 from conftest import random_spd, random_symmetric
@@ -264,6 +266,49 @@ def test_log_map_stack_checks_every_point(bad, error):
     good = np.eye(3)
     with pytest.raises(error):
         airm_log_map_stack(SpdMatrix(good), np.stack([good, bad, good]))
+
+
+def _exp_map_one(pole, value):
+    """The exp map of one tangent value, written out as a single-matrix path."""
+    isq, sq = pole.inv_sqrt_array, pole.sqrt_array
+    vals, vecs = np.linalg.eigh(symmetrize(isq @ value @ isq))
+    return symmetrize(sq @ symmetrize((vecs * np.exp(vals)) @ vecs.T) @ sq)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 43])
+def test_exp_map_stack_equals_per_point_maps(rng, dim):
+    pole = random_spd(rng, dim)
+    values = np.stack([random_symmetric(rng, dim, scale=0.5) for _ in range(7)])
+    points = airm_exp_map_stack(pole, values)
+    assert len(points) == len(values)
+    for point, value in zip(points, values):
+        assert isinstance(point, SpdMatrix)
+        assert np.array_equal(point.array, airm_exp_map(TangentVector(pole, value)).array)
+        assert np.array_equal(point.array, _exp_map_one(pole, value))
+
+
+def test_exp_map_stack_checks_every_point_and_its_shape():
+    pole = SpdMatrix(np.eye(3))
+    good = np.zeros((3, 3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEntry):
+        airm_exp_map_stack(pole, np.stack([good, 1e3 * np.eye(3), good]))
+    with pytest.raises(DimensionMismatch):
+        airm_exp_map_stack(pole, np.zeros((2, 4, 4)))
+    assert airm_exp_map_stack(pole, np.zeros((0, 3, 3))) == []
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 43])
+def test_distance_stack_equals_per_point_distances(rng, dim):
+    x = random_spd(rng, dim)
+    points = [random_spd(rng, dim) for _ in range(7)]
+    distances = geodesic_distance_stack(x, np.stack([p.array for p in points]))
+    isq = x.inv_sqrt_array
+    for distance, y in zip(distances, points):
+        assert distance == geodesic_distance(x, y)
+        logs = np.log(np.linalg.eigvalsh(symmetrize(isq @ y.array @ isq)))
+        assert distance == float(np.sqrt(np.dot(logs, logs)))
+    with pytest.raises(DimensionMismatch):
+        geodesic_distance_stack(x, np.zeros((2, dim + 1, dim + 1)))
 
 
 def test_distance_identity_to_diagonal():

@@ -873,7 +873,8 @@ def test_degradation_exclusion_bounds():
         degradation_study(
             points, labels, quick_config(), excluded_class_counts=(2,)
         )
-    with pytest.raises(ExclusionExceedsClasses):
+    # A negative count is a rejected value, not a data error.
+    with pytest.raises(ConfigError, match="nonnegative"):
         degradation_study(
             points, labels, quick_config(), excluded_class_counts=(-1,)
         )

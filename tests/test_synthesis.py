@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import spdrose.synthesis
@@ -257,11 +257,12 @@ def test_property_rescale_hits_target_distance(seed, dim, fraction):
 
 
 def test_training_ball_radius_covers_points(rng):
-    points = [random_spd(rng, 3) for _ in range(10)]
-    mean, radius = training_ball(points)
-    assert mean.array.tobytes() == karcher_mean_info(points)[0].array.tobytes()
-    distances = [geodesic_distance(mean, p) for p in points]
-    assert radius == max(distances)
+    for dim in (3, 6, 43):
+        points = [random_spd(rng, dim) for _ in range(10)]
+        mean, radius = training_ball(points)
+        assert mean.array.tobytes() == karcher_mean_info(points)[0].array.tobytes()
+        distances = [geodesic_distance(mean, p) for p in points]
+        assert radius == max(distances)
 
 
 def test_rescale_hits_requested_distance(rng):
@@ -363,8 +364,9 @@ def test_synthesis_config_rejects_non_integer_counts(kwargs):
 
 @pytest.mark.parametrize("mode, per_point", [("tangent_gaussian", 2), ("training_point", 3)])
 def test_eigensolves_per_synthetic_point(monkeypatch, mode, per_point):
-    # One exp map (its eigh and the SpdMatrix check of the result) per
-    # point; training-point mode adds the log map of the chosen point.
+    # All points share one batched exp map (one eigh), and training-point
+    # mode adds one batched log map of the pool; each point adds only the
+    # SpdMatrix check of its result (one eigvalsh).
     rng = np.random.default_rng(12)
     training = [random_spd(rng, 6) for _ in range(8)]
     config = SynthesisConfig(count=20, seed=3, direction_mode=mode)
@@ -382,6 +384,7 @@ def test_eigensolves_per_synthetic_point(monkeypatch, mode, per_point):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     assert len(generate_synthetic(training, config, ball=ball)) == 20
     assert len(calls) <= per_point * 20
+    assert calls.count("eigh") == (2 if mode == "training_point" else 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -390,6 +393,8 @@ def test_eigensolves_per_synthetic_point(monkeypatch, mode, per_point):
     dim=st.integers(2, 6),
     mode=st.sampled_from(["tangent_gaussian", "training_point"]),
 )
+@example(seed=2**63 + 7, dim=43, mode="tangent_gaussian")
+@example(seed=2**63 + 7, dim=43, mode="training_point")
 def test_property_each_point_is_one_geodesic_step(seed, dim, mode):
     rng = np.random.default_rng(seed)
     training = [random_spd(rng, dim) for _ in range(5)]
@@ -406,6 +411,25 @@ def test_property_each_point_is_one_geodesic_step(seed, dim, mode):
             scale = float(draws.uniform()) * radius / airm_norm(tangent)
             expected = airm_exp_map(TangentVector(mean, tangent.value * scale))
         assert np.array_equal(point.array, expected.array)
+
+
+def test_degenerate_directions_redraw_from_the_same_stream():
+    # Centered on the first training point, that point's direction is
+    # degenerate, so an index that draws it draws index and delta again.
+    training = random_pool(5, 4, 3)
+    with pytest.raises(DegenerateDirection):
+        geodesic_rescale(training[0], training[0], 1.0)
+    config = SynthesisConfig(count=40, seed=6, direction_mode="training_point")
+    points = generate_synthetic(training, config, ball=(training[0], 1.0))
+    redraws = 0
+    for index, point in enumerate(points):
+        draws = keyed_generator(6, index)
+        while (target := int(draws.integers(3))) == 0:
+            draws.uniform()
+            redraws += 1
+        expected = geodesic_rescale(training[target], training[0], float(draws.uniform()))
+        assert np.array_equal(point.array, expected.array)
+    assert redraws > 0
 
 
 def test_training_point_mode_uses_training_directions(rng):
