@@ -38,7 +38,6 @@ from .manifold import (
     airm_log_map,
     airm_norm,
     geodesic_distance,
-    spd_exp,
     spd_log,
     spd_power,
 )
@@ -63,7 +62,6 @@ from .synthesis import (
 from .embedding import (
     JlReport,
     ProjectionModel,
-    binarize,
     build_projection_model,
     embed_batch,
     expected_distance_sq,

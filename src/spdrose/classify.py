@@ -11,12 +11,12 @@ then moves to the exact minimiser along the step.  It stops once the
 gradient norm falls to ``GRADIENT_RTOL`` times its value at zero, and
 raises :class:`~spdrose.errors.NonConvergence` after ``MAX_NEWTON_STEPS``
 steps.  Training draws no random numbers, and its bits do not depend on
-the BLAS thread count: a GEMM splits its sums by thread, and OpenBLAS
-(0.3.31) runs ``dpotrf`` in parallel from 128 rows (``dtrtri`` from a
-few more), so Gram matrices are built one GEMV per row and
+the BLAS thread count: every matrix product goes through
+:func:`~spdrose.manifold.matvecs`, and since OpenBLAS (0.3.31) runs
+``dpotrf`` in parallel from 128 rows (``dtrtri`` from a few more),
 :func:`_cholesky` hands those two only blocks of at most ``_BLOCK`` rows;
-``dpotrs`` measured invariant up to 2000 rows.  A nearest-neighbor voter over the symmetrized
-log-det divergence is the kernel-space baseline.
+``dpotrs`` measured invariant up to 2000 rows.  A nearest-neighbor voter
+over the symmetrized log-det divergence is the kernel-space baseline.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from .errors import DimensionMismatch, EmptyData, NonConvergence, NonFiniteEntry, ParseError
 from .errors import NotPositiveDefinite, SingleClass, require_integer, require_positive
 from .io import json_floats, read_container, write_json
-from .manifold import _readonly_copy
+from .manifold import _readonly_copy, matvecs
 
 CLASSIFIER_FORMAT = "spdrose.linear_classifier"
 CLASSIFIER_FORMAT_VERSION = 2
@@ -135,8 +135,7 @@ def _step_length(gap, along, slope, curvature, n):
 def _cholesky(a):
     """Lower Cholesky factor of ``a`` by blocks of ``_BLOCK`` rows: ``dpotrf``
     factors the leading block, its ``dtrtri`` inverse solves the rows
-    below, and the Schur complement of the rest, one GEMV per row, is
-    factored the same way."""
+    below, and the Schur complement of the rest is factored the same way."""
     b = _BLOCK
     if len(a) <= b:
         low, info = dpotrf(a, 1, 1)  # lower=1, clean=1
@@ -145,8 +144,8 @@ def _cholesky(a):
         return low
     top = _cholesky(a[:b, :b])
     inverse = dtrtri(top, 1)[0]
-    below = np.array([inverse @ r for r in a[b:, :b]])
-    rest = _cholesky(a[b:, b:] - np.array([below @ r for r in below]))
+    below = matvecs(inverse, a[b:, :b])
+    rest = _cholesky(a[b:, b:] - matvecs(below, below))
     return np.block([[top, np.zeros((b, len(rest)))], [below, rest]])
 
 
@@ -164,7 +163,7 @@ def _newton_step(za, kaa, grad, lam, n):
     mu = lam * n / 2.0
     if kaa is None:
         xt = np.vstack([za.T, np.ones(len(za))])
-        hessian = np.array([xt @ r for r in xt])  # by rows: see the module docstring
+        hessian = matvecs(xt, xt)
         hessian[:-1, :-1] += mu * np.eye(za.shape[1])
         return dpotrs(_cholesky(hessian), -(n / 2.0) * grad, 1)[0]
     factor = _cholesky(kaa + mu * np.eye(len(za)))
@@ -229,7 +228,7 @@ def train_ova_svm(
     scale = np.where(scale == 0.0, 1.0, scale)
     design = np.hstack([(x - mean) / scale, np.ones((len(x), 1))])
     gram = x.shape[0] <= x.shape[1]  # else the feature form: see _newton_step
-    kernel = np.array([design[:, :-1] @ r[:-1] for r in design]) if gram else None
+    kernel = matvecs(design[:, :-1], design[:, :-1]) if gram else None
     solved = [
         _newton_binary(design, kernel, np.where(y == c, 1.0, -1.0), regularization)
         for c in classes
@@ -255,7 +254,7 @@ def decision_scores(model: TrainedClassifier, features) -> np.ndarray:
     # Finite weights can still overflow; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - model.feature_mean) / model.feature_scale
-        scores = z @ model.weights.T + model.biases
+        scores = matvecs(model.weights, z) + model.biases
     if not np.isfinite(scores).all():
         raise NonFiniteEntry("classifier produced non-finite scores")
     return scores

@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
+from .errors import ConfigError, DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
 from .errors import SpdRoseError, TSampleTooLarge, require_integer
 from .io import json_floats, read_container, symmetric_from_upper
-from .manifold import SpdMatrix, _readonly_copy
+from .manifold import SpdMatrix, _readonly_copy, matvecs
 from .seeding import keyed_generator, rekey
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
 
@@ -43,6 +43,7 @@ EXPONENT_MODES = tuple(EXPONENTS)
 
 MODEL_FORMAT = "spdrose.projection_model"
 MODEL_FORMAT_VERSION = 2
+MAX_WEIGHTS = 2**24  # p * k, 128 MiB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +136,7 @@ def build_projection_model(
     divergences : ndarray
         ``divergence_matrix(reference_points, reference_points)``.
     k : int
-        Number of hyperplanes / embedding coordinates.
+        Hyperplanes (embedding coordinates); ``p * k > MAX_WEIGHTS`` is a ConfigError.
     params : KernelParams
         Kernel scale and PSD policy for the Gram matrix.
     t : int, optional
@@ -154,6 +155,8 @@ def build_projection_model(
         raise ValueError(f"t must be at least 1, got {t}")
     if t > p:
         raise TSampleTooLarge(f"t={t} exceeds the reference pool size p={p}")
+    if p * k > MAX_WEIGHTS:
+        raise ConfigError(f"k={k} hyperplanes on {p} points exceed {MAX_WEIGHTS} weights")
 
     if np.shape(divergences) != (p, p):
         raise DimensionMismatch(
@@ -162,20 +165,16 @@ def build_projection_model(
     gram = gram_matrix(divergences, params)
     powered = gram_power(gram, EXPONENTS[exponent_mode])
 
-    weights = np.empty((p, k))
-    base = np.full(p, -1.0 / p)
+    alphas = np.full((k, p), -1.0 / p)  # row j: hyperplane j's selection vector
     rng = keyed_generator(seed)
-    for j in range(k):
+    for j, alpha in enumerate(alphas):
         rekey(rng, seed ^ j)
-        chosen = rng.choice(p, size=t, replace=False)
-        alpha = base.copy()
-        alpha[chosen] += 1.0 / t
-        weights[:, j] = powered @ alpha
+        alpha[rng.choice(p, size=t, replace=False)] += 1.0 / t
 
     return ProjectionModel(
         reference_points=points,
         kernel_params=params,
-        weights=weights,
+        weights=matvecs(powered, alphas).T,
         t=t,
         exponent_mode=exponent_mode,
         seed=seed,
@@ -195,10 +194,9 @@ def _kernel_rows(model: ProjectionModel, divergences) -> np.ndarray:
 
 def _project(model: ProjectionModel, kappas: np.ndarray) -> np.ndarray:
     """Hyperplane responses to each kernel row, as a read-only ``(n, k)`` array."""
-    # One product per row: a single kappas @ weights GEMM rounds differently.
     # Finite weights can still overflow; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = np.array([model.weights.T @ kappa for kappa in kappas]).reshape(-1, model.k)
+        coords = matvecs(model.weights.T, kappas)
     if not np.all(np.isfinite(coords)):
         raise NonFiniteEntry("embedding produced non-finite coordinates")
     coords.setflags(write=False)
@@ -213,13 +211,6 @@ def embed_batch(model: ProjectionModel, divergences) -> np.ndarray:
     of the result is ``weights.T @ kappa(points[i])``.
     """
     return _project(model, _kernel_rows(model, divergences))
-
-
-def binarize(coords: np.ndarray) -> np.ndarray:
-    """Sign pattern of the coordinates as 0/1 bits (0.0 maps to 1)."""
-    bits = (np.asarray(coords, dtype=np.float64) >= 0.0).astype(np.uint8)
-    bits.setflags(write=False)
-    return bits
 
 
 def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float | np.ndarray:
@@ -238,7 +229,7 @@ def expected_distance_sq(model: ProjectionModel, kappa_u, kappa_v) -> float | np
     p, t = model.p, model.t
     factor = (p - t) / (t * p * (p - 1)) if t < p else 0.0
     delta = np.asarray(kappa_u, dtype=np.float64) - np.asarray(kappa_v, dtype=np.float64)
-    h = delta @ model.kernel_power  # K^e is exactly symmetric
+    h = matvecs(model.kernel_power, delta.reshape(-1, model.p)).reshape(delta.shape)
     centered = h - h.mean(axis=-1, keepdims=True)
     return factor * np.einsum("...i,...i->...", centered, centered)
 

@@ -1,11 +1,11 @@
 """File formats: SPD matrix text files, binary PGM/PPM images and JSON.
 
-A matrix file holds one symmetric positive definite matrix.  Version 2,
-the one written, starts with the header line ``<d> v2``; line ``i`` of
-the next ``d`` lines holds row ``i``'s entries ``j >= i``, the upper
-triangle, as whitespace-separated floats.  Version 1, still read, has
-the header ``<d>`` alone and ``d`` full rows.  Values are written with
-``repr`` so a write/read round trip is bit exact, sign of zero included.
+A matrix file holds one symmetric positive definite matrix.  It starts
+with the header line ``<d> v2``; line ``i`` of the next ``d`` lines holds
+row ``i``'s entries ``j >= i``, the upper triangle, as whitespace-separated
+floats.  Blank lines are skipped.  Any other header, the version 1
+``<d>`` alone included, is rejected.  Values are written with ``repr``
+so a write/read round trip is bit exact, sign of zero included.
 
 Images are binary netpbm: P5 (grayscale) and P6 (RGB), maxval 255 only.
 The header is the magic number, then width, height and maxval as runs
@@ -89,7 +89,7 @@ def write_matrix(path, matrix: SpdMatrix) -> None:
 
 
 def read_matrix(path) -> SpdMatrix:
-    """Read a version 2 (upper triangle) or version 1 (full rows) matrix file."""
+    """Read a matrix file in the format of the module docstring."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -98,30 +98,28 @@ def read_matrix(path) -> SpdMatrix:
     lines = [fields for fields in map(str.split, text.splitlines()) if fields]
     if not lines:
         raise ParseError(f"{path}: empty matrix file")
-    (size, *version), rows = lines[0], lines[1:]
-    if version not in ([], ["v2"]):
-        raise ParseError(f"{path}: unsupported matrix file version {' '.join(version)!r}")
+    header, rows = lines[0], lines[1:]
+    if len(header) != 2 or header[1] != "v2":
+        raise ParseError(f"{path}: header {' '.join(header)!r} is not '<d> v2'")
     try:
-        d = int(size)
+        d = int(header[0])
     except ValueError as exc:
-        raise ParseError(f"{path}: first line must be the dimension") from exc
+        raise ParseError(f"{path}: the header must start with the dimension") from exc
     if d < 1:
         raise ParseError(f"{path}: dimension must be positive, got {d}")
     if len(rows) != d:
         raise ParseError(f"{path}: expected {d} rows, found {len(rows)}")
     for i, fields in enumerate(rows):
-        expected = d - i if version else d
-        if len(fields) != expected:
+        if len(fields) != d - i:
             raise ParseError(
-                f"{path}: row {i + 1} has {len(fields)} entries, expected {expected}"
+                f"{path}: row {i + 1} has {len(fields)} entries, expected {d - i}"
             )
     try:
         values = np.array([f for fields in rows for f in fields], dtype=np.float64)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
-    array = symmetric_from_upper(values, d) if version else values.reshape(d, d)
     try:
-        return SpdMatrix(array)
+        return SpdMatrix(symmetric_from_upper(values, d))
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

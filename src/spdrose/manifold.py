@@ -105,6 +105,22 @@ def _cholesky_logdet(a: np.ndarray) -> float:
     return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
 
 
+def matvecs(a: np.ndarray, vectors) -> np.ndarray:
+    """Rows ``a @ v``, one per vector, as a ``(len(vectors), len(a))`` array.
+
+    One GEMV per row keeps the bits at any BLAS thread count, while a GEMM
+    splits its sums by thread (OpenBLAS 0.3.31 rounds 100 x 200 x 100
+    differently at 1 and 2 threads).  Weights, embeddings and the classifier
+    build every matrix product here.  Upstream of it,
+    ``gram_power``'s product differs between 1 and 2 threads at p = 100 and
+    ``eigh`` at p = 150, so weights on pools that large are not invariant.
+    """
+    out = np.empty((len(vectors), len(a)))
+    for i, v in enumerate(vectors):
+        out[i] = a @ v
+    return out
+
+
 def _readonly(a, dtype=np.float64) -> np.ndarray:
     a = np.asarray(a, dtype=dtype, order="C")
     a.setflags(write=False)
@@ -173,19 +189,6 @@ def _spectral_apply(x: SpdMatrix, fn) -> np.ndarray:
 def spd_log(x: SpdMatrix) -> np.ndarray:
     """Matrix logarithm of an SPD matrix; the output is exactly symmetric."""
     return _spectral_apply(x, np.log)
-
-
-def spd_exp(s) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix, returned as SPD.
-
-    Parameters
-    ----------
-    s : array-like of shape (d, d)
-        Symmetric matrix (checked against ``SYMMETRY_RTOL`` relative asymmetry).
-    """
-    vals, vecs = np.linalg.eigh(_symmetric(s))
-    out = (vecs * np.exp(vals)) @ vecs.T
-    return SpdMatrix(symmetrize(out))
 
 
 def spd_power(x: SpdMatrix, exponent: float) -> SpdMatrix:

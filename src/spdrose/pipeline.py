@@ -440,9 +440,6 @@ class _ReportHeader:
     config: ExperimentConfig
     records: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-
     def to_payload(self, include_timing: bool = False) -> dict:
         payload = {
             "format": self.FORMAT,
@@ -812,12 +809,6 @@ class DegradationReport(_ReportHeader):
     synthetic_budget: int
     excluded_class_counts: tuple
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(
-            self, "excluded_class_counts", tuple(self.excluded_class_counts)
-        )
-
     def arm_means(self, arm: str):
         """Mean accuracy per exclusion count, in report count order."""
         means = []
@@ -891,5 +882,5 @@ def degradation_study(
         config=config,
         synthetic_budget=synthetic_budget,
         excluded_class_counts=excluded_class_counts,
-        records=[DegradationRecord(*run) for run in runs],
+        records=tuple(DegradationRecord(*run) for run in runs),
     )

@@ -5,9 +5,11 @@ The symmetric Stein (log-det) divergence between SPD matrices is
     J(X, Y) = logdet((X + Y) / 2) - (logdet(X) + logdet(Y)) / 2
 
 and the kernel is ``K(X, Y) = exp(-sigma * J(X, Y))``.  The kernel is
-guaranteed positive semidefinite only when ``2 * sigma`` is an integer
-between 1 and ``d - 1``; other values are useful in practice, so Gram
-assembly carries an explicit repair policy for indefinite spectra.
+guaranteed positive semidefinite on every point set exactly when ``2 * sigma``
+is an integer between 1 and ``d - 1`` or ``sigma > (d - 1) / 2`` (Sra,
+"Positive definite matrices and the S-divergence", Proc. AMS 2016);
+other values are useful in practice, so Gram assembly carries an
+explicit repair policy for indefinite spectra.
 
 Log-determinants are always computed as twice the sum of the logs of
 the diagonal of a Cholesky factor, never through raw determinants, so
@@ -64,9 +66,9 @@ class KernelParams:
 
 
 def sigma_guarantees_psd(sigma: float, dim: int) -> bool:
-    """True when ``sigma`` lies on the half-integer grid {1/2, 1, ..., (d-1)/2}."""
+    """True when ``sigma`` lies in {1/2, 1, ..., (d-1)/2} or above (d-1)/2."""
     doubled = 2.0 * float(sigma)
-    return doubled == round(doubled) and 1 <= round(doubled) <= dim - 1
+    return doubled > dim - 1 or (doubled == round(doubled) and doubled >= 1)
 
 
 def stein_divergence(x: SpdMatrix, y: SpdMatrix) -> float:
@@ -151,7 +153,7 @@ def gram_matrix(divergences, params: KernelParams) -> GramMatrix:
     if params.psd_policy == "strict" and lo < -GRAM_PSD_RTOL * hi:
         raise IndefiniteKernel(
             f"Gram matrix has eigenvalue {lo:.6e} (largest {hi:.6e}) at "
-            f"sigma={params.sigma}; PSD holds only for 2*sigma in 1..d-1",
+            f"sigma={params.sigma}; PSD is guaranteed for 2*sigma in 1..d-1 or above",
             smallest_eigenvalue=lo,
             sigma=params.sigma,
         )

@@ -738,7 +738,7 @@ def test_run_manifest_with_a_wrong_type_exits_3(tmp_path, capsys, edit):
 def test_run_nan_matrix_exits_3(tmp_path, capsys):
     manifest = save_benchmark_dataset(tmp_path, "data")
     (tmp_path / "data" / "point_0000.txt").write_text(
-        "3\n1.0 nan 0.0\nnan 1.0 0.0\n0.0 0.0 1.0\n"
+        "3 v2\n1.0 nan 0.0\n1.0 0.0\n1.0\n"
     )
     code = main(["run", "--data", str(manifest)])
     assert code == 3
@@ -793,6 +793,19 @@ def test_degrade_negative_count_exits_2(tmp_path, capsys, counts):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "nonnegative" in lines[0]
+
+
+def test_jl_check_k_beyond_the_weight_bound_exits_2(tmp_path, capsys):
+    # 10**8 hyperplanes on 12 points would need 9.6 GB of weights; the
+    # bound is checked before anything is allocated.
+    manifest = save_benchmark_dataset(tmp_path, "data", per_class=6)
+    code = main(["jl-check", "--data", str(manifest), "--k", "100000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "weights" in lines[0]
 
 
 def test_degrade_bad_counts_exits_2(tmp_path, capsys):

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import json
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import spdrose.embedding
 import spdrose.stein
 from spdrose import (
+    ConfigError,
     DimensionMismatch,
     EmptyInput,
     KernelParams,
@@ -21,7 +24,6 @@ from spdrose import (
     ParseError,
     SpdMatrix,
     TSampleTooLarge,
-    binarize,
     build_projection_model,
     divergence_matrix,
     embed_batch,
@@ -36,7 +38,7 @@ from spdrose import (
 
 from spdrose.manifold import EIGENVALUE_FLOOR_RTOL
 
-from conftest import random_orthogonal, random_spd, two_cluster_pool
+from conftest import blas_thread_env, random_orthogonal, random_spd, two_cluster_pool
 
 
 def small_pool(rng, count=8, dim=3):
@@ -89,6 +91,19 @@ def test_build_validation(rng):
         build(pool, 4, params, t=len(pool) + 1)
     with pytest.raises(DimensionMismatch):
         build_projection_model(pool, divergence_matrix(pool[1:], pool[1:]), 4, params)
+
+
+def test_weight_count_is_bounded_before_any_allocation(rng, monkeypatch):
+    # p * k may reach MAX_WEIGHTS and no further; 10**8 hyperplanes on 12
+    # points would need 9.6 GB of weights.
+    assert spdrose.embedding.MAX_WEIGHTS == 2**24
+    pool = small_pool(rng, count=12)
+    with pytest.raises(ConfigError, match="exceed 16777216 weights"):
+        build(pool, 10**8, KernelParams(0.5))
+    monkeypatch.setattr(spdrose.embedding, "MAX_WEIGHTS", 24)
+    assert build(pool, 2, KernelParams(0.5)).weights.shape == (12, 2)
+    with pytest.raises(ConfigError, match="k=3 hyperplanes on 12 points"):
+        build(pool, 3, KernelParams(0.5))
 
 
 def test_model_shape_and_defaults(rng):
@@ -168,12 +183,6 @@ def test_embed_rejects_wrong_dimension(rng):
         embed(model, [random_spd(rng, 3), random_spd(rng, 2)])
     with pytest.raises(DimensionMismatch):
         embed_batch(model, np.zeros((1, model.p + 1)))
-
-
-def test_binarize_sign_convention():
-    bits = binarize(np.array([-1.5, 0.0, 2.0, -0.0]))
-    assert bits.dtype == np.uint8
-    assert bits.tolist() == [0, 1, 1, 1]
 
 
 def test_expected_distance_matches_exhaustive_enumeration(rng):
@@ -550,11 +559,11 @@ def test_embed_kernel_call_count(rng, monkeypatch):
 def test_rank_deficient_gram_under_strict_policy(rng, sigma, mode):
     # Duplicated points give a rank-2 Gram whose zero eigenvalues come out
     # of eigh as roundoff of either sign (about 1e-15).  The strict policy
-    # must accept that, on and off the PSD grid of sigma, and the
+    # must accept that, with or without a PSD guarantee for sigma, and the
     # pseudo-inverse powers must keep the embeddings finite.
     a, b = random_spd(rng, 4), random_spd(rng, 4)
     points = [a] * 5 + [b] * 3
-    assert sigma_guarantees_psd(sigma, 4) == (sigma in (0.5, 1.5))
+    assert sigma_guarantees_psd(sigma, 4) == (sigma in (0.5, 1.5, 2.5))
     model = build(
         points, 16, KernelParams(sigma, psd_policy="strict"), exponent_mode=mode, seed=3
     )
@@ -604,3 +613,42 @@ def test_weights_that_overflow_raise_a_data_error_without_a_warning():
     huge = replace(model, weights=np.full_like(model.weights, 1e308) * signs)
     with pytest.raises(NonFiniteEntry, match="non-finite coordinates"):
         embed_batch(huge, divergence_matrix(pool, pool))
+
+
+# Builds a model on the saved reference pool and embeds the saved query
+# divergences, then writes the weights' bytes and the embeddings' bytes.
+_THREADED_EMBEDDING = """
+import sys
+import numpy as np
+from spdrose import KernelParams, SpdMatrix, build_projection_model, embed_batch
+refs = [SpdMatrix(a) for a in np.load(sys.argv[1])]
+model = build_projection_model(
+    refs, np.load(sys.argv[2]), 1500, KernelParams(0.5), seed=11
+)
+with open(sys.argv[4], "wb") as out:
+    out.write(model.weights.tobytes())
+    out.write(embed_batch(model, np.load(sys.argv[3])).tobytes())
+"""
+
+
+def test_weights_and_embeddings_are_identical_across_blas_thread_counts(tmp_path, rng):
+    # At p = 80, k = 1500 and n = 800 a GEMM of the weight or embedding
+    # operands rounds differently at 1 and 2 threads, while the Gram
+    # spectrum and its power do not, so a product built outside
+    # manifold.matvecs fails here.
+    refs = [random_spd(rng, 6) for _ in range(80)]
+    queries = [random_spd(rng, 6) for _ in range(800)]
+    inputs = [tmp_path / name for name in ("refs.npy", "gram.npy", "queries.npy")]
+    np.save(inputs[0], np.stack([p.array for p in refs]))
+    np.save(inputs[1], divergence_matrix(refs, refs))
+    np.save(inputs[2], divergence_matrix(queries, refs))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bin"
+        subprocess.run(
+            [sys.executable, "-c", _THREADED_EMBEDDING, *map(str, inputs), str(out)],
+            env=blas_thread_env(threads), check=True, timeout=120,
+        )
+        written.append(out.read_bytes())
+    assert len(written[0]) == 8 * (80 + 800) * 1500
+    assert written[0] == written[1]

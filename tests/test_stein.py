@@ -31,8 +31,8 @@ from conftest import blas_thread_env, random_orthogonal, random_spd
 
 # Eight 2x2 points whose kernel Gram at sigma=0.25 has smallest
 # eigenvalue about -0.0445.  Found by direct minimisation of the
-# smallest eigenvalue; sigma=0.25 sits below the half-integer grid,
-# where positive semidefiniteness is not guaranteed.
+# smallest eigenvalue; sigma=0.25 sits below 1/2, the smallest sigma
+# for which d = 2 guarantees positive semidefiniteness.
 INDEFINITE_POINTS = [
     SpdMatrix(np.array(m))
     for m in [
@@ -141,10 +141,10 @@ def test_sigma_grid():
         1.5,
         2.0,
     ]
-    assert not sigma_guarantees_psd(2.5, 5)
+    assert sigma_guarantees_psd(2.5, 5)
     assert not sigma_guarantees_psd(0.75, 5)
     assert sigma_guarantees_psd(0.5, 2)
-    assert not sigma_guarantees_psd(1.0, 2)
+    assert sigma_guarantees_psd(1.0, 2)
     assert not sigma_guarantees_psd(0.25, 8)
 
 
@@ -202,6 +202,17 @@ def test_indefinite_witness_is_indefinite():
                 INDEFINITE_POINTS[i], INDEFINITE_POINTS[j], params.sigma
             )
     assert np.linalg.eigvalsh(raw)[0] < -0.01
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_indefinite_witness_is_positive_definite_where_the_rule_guarantees_it(sigma):
+    # At d = 2 the kernel is guaranteed positive definite for 2 * sigma = 1
+    # and for every sigma above 1/2; the witness pool is indefinite only
+    # below about sigma = 0.37.
+    assert sigma_guarantees_psd(sigma, 2)
+    gram = gram_of(INDEFINITE_POINTS, KernelParams(sigma, psd_policy="strict"))
+    assert gram.clamped_mass == 0.0
+    assert gram.values[0] >= 1e-2 * gram.values[-1]
 
 
 def test_gram_clamp_repairs_indefinite():
