@@ -40,6 +40,7 @@ from .manifold import (
     geodesic_distance,
     spd_log,
     spd_power,
+    spd_stack,
 )
 from .stein import (
     GramMatrix,

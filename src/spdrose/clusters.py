@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .manifold import SpdMatrix, _readonly_copy, symmetrize
+from .manifold import SpdMatrix, _readonly_copy, _spd_or_errors, spd_stack, symmetrize
 from .seeding import keyed_generator
 
 MAX_SAMPLE_RETRIES = 100
@@ -63,29 +63,36 @@ def make_cluster_centers(
     # are added; only the first n_classes columns are used.
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     scale = separation / np.sqrt(2.0)
-    return [
-        SpdMatrix(np.diag(np.exp(scale * q[:, c]))) for c in range(n_classes)
-    ]
+    return spd_stack([np.diag(np.exp(scale * q[:, c])) for c in range(n_classes)])
 
 
 def sample_cluster(center: SpdMatrix, count: int, spread: float, rng):
-    """Congruence-noise samples around ``center``."""
+    """Congruence-noise samples around ``center``.
+
+    A candidate that is not positive definite is skipped, and
+    ``MAX_SAMPLE_RETRIES`` rejections in a row raise.  Each round draws the
+    noise of the points still missing in one call and checks it as one
+    stack; points and ``rng`` end as a point-by-point loop leaves them.
+    """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if spread < 0.0:
         raise ValueError(f"spread must be nonnegative, got {spread}")
     a = center.sqrt_array
-    points = []
-    for _ in range(count):
-        for attempt in range(MAX_SAMPLE_RETRIES):
-            noise = symmetrize(rng.normal(scale=spread, size=(center.dim,) * 2))
-            candidate = symmetrize(a @ (np.eye(center.dim) + noise) @ a.T)
-            try:
-                points.append(SpdMatrix(candidate))
-                break
-            except NotPositiveDefinite:
-                continue
-        else:
+    points, rejected = [], 0
+    while len(points) < count:
+        # Neither a full count nor the retry limit can end the loop in fewer draws.
+        size = min(count - len(points), MAX_SAMPLE_RETRIES - rejected)
+        noise = symmetrize(rng.normal(scale=spread, size=(size, *a.shape)))
+        for point in _spd_or_errors(symmetrize(a @ (np.eye(len(a)) + noise) @ a.T)):
+            if isinstance(point, SpdMatrix):
+                points.append(point)
+                rejected = 0
+            elif isinstance(point, NotPositiveDefinite):
+                rejected += 1
+            else:
+                raise point
+        if rejected == MAX_SAMPLE_RETRIES:
             raise NotPositiveDefinite(
                 f"no SPD sample after {MAX_SAMPLE_RETRIES} draws; "
                 f"spread {spread} is too large"

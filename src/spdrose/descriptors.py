@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import GridTooFine, ImageTooSmall
-from .manifold import SpdMatrix, _readonly_copy, symmetrize
+from .manifold import _readonly_copy, spd_stack, symmetrize
 
 RELATIVE_RIDGE = 1e-5
 ABSOLUTE_RIDGE = 1e-8
@@ -235,14 +235,14 @@ def gabor_feature_map(image: GrayImage) -> FeatureImage:
     return FeatureImage(values, ("I", "x", "y", *tags))
 
 
-def _covariance(block: np.ndarray) -> SpdMatrix:
+def _covariance(block: np.ndarray) -> np.ndarray:
     """Shrunk sample covariance of the feature vectors of an (h, w, C) block."""
     channels = block.shape[2]
     flat = block.reshape(-1, channels)
     deviations = flat - flat.mean(axis=0)
     cov = symmetrize(deviations.T @ deviations) / (flat.shape[0] - 1)
     ridge = RELATIVE_RIDGE * float(np.trace(cov)) / channels + ABSOLUTE_RIDGE
-    return SpdMatrix(cov + ridge * np.eye(channels))
+    return cov + ridge * np.eye(channels)
 
 
 def grid_covariances(feature_image: FeatureImage, rows: int, cols: int):
@@ -270,7 +270,7 @@ def grid_covariances(feature_image: FeatureImage, rows: int, cols: int):
             x1 = (c + 1) * w0 if c < cols - 1 else w
             cell = feature_image.values[r * h0 : y1, c * w0 : x1]
             out.append(_covariance(cell))
-    return out
+    return spd_stack(out)
 
 
 def box_downsample(pixels: np.ndarray, factor: int) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
 from .errors import SpdRoseError, TSampleTooLarge, require_integer
 from .io import json_floats, read_container, symmetric_from_upper
-from .manifold import SpdMatrix, _readonly_copy, matvecs
+from .manifold import _readonly_copy, matvecs, spd_stack
 from .seeding import keyed_generator, rekey
 from .stein import GramMatrix, KernelParams, divergence_matrix, gram_matrix, gram_power
 
@@ -323,10 +323,10 @@ def load_projection_model(path) -> ProjectionModel:
         for name in ("dim", "p", "k"):
             require_integer(payload[name], name)
         model = ProjectionModel(
-            reference_points=tuple(
-                SpdMatrix(symmetric_from_upper(json_floats(m), payload["dim"]))
+            reference_points=tuple(spd_stack([
+                symmetric_from_upper(json_floats(m), payload["dim"])
                 for m in payload["reference_points"]
-            ),
+            ])),
             kernel_params=KernelParams(payload["sigma"], payload["psd_policy"]),
             weights=json_floats(payload["weights"]),
             t=payload["t"],

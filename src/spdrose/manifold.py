@@ -19,6 +19,8 @@ Conventions
 * Matrices whose eigenvalue ratio ``lambda_min / lambda_max`` falls at
   or below ``EIGENVALUE_FLOOR_RTOL`` are rejected instead of silently
   regularized.
+* A stack of matrices is checked once (:func:`spd_stack`), with the
+  errors of its first failing matrix.
 * All operations are pure: identical inputs give bit-identical outputs.
 """
 
@@ -48,45 +50,42 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _finite_peak(a: np.ndarray) -> float:
-    """Largest entry magnitude; NaN or inf raises ``NonFiniteEntry``.
+def _entry_errors(raw) -> tuple:
+    """A float ``(n, d, d)`` stack and, per matrix, the error of its first failed entry check or None.
 
-    NaN fails every comparison the callers make, so without the check a
-    non-finite matrix would pass them all.
-    """
-    peak = float(np.abs(a).max()) if a.size else 0.0
-    if not math.isfinite(peak):
-        raise NonFiniteEntry("matrix holds a NaN or infinite entry")
-    return peak
-
-
-def _symmetric(raw) -> np.ndarray:
-    """The exact symmetric part of a square, finite, nearly symmetric matrix.
-
-    Checks, in order, squareness, finiteness of every entry and the
-    asymmetry relative to the largest entry (at most ``SYMMETRY_RTOL``).
+    The checks are finiteness of every entry, then the asymmetry relative to
+    the largest entry (at most ``SYMMETRY_RTOL``), which NaN would pass.
     """
     a = np.asarray(raw, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    peak = _finite_peak(a)
-    gap = float(np.abs(a - a.T).max()) / max(1.0, peak)
-    if gap > SYMMETRY_RTOL:
-        raise AsymmetryExceedsTolerance(
-            f"relative asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-        )
-    return symmetrize(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NotSquare(f"expected a square matrix, got shape {a.shape[1:]}")
+    with np.errstate(invalid="ignore"):  # inf - inf, in a matrix that fails anyway
+        peaks = np.abs(a).max(axis=(1, 2))
+        gaps = np.abs(a - a.swapaxes(1, 2)).max(axis=(1, 2)) / np.maximum(1.0, peaks)
+    return a, [
+        NonFiniteEntry("matrix holds a NaN or infinite entry") if not math.isfinite(peak)
+        else AsymmetryExceedsTolerance(f"relative asymmetry {gap:.3e} exceeds {SYMMETRY_RTOL:.1e}")
+        if gap > SYMMETRY_RTOL else None
+        for peak, gap in zip(peaks.tolist(), gaps.tolist())
+    ]
 
 
-def _check_spectrum(lo: float, hi: float) -> None:
-    """Reject a spectrum ``[lo, hi]`` that is not positive or too ill-conditioned."""
+def _raise_first(items) -> None:
+    """Raise the first exception among ``items``; anything else is passed over."""
+    for item in items:
+        if isinstance(item, Exception):
+            raise item
+
+
+def _spectrum_error(lo: float, hi: float):
+    """The error for a spectrum ``[lo, hi]`` that is not positive or too ill-conditioned, or None."""
     if lo <= 0.0:
-        raise NotPositiveDefinite(
+        return NotPositiveDefinite(
             f"smallest eigenvalue {lo:.6e} is not positive",
             smallest_eigenvalue=lo,
         )
     if lo <= EIGENVALUE_FLOOR_RTOL * hi:
-        raise NotPositiveDefinite(
+        return NotPositiveDefinite(
             f"eigenvalue ratio {lo / hi:.3e} at or below the "
             f"{EIGENVALUE_FLOOR_RTOL:.1e} conditioning floor",
             smallest_eigenvalue=lo,
@@ -143,16 +142,15 @@ class SpdMatrix:
     squareness, finiteness of every entry, symmetry (relative tolerance
     ``SYMMETRY_RTOL``), strict positivity of the spectrum, and the
     conditioning floor ``lambda_min > EIGENVALUE_FLOOR_RTOL * lambda_max``.
-    Instances are immutable; the wrapped array is read-only.
+    It is :func:`spd_stack` of a stack of one.  Instances are immutable;
+    the wrapped array is read-only.
     """
 
     array: np.ndarray
 
     def __post_init__(self):
-        a = _readonly(_symmetric(self.array))
-        vals = np.linalg.eigvalsh(a)
-        _check_spectrum(float(vals[0]), float(vals[-1]))
-        object.__setattr__(self, "array", a)
+        (checked,) = spd_stack(np.asarray(self.array, dtype=np.float64)[None])
+        object.__setattr__(self, "array", checked.array)
 
     @property
     def dim(self) -> int:
@@ -181,6 +179,34 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
+def _spd_or_errors(raw) -> list:
+    """Each matrix of an ``(n, d, d)`` stack as an :class:`SpdMatrix`, or the error it fails.
+
+    The instances hold read-only views of one exactly symmetrized stack.
+    """
+    a, out = _entry_errors(raw)
+    passed = [i for i, err in enumerate(out) if err is None]
+    stack = _readonly(symmetrize(a[passed]))
+    spectra = np.linalg.eigvalsh(stack)
+    for i, x, lo, hi in zip(passed, stack, spectra[:, 0].tolist(), spectra[:, -1].tolist()):
+        out[i] = _spectrum_error(lo, hi)
+        if out[i] is None:  # checked: build the instance without __post_init__
+            out[i] = object.__new__(SpdMatrix)
+            object.__setattr__(out[i], "array", x)
+    return out
+
+
+def spd_stack(arrays) -> list:
+    """An :class:`SpdMatrix` for each matrix of an ``(n, d, d)`` stack.
+
+    Runs the checks of :class:`SpdMatrix` with stacked reductions and one
+    ``eigvalsh`` call, raising the error of the first failing matrix.
+    """
+    points = _spd_or_errors(arrays)
+    _raise_first(points)
+    return points
+
+
 def _spectral_apply(x: SpdMatrix, fn) -> np.ndarray:
     vals, vecs = x.eigen
     return symmetrize((vecs * fn(vals)) @ vecs.T)
@@ -205,13 +231,14 @@ class TangentVector:
     value: np.ndarray
 
     def __post_init__(self):
-        v = _symmetric(self.value)
-        if v.shape[0] != self.pole.dim:
+        a, errors = _entry_errors(np.asarray(self.value, dtype=np.float64)[None])
+        _raise_first(errors)
+        if a.shape[1] != self.pole.dim:
             raise DimensionMismatch(
-                f"tangent value is {v.shape[0]}x{v.shape[0]} but the pole is "
+                f"tangent value is {a.shape[1]}x{a.shape[1]} but the pole is "
                 f"{self.pole.dim}x{self.pole.dim}"
             )
-        object.__setattr__(self, "value", _readonly(v))
+        object.__setattr__(self, "value", _readonly(symmetrize(a[0])))
 
 
 def _whitened(pole: SpdMatrix, stack) -> np.ndarray:
@@ -245,10 +272,9 @@ def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
         Exactly symmetric tangent values and squared distances.
     """
     inner = _whitened(pole, stack)
-    _finite_peak(inner)
+    _raise_first(_entry_errors(inner)[1])
     vals, vecs = np.linalg.eigh(inner)
-    for lo, hi in zip(vals[:, 0].tolist(), vals[:, -1].tolist()):
-        _check_spectrum(lo, hi)
+    _raise_first(map(_spectrum_error, vals[:, 0].tolist(), vals[:, -1].tolist()))
     # np.log may round a strided view differently from contiguous input,
     # so take it on the contiguous spectra before reversing their order.
     logs = np.log(vals)[:, ::-1]
@@ -256,7 +282,7 @@ def airm_log_map_stack(pole: SpdMatrix, stack: np.ndarray):
     flat = symmetrize((vecs * logs[:, None, :]) @ np.swapaxes(vecs, -1, -2))
     sq = pole.sqrt_array
     values = symmetrize(sq @ flat @ sq)
-    _finite_peak(values)
+    _raise_first(_entry_errors(values)[1])
     return values, np.sum(logs * logs, axis=1)
 
 
@@ -274,14 +300,14 @@ def airm_exp_map_stack(pole: SpdMatrix, values: np.ndarray) -> list:
     """Exponential maps at ``pole`` of an ``(n, d, d)`` stack of tangent values.
 
     Each ``v`` maps to ``pole^{1/2} exp(pole^{-1/2} v pole^{-1/2}) pole^{1/2}``
-    by one batched whitening, eigensolve and sandwich.  Each result is
-    checked as an :class:`SpdMatrix` and has the bits of its own stack of
-    one, which is :func:`airm_exp_map`.
+    by one batched whitening, eigensolve and sandwich.  The results are
+    checked as one stack (:func:`spd_stack`), and each has the bits of
+    its own stack of one, which is :func:`airm_exp_map`.
     """
     vals, vecs = np.linalg.eigh(_whitened(pole, values))
     expd = symmetrize((vecs * np.exp(vals)[:, None, :]) @ np.swapaxes(vecs, -1, -2))
     sq = pole.sqrt_array
-    return [SpdMatrix(a) for a in symmetrize(sq @ expd @ sq)]
+    return spd_stack(symmetrize(sq @ expd @ sq))
 
 
 def airm_exp_map(tangent: TangentVector) -> SpdMatrix:
@@ -300,8 +326,13 @@ def airm_norm(tangent: TangentVector) -> float:
     also the geodesic distance from the pole to the exponential of the
     vector.
     """
-    isq = tangent.pole.inv_sqrt_array
-    return float(np.linalg.norm(isq @ tangent.value @ isq, "fro"))
+    return _metric_norm(tangent.pole, tangent.value)
+
+
+def _metric_norm(pole: SpdMatrix, value: np.ndarray) -> float:
+    """:func:`airm_norm` of an exactly symmetric ``value`` not wrapped in a :class:`TangentVector`."""
+    isq = pole.inv_sqrt_array
+    return float(np.linalg.norm(isq @ value @ isq, "fro"))
 
 
 def geodesic_distance_stack(x: SpdMatrix, stack: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .manifold import (
     SpdMatrix,
+    _metric_norm,
     TangentVector,
     airm_exp_map,
     airm_exp_map_stack,
@@ -225,8 +226,8 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
 
 
 def _rescaled(pole: SpdMatrix, direction: np.ndarray, zeta: float) -> np.ndarray:
-    """The tangent ``direction`` at ``pole`` rescaled to metric length ``zeta``."""
-    norm = airm_norm(TangentVector(pole, direction))
+    """The exactly symmetric tangent ``direction`` at ``pole`` rescaled to metric length ``zeta``."""
+    norm = _metric_norm(pole, direction)
     if norm <= DEGENERATE_DISTANCE:
         raise DegenerateDirection(f"direction tangent has metric norm {norm:.3e}")
     return direction * (zeta / norm)
@@ -246,8 +247,8 @@ def generate_synthetic(training, config: SynthesisConfig, ball=None):
     ``MAX_DIRECTION_RETRIES`` times before the error propagates.  The
     draws run point by point, but the training points' tangents come
     from one batched log map at the mean and every point from one
-    batched exp map (:func:`airm_exp_map_stack`), with the bits of a
-    step taken for that point alone.
+    batched exp map (:func:`airm_exp_map_stack`), checked as one stack,
+    with the bits of a step taken for that point alone.
 
     Returns
     -------

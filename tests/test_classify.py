@@ -76,8 +76,12 @@ for shape in sys.argv[2:]:
 """
 # 48 descriptors embedded with k = 2n hyperplanes; degradation_study's 100
 # descriptors, k = 2n, five classes, whose first Newton steps factor a
-# 100 x 100 block; the Gram and the feature form past one _BLOCK-row block.
-_THREADED_SHAPES = ("48x96x4x5", "100x200x5x6", "200x400x5x7", "400x150x5x7")
+# 100 x 100 block; the Gram and the feature form past one _BLOCK-row block;
+# a 401-row feature-form Hessian, whose 274 x 127 rows below its first
+# block make a Schur complement that a GEMM rounds by thread count.
+_THREADED_SHAPES = (
+    "48x96x4x5", "100x200x5x6", "200x400x5x7", "400x150x5x7", "600x400x5x8",
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +113,7 @@ def test_training_at_the_degradation_shape_is_identical_across_blas_thread_count
     assert first == second
 
 
-@pytest.mark.parametrize("shape", ["200x400x5x7", "400x150x5x7"])
+@pytest.mark.parametrize("shape", ["200x400x5x7", "400x150x5x7", "600x400x5x8"])
 def test_training_past_one_factor_block_is_identical_across_blas_thread_counts(
     saved_at_one_and_two_blas_threads, shape
 ):

@@ -5,11 +5,14 @@ import pytest
 
 from spdrose import (
     NotPositiveDefinite,
+    SpdMatrix,
     geodesic_distance,
     make_benchmark,
     make_cluster_centers,
     sample_cluster,
+    symmetrize,
 )
+from spdrose.clusters import MAX_SAMPLE_RETRIES
 from spdrose.seeding import keyed_generator
 
 
@@ -51,11 +54,60 @@ def test_sample_cluster_concentrates_near_center():
     assert np.mean(radii) > 0.0
 
 
+def _sample_point_by_point(center, count, spread, rng):
+    """The rejection loop that ``sample_cluster`` batches, one candidate at a time.
+
+    Returns the points, or the error raised, and the number of rejected
+    candidates.
+    """
+    a = center.sqrt_array
+    points, rejected = [], 0
+    for _ in range(count):
+        for _ in range(MAX_SAMPLE_RETRIES):
+            noise = symmetrize(rng.normal(scale=spread, size=(center.dim,) * 2))
+            try:
+                points.append(SpdMatrix(symmetrize(a @ (np.eye(center.dim) + noise) @ a.T)))
+                break
+            except NotPositiveDefinite:
+                rejected += 1
+        else:
+            return NotPositiveDefinite(
+                f"no SPD sample after {MAX_SAMPLE_RETRIES} draws; "
+                f"spread {spread} is too large"
+            ), rejected
+    return points, rejected
+
+
+@pytest.mark.parametrize("spread", [0.25, 0.5, 0.7])
+def test_sample_cluster_equals_the_point_by_point_loop(spread):
+    # The degradation workload's geometry (5 classes, d = 6): spread 0.25
+    # rejects a few candidates, 0.5 runs of them across rounds, and 0.7
+    # runs out of retries part way through the points.
+    rejected = 0
+    for c, center in enumerate(make_cluster_centers(5, 6, 2.0, seed=20260814)[:3]):
+        batched, reference = keyed_generator(1, c + 1), keyed_generator(1, c + 1)
+        expected, count = _sample_point_by_point(center, 150, spread, reference)
+        rejected += count
+        if isinstance(expected, Exception):
+            with pytest.raises(NotPositiveDefinite, match=f"^{expected}$"):
+                sample_cluster(center, 150, spread, batched)
+        else:
+            points = sample_cluster(center, 150, spread, batched)
+            assert [p.array.tobytes() for p in points] == [
+                p.array.tobytes() for p in expected
+            ]
+        # The caller's generator is left where the loop leaves it.
+        assert np.array_equal(batched.random(4), reference.random(4))
+    assert rejected > 0
+
+
 def test_sample_cluster_rejects_excess_spread():
     # At dimension 8 a huge-noise draw is essentially never positive
     # definite, so the retry budget runs out.
     centers = make_cluster_centers(1, 8, 0.0, seed=0)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(
+        NotPositiveDefinite, match=r"^no SPD sample after 100 draws; spread 50\.0 is too large$"
+    ):
         sample_cluster(centers[0], 2, 50.0, keyed_generator(0))
     small = make_cluster_centers(1, 3, 0.0, seed=0)
     with pytest.raises(ValueError):

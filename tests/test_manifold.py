@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from spdrose import (
     AsymmetryExceedsTolerance,
@@ -15,6 +16,7 @@ from spdrose import (
     NotSquare,
     ProjectionModel,
     SpdMatrix,
+    SpdRoseError,
     TangentVector,
     TrainedClassifier,
     airm_exp_map,
@@ -23,6 +25,7 @@ from spdrose import (
     geodesic_distance,
     spd_log,
     spd_power,
+    spd_stack,
     symmetrize,
 )
 from spdrose.manifold import (
@@ -34,7 +37,7 @@ from spdrose.manifold import (
     geodesic_distance_stack,
 )
 
-from conftest import random_spd, random_symmetric
+from conftest import random_orthogonal, random_spd, random_symmetric
 
 
 def test_symmetrize_average():
@@ -281,6 +284,16 @@ def test_exp_map_stack_equals_per_point_maps(rng, dim):
         assert isinstance(point, SpdMatrix)
         assert np.array_equal(point.array, airm_exp_map(TangentVector(pole, value)).array)
         assert np.array_equal(point.array, _exp_map_one(pole, value))
+    # spd_stack of an all-good stack, with round-off asymmetry left in,
+    # holds each matrix's exact symmetric part, as SpdMatrix of it does.
+    raw = np.stack([p.array for p in points])
+    raw[:, 0, -1] *= 1.0 + 0.1 * SYMMETRY_RTOL
+    checked = spd_stack(raw)
+    assert len(checked) == len(raw)
+    for point, a in zip(checked, raw):
+        assert np.array_equal(point.array, symmetrize(a))
+        assert np.array_equal(point.array, SpdMatrix(a).array)
+        assert not point.array.flags.writeable
 
 
 def test_exp_map_stack_checks_every_point_and_its_shape():
@@ -291,6 +304,54 @@ def test_exp_map_stack_checks_every_point_and_its_shape():
     with pytest.raises(DimensionMismatch):
         airm_exp_map_stack(pole, np.zeros((2, 4, 4)))
     assert airm_exp_map_stack(pole, np.zeros((0, 3, 3))) == []
+    with pytest.raises(NotSquare, match=r"got shape \(3, 2\)$"):
+        spd_stack(np.ones((4, 3, 2)))
+    assert spd_stack(np.zeros((0, 3, 3))) == []
+
+
+def _bad_matrix(kind, good, rng):
+    """``good`` broken in one way: a non-finite entry, asymmetry, or its spectrum."""
+    dim = len(good)
+    i, j = rng.integers(dim, size=2)
+    if kind in ("nan", "inf"):
+        bad = good.copy()
+        bad[i, j] = np.nan if kind == "nan" else -np.inf
+        return bad
+    if kind == "asymmetric":
+        bad = good.copy()
+        bad[0, 1] += rng.uniform(1e3, 1e6) * SYMMETRY_RTOL * np.abs(good).max()
+        return bad
+    q = random_orthogonal(rng, dim)
+    w = np.exp(rng.uniform(-1.0, 1.0, size=dim))
+    w[0] = -rng.uniform(0.0, 1.0) if kind == "indefinite" else 0.3 * EIGENVALUE_FLOOR_RTOL
+    return symmetrize((q * w) @ q.T)
+
+
+_BAD_KINDS = ("nan", "inf", "asymmetric", "indefinite", "below-floor")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3, 6]),
+    size=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(_BAD_KINDS), min_size=1, max_size=2),
+)
+def test_spd_stack_raises_the_error_of_its_first_failing_matrix(seed, dim, size, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_spd(rng, dim).array for _ in range(size + len(kinds))])
+    at = np.sort(rng.choice(len(stack), size=len(kinds), replace=False))
+    for kind, i in zip(kinds, at):
+        stack[i] = _bad_matrix(kind, stack[i], rng)
+    with pytest.raises(SpdRoseError) as expected:
+        SpdMatrix(stack[at[0]])
+    with pytest.raises(SpdRoseError) as raised:
+        spd_stack(stack)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+    assert getattr(raised.value, "smallest_eigenvalue", None) == getattr(
+        expected.value, "smallest_eigenvalue", None
+    )
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 43])

@@ -164,11 +164,17 @@ def test_mean_converges_where_unit_step_diverges():
 
 # Synthesizes points around 12 d=43 matrices (the descriptor size of
 # gabor43) spread so widely that the Karcher step rule halves steps, and
-# writes them; prints whether the mean converged and how many halvings.
+# samples clusters at d=43 and at the degradation workload's d=6 geometry,
+# whose stacked congruences reject some candidates; writes them all and
+# prints whether the mean converged and how many halvings.
 _THREADED_SYNTHESIS = """
 import sys
 import numpy as np
-from spdrose import SpdMatrix, SynthesisConfig, generate_synthetic, karcher_mean_info
+from spdrose import (
+    SpdMatrix, SynthesisConfig, generate_synthetic, karcher_mean_info,
+    make_cluster_centers, sample_cluster,
+)
+from spdrose.seeding import keyed_generator
 rng = np.random.default_rng(8)
 points = []
 for _ in range(12):
@@ -176,7 +182,10 @@ for _ in range(12):
     points.append(SpdMatrix((q * np.exp(rng.uniform(-6.0, 6.0, 43))) @ q.T))
 _, record = karcher_mean_info(points)
 out = generate_synthetic(points, SynthesisConfig(count=4, seed=1))
-np.save(sys.argv[1], np.stack([p.array for p in out]))
+out += sample_cluster(points[0], 20, 0.05, keyed_generator(1, 1))
+for c, center in enumerate(make_cluster_centers(5, 6, 2.0, seed=20260814)):
+    out += sample_cluster(center, 40, 0.25, keyed_generator(1, c + 1))
+np.save(sys.argv[1], np.concatenate([p.array.ravel() for p in out]))
 print(record.converged, record.halvings)
 """
 
