@@ -121,14 +121,16 @@ def _step_length(gap, along, slope, curvature, n):
     active = (gap > 0.0) | ((gap == 0.0) & (along < 0.0))
     ahead = np.flatnonzero(gap * along > 0.0)
     ahead = ahead[np.argsort(gap[ahead] / along[ahead], kind="stable")]
-    kinks = gap[ahead] / along[ahead]
-    joins = np.where(gap[ahead] > 0.0, -c, c)  # active points leave
+    g, a = gap[ahead], along[ahead]
+    kinks = g / a
+    joins = np.where(g > 0.0, -c, c)  # active points leave
     # On segment j (after j kinks) the derivative is intercept[j] + t * rate[j].
-    d_intercept = np.cumsum(joins * along[ahead] * gap[ahead])
-    d_rate = np.cumsum(joins * along[ahead] ** 2)
-    intercept = slope - c * along[active] @ gap[active] - np.append(0.0, d_intercept)
-    rate = curvature + c * along[active] @ along[active] + np.append(0.0, d_rate)
-    j = np.argmax(np.append(intercept[:-1] + rate[:-1] * kinks >= 0.0, True))
+    shifts = np.cumsum([joins * a * g, joins * a**2], axis=1)
+    shifts = np.concatenate((np.zeros((2, 1)), shifts), axis=1)
+    intercept = slope - c * along[active] @ gap[active] - shifts[0]
+    rate = curvature + c * along[active] @ along[active] + shifts[1]
+    crossed = np.flatnonzero(intercept[:-1] + rate[:-1] * kinks >= 0.0)
+    j = crossed[0] if len(crossed) else len(kinks)
     return -intercept[j] / rate[j]
 
 
@@ -181,7 +183,7 @@ def _newton_binary(x, kernel, y, lam):
     penalty = np.append(np.full(dim - 1, lam), 0.0)
     theta, gap = np.zeros(dim), np.ones(n)
     for steps in range(MAX_NEWTON_STEPS + 1):
-        active = gap > 0.0
+        active = np.flatnonzero(gap > 0.0)
         xa = x[active]
         grad = penalty * theta - (2.0 / n) * (xa.T @ (y * gap)[active])
         norm = float(np.sqrt(grad @ grad))
@@ -194,7 +196,7 @@ def _newton_binary(x, kernel, y, lam):
                 f"(tol {GRADIENT_RTOL:.0e})",
                 iterate=theta, residual=norm / initial, iterations=steps,
             )
-        kaa = None if kernel is None else kernel[np.ix_(active, active)]
+        kaa = None if kernel is None else kernel.take(active, 0).take(active, 1)
         s = _newton_step(xa[:, :-1], kaa, grad, lam, n)
         t = _step_length(gap, y * (x @ s), (penalty * theta) @ s, (penalty * s) @ s, n)
         theta = theta + t * s

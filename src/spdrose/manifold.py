@@ -15,7 +15,9 @@ Conventions
   factor (LAPACK ``dpotrf``) as ``2 * sum(log(diag(L)))``, which needs
   no eigensolve.  Every log-determinant in the package, the Stein
   midpoint's included, goes through that one factorization, so a
-  matrix and a content-identical copy get the same bits.
+  matrix and a content-identical copy get the same bits.  It factors a
+  scratch array in place: a point's copy of its own array, or a fresh
+  midpoint ``x.half + y.half`` (:attr:`SpdMatrix.half`).
 * Matrices whose eigenvalue ratio ``lambda_min / lambda_max`` falls at
   or below ``EIGENVALUE_FLOOR_RTOL`` are rejected instead of silently
   regularized.
@@ -93,12 +95,16 @@ def _spectrum_error(lo: float, hi: float):
 
 
 def _cholesky_logdet(a: np.ndarray) -> float:
-    """Log-determinant ``2 * sum(log(diag(L)))`` of a symmetric matrix ``a = L L^T``.
+    """Log-determinant ``2 * sum(log(diag(L)))`` of an exactly symmetric matrix ``a = L L^T``.
 
-    Raises ``NotPositiveDefinite`` when the Cholesky factorization
+    Factors ``a`` in place and so overwrites it: pass an array the caller
+    owns, never a point's own array (f2py writes even through a read-only
+    one).  Raises ``NotPositiveDefinite`` when the Cholesky factorization
     breaks down.
     """
-    factor, info = dpotrf(a, 1, 0)  # lower=1, clean=0: only diag(L) is read
+    # a.T of a C-contiguous a is Fortran-ordered, so f2py hands LAPACK its
+    # memory without a copy; by symmetry it holds the same matrix as a.
+    factor, info = dpotrf(a.T, 1, 0, 1)  # lower=1, clean=0: only diag(L) is read; overwrite
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info {info})")
     return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
@@ -158,8 +164,19 @@ class SpdMatrix:
 
     @cached_property
     def logdet(self) -> float:
-        """Log-determinant from the Cholesky factor of the array."""
-        return _cholesky_logdet(self.array)
+        """Log-determinant from the Cholesky factor of a copy of the array."""
+        return _cholesky_logdet(self.array.copy())
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """Read-only ``0.5 * array``, from which a Stein midpoint is ``x.half + y.half``.
+
+        Halving is exact, so that sum equals ``(x.array + y.array) * 0.5``
+        bit for bit, except where an entry below about 2**-1021 in
+        magnitude loses a bit when halved (a subnormal result), or where
+        ``x.array + y.array`` overflows.
+        """
+        return _readonly(0.5 * self.array)
 
     @cached_property
     def eigen(self) -> tuple:

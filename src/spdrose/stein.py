@@ -16,7 +16,9 @@ the diagonal of a Cholesky factor, never through raw determinants, so
 they stay finite and accurate for the matrix sizes this package
 targets.  The midpoint and both points go through the same
 factorization, so a point paired with a content-identical copy of
-itself has divergence exactly zero.
+itself has divergence exactly zero.  Each point keeps its log-det and
+its half (:attr:`~spdrose.manifold.SpdMatrix.half`), so a pair costs
+one sum ``x.half + y.half``, factored in place, and no other array.
 
 Every divergence the package needs is evaluated by
 :func:`stein_divergence` inside :func:`divergence_matrix`, the one
@@ -77,13 +79,12 @@ def stein_divergence(x: SpdMatrix, y: SpdMatrix) -> float:
     Evaluated as an expression that is exactly symmetric in its
     arguments, clamped at zero against rounding.
     """
-    a, b = x.array, y.array
-    if a.shape != b.shape:
+    if x.array.shape != y.array.shape:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {y.dim}")
-    mid = a + b
-    mid *= 0.5  # exact, like dividing by 2
-    value = _cholesky_logdet(mid) - 0.5 * (x.logdet + y.logdet)
-    return max(value, 0.0)
+    # The midpoint (x + y) / 2, bit for bit (see SpdMatrix.half); it is a
+    # fresh array, so its factorization may overwrite it.
+    value = _cholesky_logdet(x.half + y.half) - 0.5 * (x.logdet + y.logdet)
+    return 0.0 if value < 0.0 else value  # the bits of max(value, 0.0), NaN and -0.0 too
 
 
 def divergence_matrix(rows, cols) -> np.ndarray:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg.lapack import dpotrf
 
 import spdrose.embedding
 from spdrose import (
@@ -361,6 +362,24 @@ def test_divergence_with_a_content_identical_copy_is_exactly_zero(rng, dim, make
         assert np.array_equal(divergence_matrix([x], [copy]), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize("dim", [2, 6, 43])
+def test_divergences_write_through_no_point(rng, dim):
+    # Log-determinants factor a scratch array in place, and f2py would write
+    # through a point's read-only array as well, so none may be handed over.
+    points = [random_spd(rng, dim) for _ in range(4)]
+    others = [random_spd(rng, dim) for _ in range(3)] + [near_floor_point(rng, dim)]
+    everyone = points + others
+    saved = [(p.array.tobytes(), p.half.tobytes()) for p in everyone]
+    for p in everyone:
+        assert math.isfinite(p.logdet)
+    stein_divergence(points[0], others[0])
+    divergence_matrix(points, points)
+    divergence_matrix(points, others)
+    for p, (array, half) in zip(everyone, saved):
+        assert p.array.tobytes() == array and p.half.tobytes() == half
+        assert not p.array.flags.writeable and not p.half.flags.writeable
+
+
 # Builds the divergence block of 8 points at d = 43 (saved by the test, so
 # the inputs do not depend on the thread count) and writes its bytes.
 _THREADED_DIVERGENCES = """
@@ -441,6 +460,49 @@ def test_property_cholesky_logdet_matches_slogdet(seed, dim, log_spread, log_sca
         assert sign == 1.0
         assert point.logdet == pytest.approx(ref, rel=1e-12, abs=1e-12)
     assert stein_divergence(x, y) == stein_divergence(y, x)
+
+
+def reference_logdet(a):
+    """``2 * sum(log(diag(L)))`` from ``dpotrf`` of a copy of ``a``."""
+    factor, info = dpotrf(a, 1, 0)  # overwrite_a=0: f2py factors a copy
+    assert info == 0
+    return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
+
+
+def reference_divergence(x, y):
+    """J(x, y) from a fresh midpoint ``(x + y) * 0.5``, clamped with ``max``."""
+    logdets = reference_logdet(x.array) + reference_logdet(y.array)
+    value = reference_logdet((x.array + y.array) * 0.5) - 0.5 * logdets
+    return max(value, 0.0)
+
+
+_POINTS = st.tuples(
+    st.sampled_from(["spread", "near_floor"]),
+    st.floats(0.1, 8.0),  # log spread of a "spread" point's spectrum
+    st.floats(-20.0, 20.0),  # log scale
+)
+
+
+@settings(max_examples=80)
+@given(seed=_SEEDS, dim=st.one_of(_DIMS, st.just(43)), first=_POINTS, second=_POINTS)
+@example(seed=0, dim=43, first=("near_floor", 1.0, 20.0), second=("near_floor", 1.0, -20.0))
+@example(seed=1, dim=2, first=("spread", 8.0, -20.0), second=("spread", 0.1, 20.0))
+def test_property_divergence_equals_the_fresh_midpoint_formula(seed, dim, first, second):
+    # The cached halves, the in-place factorizations and the clamp must give
+    # the bits of the plain formula.
+    rng = np.random.default_rng(seed)
+
+    def draw(kind, log_spread, log_scale):
+        if kind == "near_floor":
+            return SpdMatrix(math.exp(log_scale) * near_floor_point(rng, dim).array)
+        return SpdMatrix(math.exp(log_scale) * random_spd(rng, dim, log_spread).array)
+
+    x, y = draw(*first), draw(*second)
+    value = stein_divergence(x, y)
+    assert x.logdet.hex() == reference_logdet(x.array).hex()
+    assert value.hex() == reference_divergence(x, y).hex()
+    assert value.hex() == stein_divergence(y, x).hex()
+    assert stein_divergence(x, SpdMatrix(x.array.copy())).hex() == (0.0).hex()
 
 
 # Points at least this AIRM distance apart have J bounded away from zero.
