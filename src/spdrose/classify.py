@@ -79,9 +79,8 @@ class TrainedClassifier:
         # decision_scores divides by the scale, which training never sets to 0.
         if not all(np.isfinite(a).all() for a in (w, b, mu, sc)) or (sc <= 0.0).any():
             raise ValueError("classifier arrays must be finite, feature_scale positive")
-        for c in self.classes:
-            require_integer(c, "class label")
-        object.__setattr__(self, "classes", tuple(int(c) for c in self.classes))
+        classes = tuple(require_integer(c, "class label") for c in self.classes)
+        object.__setattr__(self, "classes", classes)
         # predict sends a score tie to the earlier class, the smaller label.
         if any(a >= b for a, b in zip(self.classes, self.classes[1:])):
             raise ValueError(f"classes must be strictly increasing, got {self.classes}")

@@ -43,7 +43,7 @@ from .embedding import (
     load_projection_model,
     save_projection_model,
 )
-from .errors import ConfigError, SpdRoseError
+from .errors import ConfigError, SpdRoseError, require_integer
 from .pipeline import FEATURE_MODES, ExperimentConfig
 from .stein import PSD_POLICIES, KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
@@ -78,9 +78,7 @@ def _parse_labels(args, count):
 
 def _cmd_extract(args):
     labels = _parse_labels(args, len(args.images))
-    kind = FEATURE_MODES[args.features][0]
-    entries = [pipeline.ManifestEntry(path, label, kind)
-               for path, label in zip(args.images, labels)]
+    entries = [pipeline.ManifestEntry(path, label) for path, label in zip(args.images, labels)]
     recipe = pipeline.DatasetManifest(
         entries, args.features, grid=(args.rows, args.cols), downsample=args.downsample
     )
@@ -92,12 +90,11 @@ def _cmd_extract(args):
 
 def _cmd_synth(args):
     # The library's count 0 means "no synthesis"; a synth command must make some.
-    if args.count < 1:
-        raise ConfigError(f"--count must be at least 1, got {args.count}")
+    count = require_integer(args.count, "--count", least=1)
     written = os.path.realpath(os.path.join(args.out, "manifest.json"))
     if written == os.path.realpath(args.data):
         raise ConfigError(f"--out {args.out} would overwrite the --data manifest")
-    config = SynthesisConfig(count=args.count, seed=args.seed, direction_mode=args.direction_mode)
+    config = SynthesisConfig(count=count, seed=args.seed, direction_mode=args.direction_mode)
     points, _ = pipeline.load_dataset(args.data)
     synthetic = generate_synthetic(points, config)
     # Synthetic points are unlabeled; the placeholder label 0 keeps the
@@ -118,10 +115,9 @@ def _cmd_train(args):
         direction_mode=args.direction_mode,
         regularization=args.regularization,
     )
-    if args.k < 0:
-        raise ConfigError(f"k must be nonnegative, got {args.k}")
+    k = require_integer(args.k, "k", least=0)
     points, labels = pipeline.load_dataset(args.train)
-    k = args.k or pipeline.K_POLICIES[args.k_policy] * len(points)
+    k = k or pipeline.K_POLICIES[args.k_policy] * len(points)
     model, classifier, _ = pipeline.fit_model(
         range(len(points)), points, labels, config, config.sigma[0], k,
         config.synthetic[0], args.seed, divergence_matrix(points, points),
@@ -203,9 +199,7 @@ def _cmd_degrade(args):
 
 
 def _cmd_jl_check(args):
-    ks = _ints(args.k, "k")
-    if min(ks) < 1:
-        raise ConfigError(f"k must be at least 1, got {args.k!r}")
+    ks = [require_integer(k, "k", least=1) for k in _ints(args.k, "k")]
     if not 0.0 < args.epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon}")
     params = KernelParams(args.sigma, args.psd_policy)
@@ -238,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("extract", help="images to covariance descriptors")
     p.add_argument("images", nargs="+", help="PGM or PPM files")
-    image_modes = [m for m, (kind, _) in FEATURE_MODES.items() if kind != "matrix"]
-    p.add_argument("--features", choices=sorted(image_modes), default="intensity5")
+    image_modes = sorted(set(FEATURE_MODES) - {"precomputed"})
+    p.add_argument("--features", choices=image_modes, default="intensity5")
     p.add_argument("--rows", type=int, default=2)
     p.add_argument("--cols", type=int, default=2)
     p.add_argument("--downsample", type=int, default=1)

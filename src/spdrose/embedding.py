@@ -77,8 +77,8 @@ class ProjectionModel:
             raise ValueError(f"weights of shape {w.shape} do not fit {p} reference points")
         if w.shape[1] < 1 or not np.isfinite(w).all():
             raise ValueError(f"weights must be finite with k >= 1 columns, got shape {w.shape}")
-        require_integer(self.t, "t")
-        require_integer(self.seed, "seed")
+        object.__setattr__(self, "t", require_integer(self.t, "t"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if not 1 <= self.t <= p:
             raise ValueError(f"t={self.t} lies outside 1..p={p}")
         if self.exponent_mode not in EXPONENT_MODES:
@@ -151,8 +151,7 @@ def build_projection_model(
     p = len(points)
     if t is None:
         t = min(30, -(-p // 4))  # ceil(p / 4), in integers
-    if t < 1:
-        raise ValueError(f"t must be at least 1, got {t}")
+    t = require_integer(t, "t", least=1)
     if t > p:
         raise TSampleTooLarge(f"t={t} exceeds the reference pool size p={p}")
     if p * k > MAX_WEIGHTS:
@@ -320,11 +319,10 @@ def load_projection_model(path) -> ProjectionModel:
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, version_key="format_version"
     )
     try:
-        for name in ("dim", "p", "k"):
-            require_integer(payload[name], name)
+        dim, p, k = (require_integer(payload[name], name) for name in ("dim", "p", "k"))
         model = ProjectionModel(
             reference_points=tuple(spd_stack([
-                symmetric_from_upper(json_floats(m), payload["dim"])
+                symmetric_from_upper(json_floats(m), dim)
                 for m in payload["reference_points"]
             ])),
             kernel_params=KernelParams(payload["sigma"], payload["psd_policy"]),
@@ -334,7 +332,7 @@ def load_projection_model(path) -> ProjectionModel:
             seed=payload["seed"],
         )
         shape = model.weights.shape
-        if (payload["p"], payload["k"]) != shape:
+        if (p, k) != shape:
             raise ValueError(f"header p and k do not match weights of shape {shape}")
     except (KeyError, TypeError, ValueError, SpdRoseError) as exc:
         raise ParseError(f"{path}: malformed projection model ({exc})") from exc

@@ -116,10 +116,15 @@ class StageFailure(SpdRoseError):
         self.stage = stage
 
 
-def require_integer(value, name):
-    """Raise :class:`ConfigError` unless ``value`` is an integer (a ``bool`` is not)."""
+def require_integer(value, name, least=None) -> int:
+    """``value`` as a Python ``int``, which JSON can write; :class:`ConfigError`
+    unless an integer (a ``bool`` is not) of at least ``least``, when given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def require_positive(value, name) -> float:

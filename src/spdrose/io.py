@@ -41,8 +41,10 @@ def load_json(path):
 
 def write_json(path, payload) -> None:
     """Write ``payload`` as ASCII JSON: one-space indent, sorted keys, final newline."""
+    # Serialize first: a payload that fails must not truncate an existing file.
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def read_container(path, fmt, version, version_key="version"):
@@ -93,7 +95,7 @@ def read_matrix(path) -> SpdMatrix:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lines = [fields for fields in map(str.split, text.splitlines()) if fields]
     if not lines:

@@ -1,8 +1,9 @@
 """End-to-end experiment pipeline and its on-disk formats.
 
-A dataset manifest lists labeled entries that are either precomputed
-matrix files or images, named with their kind's suffix, to be expanded
-into grid covariance descriptors (fixed ridge) at load time by
+A dataset manifest lists entries, each a path and a label, and a
+feature mode that decides how every entry is read: as a precomputed
+matrix file, or as an image with the mode's suffix, expanded into grid
+covariance descriptors (fixed ridge) at load time by
 :func:`dataset_points`.  The manifest is the whole recipe: ``spdrose
 extract`` builds one from its flags and expands it the same way.  An
 experiment config holds the split rule (per-class train count,
@@ -104,13 +105,13 @@ REPORT_FORMAT = "spdrose.report"
 DEGRADATION_FORMAT = "spdrose.degradation_report"
 REPORT_FORMAT_VERSION = 1
 
-# Each entry kind and the file suffix its files need; a matrix may have any name.
-ENTRY_SUFFIXES = {"matrix": None, "gray-image": ".pgm", "color-image": ".ppm"}
+# Each feature mode's image suffix and feature map; precomputed entries
+# are matrix files of any name.
 FEATURE_MODES = {
-    "precomputed": ("matrix", None),
-    "intensity5": ("gray-image", intensity_feature_map),
-    "color11": ("color-image", color_feature_map),
-    "gabor43": ("gray-image", gabor_feature_map),
+    "precomputed": (None, None),
+    "intensity5": (".pgm", intensity_feature_map),
+    "color11": (".ppm", color_feature_map),
+    "gabor43": (".pgm", gabor_feature_map),
 }
 K_POLICIES = {"n": 1, "2n": 2, "3n": 3}
 SYNTH_TOKENS = ("n", "m")
@@ -125,30 +126,25 @@ _STAGE_EMBED = 3
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One data file: a matrix or an image, with its class label."""
+    """One data file and its class label; the manifest's feature mode says how to read it."""
 
     path: str
     label: int
-    kind: str = "matrix"
 
     def __post_init__(self):
         if not isinstance(self.path, str):
             raise ConfigError(f"entry path must be a string, got {self.path!r}")
-        if not isinstance(self.kind, str) or self.kind not in ENTRY_SUFFIXES:
-            raise ConfigError(f"unknown entry kind {self.kind!r}")
-        require_integer(self.label, "label")
-        if self.label < 0:
-            raise ConfigError(f"labels must be nonnegative, got {self.label}")
+        object.__setattr__(self, "label", require_integer(self.label, "label", least=0))
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
     """Labeled data files plus the descriptor recipe to apply to them.
 
-    Labels must form a dense ``0..L-1`` set and every entry kind must
-    match the feature mode (``precomputed`` reads matrices verbatim,
-    the image modes extract grid covariance descriptors).  An image
-    entry's path must end in its kind's suffix, in any letter case.
+    Labels must form a dense ``0..L-1`` set.  The feature mode decides
+    how every entry is read: ``precomputed`` reads matrix files
+    verbatim, and an image mode extracts grid covariance descriptors
+    from images whose paths end in its suffix, in any letter case.
     """
 
     entries: tuple
@@ -165,14 +161,8 @@ class DatasetManifest:
             )
         if not self.entries:
             raise ConfigError("manifest lists no entries")
-        needed_kind = FEATURE_MODES[self.feature_mode][0]
-        suffix = ENTRY_SUFFIXES[needed_kind]
+        suffix = FEATURE_MODES[self.feature_mode][0]
         for entry in self.entries:
-            if entry.kind != needed_kind:
-                raise ConfigError(
-                    f"feature_mode {self.feature_mode!r} needs {needed_kind!r} "
-                    f"entries, got {entry.kind!r} for {entry.path}"
-                )
             if suffix and os.path.splitext(entry.path)[1].lower() != suffix:
                 raise ConfigError(
                     f"{self.feature_mode} features need a {suffix} image, got {entry.path}"
@@ -181,20 +171,15 @@ class DatasetManifest:
         if labels != list(range(len(labels))):
             raise ConfigError(f"labels must be dense 0..L-1, got {labels}")
         if self.grid is not None:
-            grid = tuple(self.grid) if isinstance(self.grid, (list, tuple)) else ()
-            for value in grid:
-                require_integer(value, "grid size")
-            if len(grid) != 2 or min(grid) < 1:
+            if not isinstance(self.grid, (list, tuple)) or len(self.grid) != 2:
                 raise ConfigError(f"grid must be [rows, cols], got {self.grid!r}")
-            object.__setattr__(self, "grid", tuple(int(v) for v in grid))
+            rows, cols = (require_integer(v, "grid size", least=1) for v in self.grid)
+            object.__setattr__(self, "grid", (rows, cols))
         if self.feature_mode == "precomputed" and self.grid is not None:
             raise ConfigError("precomputed datasets take no grid")
-        require_integer(self.downsample, "downsample")
-        if self.downsample < 1:
-            raise ConfigError(
-                f"downsample must be at least 1, got {self.downsample}"
-            )
-        object.__setattr__(self, "downsample", int(self.downsample))
+        object.__setattr__(
+            self, "downsample", require_integer(self.downsample, "downsample", least=1)
+        )
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -206,8 +191,7 @@ def load_manifest(path) -> DatasetManifest:
     payload = read_container(path, MANIFEST_FORMAT, MANIFEST_FORMAT_VERSION)
     try:
         entries = tuple(
-            ManifestEntry(path=e["path"], label=e["label"], kind=e.get("kind", "matrix"))
-            for e in payload["entries"]
+            ManifestEntry(path=e["path"], label=e["label"]) for e in payload["entries"]
         )
         return DatasetManifest(
             entries=entries,
@@ -224,14 +208,15 @@ def load_manifest(path) -> DatasetManifest:
 def image_descriptors(path, feature_mode, grid, downsample):
     """Grid covariance descriptors of one image file, in row-major cell order.
 
-    The image is read as the entry kind of ``feature_mode``, averaged
-    over ``downsample``-sized blocks and mapped to that mode's features.
+    The image is read as ``feature_mode``'s suffix says, a PGM or a PPM,
+    averaged over ``downsample``-sized blocks and mapped to that mode's
+    features.
     ``grid`` is ``(rows, cols)``; ``None`` is the 1x1 grid, one
     descriptor of the whole image.  Descriptors use the fixed ridge of
     :func:`~spdrose.descriptors.grid_covariances`.
     """
-    kind, feature_map = FEATURE_MODES[feature_mode]
-    image = read_pgm(path) if kind == "gray-image" else read_ppm(path)
+    suffix, feature_map = FEATURE_MODES[feature_mode]
+    image = read_pgm(path) if suffix == ".pgm" else read_ppm(path)
     if downsample > 1:
         image = type(image)(box_downsample(image.pixels, downsample))
     rows, cols = grid or (1, 1)
@@ -241,14 +226,15 @@ def image_descriptors(path, feature_mode, grid, downsample):
 def dataset_points(manifest: DatasetManifest, root):
     """(points, labels) of a manifest whose entry paths are relative to ``root``.
 
-    Matrix entries are read as they are; image entries expand into grid
-    descriptors.  Ordering is manifest order, then grid row-major within
-    an entry; every descriptor of an entry shares the entry's label.
+    A precomputed manifest's entries are read as they are; an image
+    mode's entries expand into grid descriptors.  Ordering is manifest
+    order, then grid row-major within an entry; every descriptor of an
+    entry shares the entry's label.
     """
     points, labels = [], []
     for entry in manifest.entries:
         full = os.path.join(root, entry.path)
-        if entry.kind == "matrix":
+        if manifest.feature_mode == "precomputed":
             descriptors = [read_matrix(full)]
         else:
             descriptors = image_descriptors(
@@ -278,12 +264,12 @@ def save_dataset(directory, points, labels, prefix: str = "point") -> str:
     The manifest is checked before any file is written, so rejected
     labels leave nothing behind.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(points) != labels.size:
-        raise DimensionMismatch(f"{len(points)} points but {labels.size} labels")
+    labels = list(labels)
+    if len(points) != len(labels):
+        raise DimensionMismatch(f"{len(points)} points but {len(labels)} labels")
     width = max(4, len(str(max(len(points) - 1, 0))))
     names = [f"{prefix}_{i:0{width}d}.txt" for i in range(len(points))]
-    entries = [ManifestEntry(path=n, label=int(label)) for n, label in zip(names, labels)]
+    entries = [ManifestEntry(path=n, label=label) for n, label in zip(names, labels)]
     manifest = DatasetManifest(entries=tuple(entries))
     os.makedirs(directory, exist_ok=True)
     for name, point in zip(names, points):
@@ -345,16 +331,11 @@ class ExperimentConfig:
                     raise ConfigError(f"synthetic symbols are {SYNTH_TOKENS}, got {value!r}")
                 cleaned.append(value)
             else:
-                require_integer(value, "synthetic count")
-                if value < 0:
-                    raise ConfigError(f"synthetic counts must be nonnegative, got {value}")
-                cleaned.append(int(value))
+                cleaned.append(require_integer(value, "synthetic count", least=0))
         object.__setattr__(self, "synthetic", tuple(cleaned))
-        for name in ("seed", "reps", "train_per_class", "knn_neighbors"):
-            require_integer(getattr(self, name), name)
-        for name, least in (("reps", 1), ("train_per_class", 2), ("knn_neighbors", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name, least in (("seed", None), ("reps", 1), ("train_per_class", 2),
+                            ("knn_neighbors", 1)):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name, least))
         if self.exponent_mode not in EXPONENT_MODES:
             raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
         if not isinstance(self.name, str):
@@ -853,27 +834,17 @@ def degradation_study(
     labels, classes = _dataset_classes(points, labels)
     if excluded_class_counts is None:
         excluded_class_counts = tuple(range(len(classes)))
-    excluded_class_counts = tuple(excluded_class_counts)
+    excluded_class_counts = tuple(require_integer(c, "excluded class count", least=0)
+                                  for c in excluded_class_counts)
     for count in excluded_class_counts:
-        require_integer(count, "excluded class count")
-        if count < 0:
-            raise ConfigError(f"excluded class counts must be nonnegative, got {count}")
         if count > len(classes) - 1:
-            raise ExclusionExceedsClasses(
-                f"cannot exclude {count} of {len(classes)} classes"
-            )
-    excluded_class_counts = tuple(int(c) for c in excluded_class_counts)
+            raise ExclusionExceedsClasses(f"cannot exclude {count} of {len(classes)} classes")
     if synthetic_budget is None:
         synthetic_budget = max(
             resolve_synthetic(v, len(classes), config.train_per_class)
             for v in config.synthetic
         )
-    require_integer(synthetic_budget, "synthetic budget")
-    synthetic_budget = int(synthetic_budget)
-    if synthetic_budget < 0:
-        raise ConfigError(
-            f"synthetic budget must be nonnegative, got {synthetic_budget}"
-        )
+    synthetic_budget = require_integer(synthetic_budget, "synthetic budget", least=0)
     arms = ((MODE_PLAIN, (0,)), (MODE_AUGMENTED, (synthetic_budget,)))
     patterns = [excluded for count in excluded_class_counts
                 for excluded in itertools.combinations(classes, count)]

@@ -65,10 +65,8 @@ class SynthesisConfig:
     direction_mode: str = "tangent_gaussian"
 
     def __post_init__(self):
-        for name in ("count", "seed"):
-            require_integer(getattr(self, name), name)
-        if self.count < 0:
-            raise ConfigError(f"count must be nonnegative, got {self.count}")
+        object.__setattr__(self, "count", require_integer(self.count, "count", least=0))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if self.direction_mode not in DIRECTION_MODES:
             raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
 
@@ -126,9 +124,7 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
     (SpdMatrix, ConvergenceRecord)
     """
     tol = require_positive(tol, "tol")
-    require_integer(max_iter, "max_iter")
-    if max_iter < 0:
-        raise ConfigError(f"max_iter must be nonnegative, got {max_iter}")
+    max_iter = require_integer(max_iter, "max_iter", least=0)
     points = list(points)
     if not points:
         raise EmptyInput("karcher_mean_info needs at least one point")

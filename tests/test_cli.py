@@ -154,21 +154,21 @@ def test_extract_matches_image_manifest(
     save_manifest(
         tmp_path / "manifest.json",
         DatasetManifest(
-            entries=(ManifestEntry(names[0], 0, kind), ManifestEntry(names[1], 1, kind)),
+            entries=(ManifestEntry(names[0], 0), ManifestEntry(names[1], 1)),
             feature_mode=features,
             grid=(2, 2),
             downsample=2,
         ),
     )
     # Both paths look the feature map up in the pipeline's table per image.
-    feature_map = spdrose.pipeline.FEATURE_MODES[features][1]
+    suffix, feature_map = spdrose.pipeline.FEATURE_MODES[features]
     images = []
 
     def counting(image):
         images.append(image)
         return feature_map(image)
 
-    monkeypatch.setitem(spdrose.pipeline.FEATURE_MODES, features, (kind, counting))
+    monkeypatch.setitem(spdrose.pipeline.FEATURE_MODES, features, (suffix, counting))
     expected, expected_labels = load_dataset(tmp_path / "manifest.json")
     code = main(
         [
@@ -181,7 +181,9 @@ def test_extract_matches_image_manifest(
     )
     assert code == 0
     assert len(images) == 4
-    points, labels = load_dataset(tmp_path / "data" / "manifest.json")
+    written = tmp_path / "data" / "manifest.json"
+    assert '"kind"' not in written.read_text()
+    points, labels = load_dataset(written)
     assert len(points) == 8
     assert [p.array.tobytes() for p in points] == [p.array.tobytes() for p in expected]
     assert labels.tolist() == expected_labels.tolist()
@@ -532,6 +534,11 @@ def test_run_config_with_epochs_exits_2(tmp_path, capsys):
         '"sigma": Infinity',
         '"sigma": "0.5"',
         '"sigma": true',
+        '"reps": 0',
+        '"reps": true',
+        '"train_per_class": 1',
+        '"knn_neighbors": 0',
+        '"synthetic": [0, -1]',
     ],
 )
 def test_run_config_bad_number_exits_2(tmp_path, capsys, entry):
@@ -580,8 +587,11 @@ def test_run_config_with_a_nested_k_policy_exits_2(tmp_path, capsys):
         "jl-check --sigma 0",
         "jl-check --sigma inf",
         "jl-check --k 0",
+        "jl-check --k 8,0",
         "synth --count -2",
+        "degrade --budget -1",
         "extract --rows 0",
+        "extract --downsample 0",
         "extract --eps-rel nan",
         "extract --eps-rel inf",
         "extract --eps-rel -1",
@@ -600,6 +610,7 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
         "train": ["--train", manifest, "--out", out],
         "jl-check": ["--data", manifest, "--k", "8"],
         "synth": ["--data", manifest, "--out", out, "--count", "3"],
+        "degrade": ["--data", manifest],
         "extract": [str(image), "--out", out],
     }
     try:
@@ -717,12 +728,12 @@ def test_run_corrupt_manifest_exits_3(tmp_path, capsys):
     "edit",
     [
         lambda m: m["entries"][0].update(path=None),
-        lambda m: m["entries"][0].update(kind=None),
+        lambda m: m["entries"][0].update(label=None),
         lambda m: m.update(feature_mode=None),
         lambda m: m.update(grid=0),
         lambda m: m.update(grid=[]),
     ],
-    ids=["path-null", "kind-null", "feature-mode-null", "grid-0", "grid-empty"],
+    ids=["path-null", "label-null", "feature-mode-null", "grid-0", "grid-empty"],
 )
 def test_run_manifest_with_a_wrong_type_exits_3(tmp_path, capsys, edit):
     manifest = save_benchmark_dataset(tmp_path, "data")
@@ -792,7 +803,7 @@ def test_degrade_negative_count_exits_2(tmp_path, capsys, counts):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert "nonnegative" in lines[0]
+    assert lines[0] == "error: excluded class count must be at least 0, got -1"
 
 
 def test_jl_check_k_beyond_the_weight_bound_exits_2(tmp_path, capsys):

@@ -15,6 +15,7 @@ from spdrose import (
     write_pgm,
     write_ppm,
 )
+from spdrose.io import write_json
 
 from conftest import random_spd
 
@@ -116,6 +117,8 @@ def test_read_matrix_errors_name_the_path(tmp_path):
         "v2_missing_row.txt": "3 v2\n1.0 0.0 0.0\n1.0 0.0\n",
         "v2_numeric.txt": "2 v2\n1.0 zero\n1.0\n",
         "v2_indef.txt": "2 v2\n1.0 0.0\n-1.0\n",
+        # An image listed as a matrix: its raster is not ASCII.
+        "image.pgm": "P5\n1 1\n255\n\u00a2",
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -297,3 +300,18 @@ def test_write_rejects_a_zero_side_before_opening_the_file(tmp_path, shape):
     with pytest.raises(ValueError):
         write_ppm(tmp_path / "empty.ppm", np.zeros((*shape, 3)))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("payload", [{"label": np.int64(1)}, {"x": object()}])
+def test_write_json_that_cannot_serialize_keeps_the_existing_file(tmp_path, payload):
+    # The payload is serialized before the file is opened, so a failure
+    # neither empties an existing file nor leaves an empty one behind.
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(TypeError):
+        write_json(path, payload)
+    assert path.read_bytes() == b'{"kept": true}\n'
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(TypeError):
+        write_json(fresh, payload)
+    assert not fresh.exists()

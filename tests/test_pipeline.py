@@ -3,6 +3,7 @@
 import json
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,12 +67,7 @@ def benchmark_pool(n_classes=2, per_class=12, dim=3, seed=0):
 
 
 def test_manifest_entry_validation():
-    with pytest.raises(ConfigError):
-        ManifestEntry("a.txt", 0, kind="video")
-    # A list is unhashable: a bare membership test raised TypeError.
-    with pytest.raises(ConfigError, match="entry kind"):
-        ManifestEntry("a.txt", 0, kind=["matrix"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="label must be at least 0, got -1"):
         ManifestEntry("a.txt", -1)
     for path in (None, 7, b"a.txt"):
         with pytest.raises(ConfigError, match="entry path must be a string"):
@@ -95,8 +91,8 @@ def test_manifest_invariants():
     with pytest.raises(ConfigError):
         DatasetManifest(entries=entries, downsample=0)
     image_entries = (
-        ManifestEntry("a.pgm", 0, kind="gray-image"),
-        ManifestEntry("b.pgm", 1, kind="gray-image"),
+        ManifestEntry("a.pgm", 0),
+        ManifestEntry("b.pgm", 1),
     )
     with pytest.raises(ConfigError):
         DatasetManifest(entries=image_entries, feature_mode="intensity5", grid=(0, 2))
@@ -112,12 +108,10 @@ MANIFEST_BYTES = """{
  "downsample": 3,
  "entries": [
   {
-   "kind": "gray-image",
    "label": 0,
    "path": "x/a.pgm"
   },
   {
-   "kind": "gray-image",
    "label": 1,
    "path": "x/b.pgm"
   }
@@ -136,8 +130,8 @@ MANIFEST_BYTES = """{
 def test_manifest_round_trip(tmp_path):
     manifest = DatasetManifest(
         entries=(
-            ManifestEntry("x/a.pgm", 0, kind="gray-image"),
-            ManifestEntry("x/b.pgm", 1, kind="gray-image"),
+            ManifestEntry("x/a.pgm", 0),
+            ManifestEntry("x/b.pgm", 1),
         ),
         feature_mode="gabor43",
         grid=(2, 2),
@@ -148,6 +142,33 @@ def test_manifest_round_trip(tmp_path):
     assert path.read_text() == MANIFEST_BYTES
     loaded = load_manifest(path)
     assert loaded == manifest
+
+
+def test_a_manifest_with_entry_kinds_loads_to_the_same_points(tmp_path, rng):
+    # Older writers put a "kind" on every entry.  The feature mode decides
+    # how entries are read, so the key is ignored like any other unknown
+    # entry key, and the writers no longer emit it.
+    matrices = save_dataset(tmp_path / "m", [random_spd(rng, 3) for _ in range(4)], [0, 1, 0, 1])
+    images = tmp_path / "i"
+    images.mkdir()
+    for name in ("a.pgm", "b.pgm"):
+        write_pgm(images / name, rng.uniform(size=(8, 8)))
+    save_manifest(
+        images / "manifest.json",
+        DatasetManifest(
+            (ManifestEntry("a.pgm", 0), ManifestEntry("b.pgm", 1)), "intensity5", grid=(2, 2)
+        ),
+    )
+    for manifest, kind in ((Path(matrices), "matrix"), (images / "manifest.json", "gray-image")):
+        payload = json.loads(manifest.read_text())
+        assert all(set(entry) == {"path", "label"} for entry in payload["entries"])
+        points, labels = load_dataset(manifest)
+        for entry in payload["entries"]:
+            entry["kind"] = kind
+        manifest.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        old_points, old_labels = load_dataset(manifest)
+        assert old_labels.tolist() == labels.tolist()
+        assert [p.array.tobytes() for p in old_points] == [p.array.tobytes() for p in points]
 
 
 def test_manifest_load_rejections(tmp_path):
@@ -182,13 +203,13 @@ def test_manifest_load_rejections(tmp_path):
         path.write_text(json.dumps({**payload, "version": version}))
         with pytest.raises(ParseError, match="unsupported version"):
             load_manifest(path)
-    # An image entry's suffix must be its kind's, in any letter case,
-    # before any image is read (none of these files exists).
+    # An image entry's suffix must be its feature mode's, in any letter
+    # case, before any image is read (none of these files exists).
     gray = {**payload, "feature_mode": "intensity5", "grid": [2, 2]}
     for name in ("b.png", "b.ppm", "b"):
         gray["entries"] = [
-            {"path": "a.PGM", "label": 0, "kind": "gray-image"},
-            {"path": name, "label": 1, "kind": "gray-image"},
+            {"path": "a.PGM", "label": 0},
+            {"path": name, "label": 1},
         ]
         path.write_text(json.dumps(gray))
         with pytest.raises(ParseError, match=f"need a .pgm image, got {name}"):
@@ -211,8 +232,8 @@ def test_manifest_load_rejects_non_integers(tmp_path, field, value):
         "grid": [2, 1],
         "downsample": 1,
         "entries": [
-            {"path": "a.pgm", "label": 0, "kind": "gray-image"},
-            {"path": "b.pgm", "label": 1, "kind": "gray-image"},
+            {"path": "a.pgm", "label": 0},
+            {"path": "b.pgm", "label": 1},
         ],
     }
     path = tmp_path / "m.json"
@@ -232,14 +253,14 @@ def test_manifest_load_rejects_non_integers(tmp_path, field, value):
     [
         ("path", None),
         ("path", 7),
-        ("kind", None),
-        ("kind", 3),
+        ("label", None),
+        ("label", "1"),
         ("feature_mode", None),
         ("grid", 0),
         ("grid", False),
         ("grid", []),
         ("grid", ""),
-        ("kind", ["matrix"]),
+        ("downsample", "2"),
         ("feature_mode", ["precomputed"]),
     ],
 )
@@ -253,11 +274,11 @@ def test_manifest_load_rejects_wrong_types(tmp_path, field, value):
         "grid": None,
         "downsample": 1,
         "entries": [
-            {"path": "a.txt", "label": 0, "kind": "matrix"},
-            {"path": "b.txt", "label": 1, "kind": "matrix"},
+            {"path": "a.txt", "label": 0},
+            {"path": "b.txt", "label": 1},
         ],
     }
-    if field in ("path", "kind"):
+    if field in ("path", "label"):
         payload["entries"][1][field] = value
     else:
         payload[field] = value
@@ -277,6 +298,14 @@ def test_dataset_round_trip(tmp_path, rng):
     assert back_labels.tolist() == labels
     for a, b in zip(points, back_points):
         assert np.array_equal(a.array, b.array)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1.5], np.array([0.6, 0.2, 1.9]), [0, 1, -1]])
+def test_save_dataset_rejects_a_label_before_writing(tmp_path, rng, labels):
+    # An int64 cast used to truncate 0.6, 0.2 and 1.9 to the labels 0, 0, 1.
+    with pytest.raises(ConfigError, match="^label must be"):
+        save_dataset(tmp_path / "data", [random_spd(rng, 2) for _ in range(3)], labels)
+    assert not (tmp_path / "data").exists()
 
 
 def test_load_dataset_mixed_dimensions(tmp_path, rng):
@@ -305,8 +334,8 @@ def test_load_dataset_image_grid(tmp_path):
         d / "manifest.json",
         DatasetManifest(
             entries=(
-                ManifestEntry("a.pgm", 0, kind="gray-image"),
-                ManifestEntry("b.pgm", 1, kind="gray-image"),
+                ManifestEntry("a.pgm", 0),
+                ManifestEntry("b.pgm", 1),
             ),
             feature_mode="intensity5",
             grid=(2, 2),
@@ -331,8 +360,8 @@ def test_load_dataset_corrupt_image(tmp_path):
         d / "manifest.json",
         DatasetManifest(
             entries=(
-                ManifestEntry("bad.pgm", 0, kind="gray-image"),
-                ManifestEntry("bad.pgm", 1, kind="gray-image"),
+                ManifestEntry("bad.pgm", 0),
+                ManifestEntry("bad.pgm", 1),
             ),
             feature_mode="intensity5",
         ),
@@ -355,8 +384,8 @@ def test_load_dataset_downsample(tmp_path):
         d / "manifest.json",
         DatasetManifest(
             entries=(
-                ManifestEntry("a.pgm", 0, kind="gray-image"),
-                ManifestEntry("b.pgm", 1, kind="gray-image"),
+                ManifestEntry("a.pgm", 0),
+                ManifestEntry("b.pgm", 1),
             ),
             feature_mode="intensity5",
             grid=(2, 2),
@@ -874,7 +903,7 @@ def test_degradation_exclusion_bounds():
             points, labels, quick_config(), excluded_class_counts=(2,)
         )
     # A negative count is a rejected value, not a data error.
-    with pytest.raises(ConfigError, match="nonnegative"):
+    with pytest.raises(ConfigError, match="excluded class count must be at least 0, got -1"):
         degradation_study(
             points, labels, quick_config(), excluded_class_counts=(-1,)
         )
