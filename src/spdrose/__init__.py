@@ -103,8 +103,6 @@ from .classify import (
 from .clusters import Benchmark, make_benchmark, make_cluster_centers, sample_cluster
 from .pipeline import (
     DatasetManifest,
-    DegradationRecord,
-    DegradationReport,
     ExperimentConfig,
     ManifestEntry,
     Report,

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, EmptyData, NonConvergence, NonFiniteEntry, ParseError
-from .errors import NotPositiveDefinite, SingleClass, require_integer, require_positive
+from .errors import NotPositiveDefinite, SingleClass, require_integer, require_integer_array
+from .errors import require_positive
 from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy, matvecs
 
@@ -105,7 +106,7 @@ def _check_features(features, labels=None):
         raise DimensionMismatch(
             f"{x.shape[0]} feature rows but {y.shape} labels"
         )
-    return x, y.astype(np.int64)
+    return x, require_integer_array(y, "labels")
 
 
 def _step_length(gap, along, slope, curvature, n):
@@ -221,7 +222,7 @@ def train_ova_svm(
     x, y = _check_features(features, labels)
     if x.shape[0] == 0:
         raise EmptyData("no training vectors")
-    classes = tuple(sorted(int(c) for c in set(y.tolist())))
+    classes = tuple(sorted(set(y.tolist())))
     if len(classes) < 2:
         raise SingleClass(f"training set holds only class {classes}")
     require_positive(regularization, "regularization")

@@ -154,11 +154,12 @@ def _cmd_eval(args):
     return 0
 
 
-def _load_run_config(args):
+def _study_inputs(args):
+    """The config, its seed replaced by any ``--seed``, and the ``--data`` points and labels."""
     config = pipeline.load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    return config
+    return (config, *pipeline.load_dataset(args.data))
 
 
 def _write_report(args, report, summary):
@@ -172,8 +173,7 @@ def _write_report(args, report, summary):
 
 
 def _cmd_run(args):
-    config = _load_run_config(args)
-    points, labels = pipeline.load_dataset(args.data)
+    config, points, labels = _study_inputs(args)
     report = pipeline.run_experiment(points, labels, config)
     return _write_report(
         args, report,
@@ -183,8 +183,7 @@ def _cmd_run(args):
 
 
 def _cmd_degrade(args):
-    config = _load_run_config(args)
-    points, labels = pipeline.load_dataset(args.data)
+    config, points, labels = _study_inputs(args)
     counts = None if args.counts is None else _ints(args.counts, "counts")
     report = pipeline.degradation_study(
         points, labels, config,
@@ -193,7 +192,7 @@ def _cmd_degrade(args):
     )
     summary = [
         f"{arm} means: " + ", ".join(f"{m:.4f}" for m in report.arm_means(arm))
-        for arm in (pipeline.MODE_PLAIN, pipeline.MODE_AUGMENTED)
+        for arm in report.arms
     ]
     return _write_report(args, report, "\n".join(summary))
 
@@ -272,23 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="test dataset manifest")
     p.set_defaults(func=_cmd_eval)
 
-    p = add_parser("run", help="full experiment protocol")
-    p.add_argument("--data", required=True, help="labeled dataset manifest")
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--out", help="report JSON path (default: stdout)")
-    p.add_argument("--include-timing", action="store_true")
-    p.set_defaults(func=_cmd_run)
+    def study_parser(name, help_text, func):
+        p = add_parser(name, help=help_text)
+        p.add_argument("--data", required=True, help="labeled dataset manifest")
+        p.add_argument("--config", help="experiment config JSON")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--out", help="report JSON path (default: stdout)")
+        p.add_argument("--include-timing", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = add_parser("degrade", help="class-exclusion robustness study")
-    p.add_argument("--data", required=True, help="labeled dataset manifest")
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    study_parser("run", "full experiment protocol", _cmd_run)
+    p = study_parser("degrade", "class-exclusion robustness study", _cmd_degrade)
     p.add_argument("--counts", help="comma-separated exclusion counts")
     p.add_argument("--budget", type=int, default=None, help="augmented-arm budget")
-    p.add_argument("--out", help="report JSON path (default: stdout)")
-    p.add_argument("--include-timing", action="store_true")
-    p.set_defaults(func=_cmd_degrade)
 
     p = add_parser("jl-check", help="embedding distortion report")
     p.add_argument("--data", required=True, help="dataset manifest")

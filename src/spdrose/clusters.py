@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, require_integer
 from .manifold import SpdMatrix, _readonly_copy, _spd_or_errors, spd_stack, symmetrize
 from .seeding import keyed_generator
 
@@ -50,8 +50,7 @@ def make_cluster_centers(
     Log-space directions come from a seeded QR factorization, which
     needs ``dim >= n_classes``.
     """
-    if n_classes < 1:
-        raise ValueError(f"need at least one class, got {n_classes}")
+    n_classes = require_integer(n_classes, "n_classes", least=1)
     if dim < n_classes:
         raise ValueError(
             f"{n_classes} orthonormal log-directions do not fit in dimension {dim}"
@@ -74,8 +73,7 @@ def sample_cluster(center: SpdMatrix, count: int, spread: float, rng):
     noise of the points still missing in one call and checks it as one
     stack; points and ``rng`` end as a point-by-point loop leaves them.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+    count = require_integer(count, "count", least=0)
     if spread < 0.0:
         raise ValueError(f"spread must be nonnegative, got {spread}")
     a = center.sqrt_array
@@ -110,6 +108,8 @@ def make_benchmark(
     seed: int = 0,
 ) -> Benchmark:
     """Equidistant labeled clusters split into train and test."""
+    train_per_class = require_integer(train_per_class, "train_per_class", least=0)
+    test_per_class = require_integer(test_per_class, "test_per_class", least=0)
     centers = make_cluster_centers(n_classes, dim, separation, seed)
     train_points, train_labels = [], []
     test_points, test_labels = [], []

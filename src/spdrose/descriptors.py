@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft
 
-from .errors import GridTooFine, ImageTooSmall
+from .errors import GridTooFine, ImageTooSmall, require_integer
 from .manifold import _readonly_copy, spd_stack, symmetrize
 
 RELATIVE_RIDGE = 1e-5
@@ -255,8 +255,8 @@ def grid_covariances(feature_image: FeatureImage, rows: int, cols: int):
     feature vectors, so flat cells yield ``1e-8 * I`` rather than a
     singular matrix.  Cells are emitted in row-major order.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid must have at least one row and one column")
+    rows = require_integer(rows, "rows", least=1)
+    cols = require_integer(cols, "cols", least=1)
     h, w = feature_image.height, feature_image.width
     h0, w0 = h // rows, w // cols
     if h0 < 1 or w0 < 1 or h0 * w0 < 2:
@@ -279,8 +279,7 @@ def box_downsample(pixels: np.ndarray, factor: int) -> np.ndarray:
     Trailing rows/columns that do not fill a block are dropped.  Works
     for both gray (H, W) and color (H, W, 3) arrays.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be at least 1, got {factor}")
+    factor = require_integer(factor, "factor", least=1)
     a = np.asarray(pixels, dtype=np.float64)
     if factor == 1:
         return a

@@ -12,6 +12,8 @@ other exception type is meant to reach it.
 import math
 import numbers
 
+import numpy as np
+
 
 class SpdRoseError(Exception):
     """Base class for all library-specific errors."""
@@ -125,6 +127,14 @@ def require_integer(value, name, least=None) -> int:
     if least is not None and value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+def require_integer_array(values, name) -> np.ndarray:
+    """``values`` as an int64 array; :class:`ConfigError` unless of an integer dtype (not bool)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must be integers, got {array.dtype} values")
+    return array.astype(np.int64)
 
 
 def require_positive(value, name) -> float:

@@ -40,9 +40,10 @@ def load_json(path):
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as ASCII JSON: one-space indent, sorted keys, final newline."""
+    """Write ``payload`` as ASCII JSON: one-space indent, sorted keys, final newline;
+    a NaN or infinity raises ``ValueError``, which :func:`load_json` would raise on it."""
     # Serialize first: a payload that fails must not truncate an existing file.
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 

@@ -19,8 +19,9 @@ points.  With a single combination the full training split is used.
 Synthetic points, when requested, are generated around the Karcher mean
 of the hyperplane-construction set as one unlabeled pool; they enlarge
 that set only and never reach the classifier, whose labeled training
-data is untouched.  Runs with a zero synthetic count are tagged "ROSE"
-and augmented runs "ROSES" in reports.
+data is untouched.  A record's ``arm`` is the study arm its candidates
+came from, "ROSE" (real points only) or "ROSES" (synthetic points may be
+added); its ``synthetic`` is the count it used, zero included.
 
 The degradation study reruns the same single-repetition pipeline for
 every combination of excluded classes: hyperplanes are built without
@@ -90,6 +91,7 @@ from .errors import (
     SpdRoseError,
     StageFailure,
     require_integer,
+    require_integer_array,
     require_positive,
 )
 from .io import load_json, read_container, read_matrix, read_pgm, read_ppm
@@ -102,8 +104,7 @@ from .synthesis import training_ball
 MANIFEST_FORMAT = "spdrose.dataset"
 MANIFEST_FORMAT_VERSION = 1
 REPORT_FORMAT = "spdrose.report"
-DEGRADATION_FORMAT = "spdrose.degradation_report"
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 # Each feature mode's image suffix and feature map; precomputed entries
 # are matrix files of any name.
@@ -115,8 +116,8 @@ FEATURE_MODES = {
 }
 K_POLICIES = {"n": 1, "2n": 2, "3n": 3}
 SYNTH_TOKENS = ("n", "m")
-MODE_PLAIN = "ROSE"
-MODE_AUGMENTED = "ROSES"
+ARM_PLAIN = "ROSE"
+ARM_AUGMENTED = "ROSES"
 
 _STAGE_SPLIT = 0
 _STAGE_VALIDATION = 1
@@ -378,11 +379,12 @@ def resolve_synthetic(value, n_classes: int, train_per_class: int) -> int:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """Outcome of one pipeline repetition."""
+    """Outcome of one pipeline run: its arm, its excluded classes and its scores."""
 
     rep: int
     rep_seed: int
-    mode: str
+    arm: str
+    excluded: tuple
     sigma: float
     k_policy: str
     synthetic: int
@@ -395,6 +397,11 @@ class RepRecord:
     confusion: tuple
     knn_accuracy: Optional[float] = None
     stage_seconds: tuple = ()
+
+    @property
+    def record(self):
+        """The record itself; only the benchmark harness reads it."""
+        return self
 
     def to_payload(self, include_timing: bool) -> dict:
         """Every field; accuracies as ``repr`` strings, kNN only when it ran,
@@ -411,61 +418,62 @@ class RepRecord:
 
 
 @dataclass(frozen=True)
-class _ReportHeader:
-    """What both report kinds hold and write first: format, version, config, records.
+class Report:
+    """The records of one study; serializes deterministically without timing.
 
     Accuracies are emitted as exact decimal strings (``repr`` of the
-    64-bit float) so report bytes cannot drift across platforms.
+    64-bit float) so report bytes cannot drift across platforms.  The
+    summary is derived from the records: mean accuracy per arm and
+    exclusion count, and the kNN baseline's mean when it ran.
     """
 
     config: ExperimentConfig
     records: tuple
 
-    def to_payload(self, include_timing: bool = False) -> dict:
-        payload = {
-            "format": self.FORMAT,
-            "version": REPORT_FORMAT_VERSION,
-            "config": asdict(self.config),
-            "records": [r.to_payload(include_timing) for r in self.records],
-        }
-        payload.update(self._summary())
-        return payload
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_payload(include_timing), indent=1, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class Report(_ReportHeader):
-    """Full-run record; serializes deterministically without timing."""
-
-    FORMAT = REPORT_FORMAT
+    @property
+    def arms(self) -> tuple:
+        return tuple(dict.fromkeys(r.arm for r in self.records))
 
     @property
-    def accuracies(self) -> tuple:
-        return tuple(r.accuracy for r in self.records)
+    def excluded_class_counts(self) -> tuple:
+        return tuple(dict.fromkeys(len(r.excluded) for r in self.records))
+
+    @property
+    def synthetic_budget(self) -> int:
+        """The most synthetic points a record used: a degradation study's budget."""
+        return max(r.synthetic for r in self.records)
 
     @property
     def mean_accuracy(self) -> float:
-        return float(np.mean(self.accuracies))
-
-    @property
-    def std_accuracy(self) -> float:
-        return float(np.std(self.accuracies))
+        return float(np.mean([r.accuracy for r in self.records]))
 
     @property
     def mean_knn_accuracy(self):
         values = [r.knn_accuracy for r in self.records if r.knn_accuracy is not None]
         return float(np.mean(values)) if values else None
 
-    def _summary(self) -> dict:
+    def arm_means(self, arm: str):
+        """Mean accuracy of ``arm`` per exclusion count, in report count order."""
+        return [
+            float(np.mean([r.accuracy for r in self.records
+                           if r.arm == arm and len(r.excluded) == count]))
+            for count in self.excluded_class_counts
+        ]
+
+    def to_payload(self, include_timing: bool = False) -> dict:
         mean_knn = self.mean_knn_accuracy
         return {
-            "accuracies": [repr(a) for a in self.accuracies],
-            "mean_accuracy": repr(self.mean_accuracy),
-            "std_accuracy": repr(self.std_accuracy),
+            "format": REPORT_FORMAT,
+            "version": REPORT_FORMAT_VERSION,
+            "config": asdict(self.config),
+            "records": [r.to_payload(include_timing) for r in self.records],
+            "excluded_class_counts": list(self.excluded_class_counts),
+            "means": {arm: [repr(m) for m in self.arm_means(arm)] for arm in self.arms},
             "mean_knn_accuracy": None if mean_knn is None else repr(mean_knn),
         }
+
+    def to_json(self, include_timing: bool = False) -> str:
+        return json.dumps(self.to_payload(include_timing), indent=1, sort_keys=True)
 
 
 def save_report(path, report, include_timing: bool = False) -> None:
@@ -567,16 +575,18 @@ def fit_model(pool, train_points, train_labels, config, sigma, k, synth_count,
     return model, classifier, seconds
 
 
-def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
-                k_policy, synth_count, included_classes=None, with_knn=False) -> RepRecord:
-    """One pipeline run on dataset positions ``train`` and ``test``, reading ``store``."""
+def _run_single(store, labels, train, test, config, rep, seed_root, arm, sigma,
+                k_policy, synth_count, excluded=(), with_knn=False) -> RepRecord:
+    """One pipeline run on dataset positions ``train`` and ``test``, reading ``store``.
+
+    The training points of the ``excluded`` classes stay out of the pool.
+    """
     points = store.points
     block = store.block(train + test, train)
     train_points = [points[i] for i in train]
     train_labels, test_labels = labels[train], labels[test]
     classes = tuple(np.unique(train_labels).tolist())
-    included = classes if included_classes is None else included_classes
-    pool = [i for i, label in enumerate(train_labels.tolist()) if label in included]
+    pool = [i for i, label in enumerate(train_labels.tolist()) if label not in excluded]
     k = K_POLICIES[k_policy] * len(train)
     model, classifier, seconds = fit_model(
         pool, train_points, train_labels, config, sigma, k, synth_count,
@@ -601,7 +611,8 @@ def _run_single(store, labels, train, test, config, rep, seed_root, sigma,
     return RepRecord(
         rep=rep,
         rep_seed=seed_root,
-        mode=MODE_PLAIN if synth_count == 0 else MODE_AUGMENTED,
+        arm=arm,
+        excluded=excluded,
         sigma=sigma,
         k_policy=k_policy,
         synthetic=synth_count,
@@ -685,8 +696,8 @@ def _split_rep(labels, config, rep, validate):
     return rep_seed, (train, held) if validate else None, (train, test)
 
 
-def _prepare_rep(store, labels, fold, config, rep, rep_seed, grid):
-    """Pick (sigma, k_policy, synthetic) from ``grid`` on the validation fold.
+def _prepare_rep(store, labels, fold, config, rep, rep_seed, arm, grid):
+    """Pick (sigma, k_policy, synthetic) from ``arm``'s ``grid`` on the validation fold.
 
     Ties go to the earlier combination.  With a single combination there
     is no fold and it is returned as is.
@@ -695,7 +706,7 @@ def _prepare_rep(store, labels, fold, config, rep, rep_seed, grid):
         return grid[0]
     scores = [
         _run_single(store, labels, *fold, config, rep,
-                    derive_seed(rep_seed, _STAGE_VALIDATION, tag), *combo).accuracy
+                    derive_seed(rep_seed, _STAGE_VALIDATION, tag), arm, *combo).accuracy
         for tag, combo in enumerate(grid)
     ]
     return grid[scores.index(max(scores))]
@@ -703,11 +714,12 @@ def _prepare_rep(store, labels, fold, config, rep, rep_seed, grid):
 
 def _dataset_classes(points, labels):
     """Labels as an int64 array and the sorted class list of a usable dataset."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if len(points) != labels.size:
         raise DimensionMismatch(f"{len(points)} points but {labels.size} labels")
     if len(points) == 0:
         raise EmptyData("dataset holds no points")
+    labels = require_integer_array(labels, "labels")
     classes = sorted(set(labels.tolist()))
     if len(classes) < 2:
         raise SingleClass(f"dataset holds only class {classes}")
@@ -720,8 +732,8 @@ def _study(points, labels, classes, config, arms, patterns, with_knn=False):
     ``arms`` pairs a name with its synthetic-count candidates; its grid
     is every (sigma, k_policy, synthetic) combination.  Each repetition
     picks every grid's winner on its validation fold, then runs it once
-    per tuple of excluded classes in ``patterns``.  Returns ``(excluded,
-    arm, record)`` in repetition, arm, pattern order.
+    per tuple of excluded classes in ``patterns``.  Returns the records
+    in repetition, arm, pattern order.
     """
     grids = [(arm, list(itertools.product(config.sigma, config.k_policy, synth)))
              for arm, synth in arms]
@@ -737,18 +749,16 @@ def _study(points, labels, classes, config, arms, patterns, with_knn=False):
     plans = [_split_rep(labels, config, rep, validate) for rep in range(config.reps)]
     columns = sorted({j for _, _, (train, _) in plans for j in train})
     store = _DivergenceStore(points, columns)
-    runs = []
+    records = []
     for rep, (rep_seed, fold, effective) in enumerate(plans):
         for arm, grid in grids:
-            combo = _prepare_rep(store, labels, fold, config, rep, rep_seed, grid)
-            for excluded in patterns:
-                included = tuple(c for c in classes if c not in excluded)
-                record = _run_single(
-                    store, labels, *effective, config, rep, rep_seed, *combo,
-                    included_classes=included, with_knn=with_knn,
-                )
-                runs.append((excluded, arm, record))
-    return runs
+            combo = _prepare_rep(store, labels, fold, config, rep, rep_seed, arm, grid)
+            records.extend(
+                _run_single(store, labels, *effective, config, rep, rep_seed, arm, *combo,
+                            excluded=excluded, with_knn=with_knn)
+                for excluded in patterns
+            )
+    return tuple(records)
 
 
 def run_experiment(points, labels, config: ExperimentConfig) -> Report:
@@ -756,70 +766,17 @@ def run_experiment(points, labels, config: ExperimentConfig) -> Report:
 
     ``knn_neighbors`` larger than the kNN baseline's training points
     (the split less any validation fold) raises :class:`ConfigError` first.
+    The one arm is "ROSES" when a synthetic candidate is positive.
     """
     labels, classes = _dataset_classes(points, labels)
-    synth_choices = tuple(
-        resolve_synthetic(v, len(classes), config.train_per_class)
-        for v in config.synthetic
-    )
-    arms = ((MODE_PLAIN, synth_choices),)
-    runs = _study(points, labels, classes, config, arms, [()], with_knn=True)
-    return Report(config=config, records=tuple(record for *_, record in runs))
+    synth_choices = tuple(resolve_synthetic(v, len(classes), config.train_per_class)
+                          for v in config.synthetic)
+    arms = ((ARM_AUGMENTED if any(synth_choices) else ARM_PLAIN, synth_choices),)
+    return Report(config, _study(points, labels, classes, config, arms, [()], with_knn=True))
 
 
-@dataclass(frozen=True)
-class DegradationRecord:
-    """One arm of one exclusion pattern in one repetition."""
-
-    excluded: tuple
-    arm: str
-    record: RepRecord
-
-    def to_payload(self, include_timing: bool) -> dict:
-        payload = {"excluded": list(self.excluded), "arm": self.arm}
-        payload.update(self.record.to_payload(include_timing))
-        return payload
-
-
-@dataclass(frozen=True)
-class DegradationReport(_ReportHeader):
-    """Accuracies of both arms across class-exclusion patterns."""
-
-    FORMAT = DEGRADATION_FORMAT
-
-    synthetic_budget: int
-    excluded_class_counts: tuple
-
-    def arm_means(self, arm: str):
-        """Mean accuracy per exclusion count, in report count order."""
-        means = []
-        for count in self.excluded_class_counts:
-            values = [
-                r.record.accuracy
-                for r in self.records
-                if r.arm == arm and len(r.excluded) == count
-            ]
-            means.append(float(np.mean(values)))
-        return means
-
-    def _summary(self) -> dict:
-        return {
-            "synthetic_budget": self.synthetic_budget,
-            "excluded_class_counts": list(self.excluded_class_counts),
-            "means": {
-                arm: [repr(m) for m in self.arm_means(arm)]
-                for arm in (MODE_PLAIN, MODE_AUGMENTED)
-            },
-        }
-
-
-def degradation_study(
-    points,
-    labels,
-    config: ExperimentConfig,
-    excluded_class_counts=None,
-    synthetic_budget=None,
-) -> DegradationReport:
+def degradation_study(points, labels, config: ExperimentConfig,
+                       excluded_class_counts=None, synthetic_budget=None) -> Report:
     """Score both arms under every class-exclusion combination.
 
     For each count ``c`` the study reruns the pipeline once per
@@ -829,29 +786,25 @@ def degradation_study(
     synthetic points; the augmented arm spends ``synthetic_budget``
     (default: the largest configured candidate) regardless of how many
     classes survive.  With ``c = 0`` each arm matches
-    ``run_experiment`` for the corresponding synthetic count.
+    ``run_experiment`` for the corresponding synthetic count.  A count
+    given twice runs once.
     """
     labels, classes = _dataset_classes(points, labels)
     if excluded_class_counts is None:
-        excluded_class_counts = tuple(range(len(classes)))
-    excluded_class_counts = tuple(require_integer(c, "excluded class count", least=0)
-                                  for c in excluded_class_counts)
-    for count in excluded_class_counts:
-        if count > len(classes) - 1:
-            raise ExclusionExceedsClasses(f"cannot exclude {count} of {len(classes)} classes")
+        excluded_class_counts = range(len(classes))
+    counts = dict.fromkeys(require_integer(c, "excluded class count", least=0)
+                           for c in excluded_class_counts)
+    if not counts:
+        raise ConfigError("excluded class counts must not be empty")
+    if max(counts) >= len(classes):
+        raise ExclusionExceedsClasses(f"cannot exclude {max(counts)} of {len(classes)} classes")
     if synthetic_budget is None:
         synthetic_budget = max(
             resolve_synthetic(v, len(classes), config.train_per_class)
             for v in config.synthetic
         )
     synthetic_budget = require_integer(synthetic_budget, "synthetic budget", least=0)
-    arms = ((MODE_PLAIN, (0,)), (MODE_AUGMENTED, (synthetic_budget,)))
-    patterns = [excluded for count in excluded_class_counts
+    arms = ((ARM_PLAIN, (0,)), (ARM_AUGMENTED, (synthetic_budget,)))
+    patterns = [excluded for count in counts
                 for excluded in itertools.combinations(classes, count)]
-    runs = _study(points, labels, classes, config, arms, patterns)
-    return DegradationReport(
-        config=config,
-        synthetic_budget=synthetic_budget,
-        excluded_class_counts=excluded_class_counts,
-        records=tuple(DegradationRecord(*run) for run in runs),
-    )
+    return Report(config, _study(points, labels, classes, config, arms, patterns))

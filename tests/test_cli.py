@@ -773,8 +773,29 @@ def test_degrade_report(tmp_path, capsys):
     assert "ROSE means:" in console
     assert "ROSES means:" in console
     payload = json.loads(out.read_text())
-    assert payload["format"] == "spdrose.degradation_report"
+    assert payload["format"] == "spdrose.report"
     assert set(payload["means"]) == {"ROSE", "ROSES"}
+
+
+def test_run_and_degrade_summary_lines(tmp_path, capsys):
+    # Pinned lines: they read as they did when each study had its own
+    # report type.
+    bench = make_benchmark(3, 3, 12, 0, separation=0.6, spread=0.15, seed=1)
+    manifest = save_dataset(
+        tmp_path / "data", list(bench.train_points), list(bench.train_labels)
+    )
+    config = write_config(tmp_path, synthetic="m")
+    study = ["--data", str(manifest), "--config", str(config)]
+    out = tmp_path / "r.json"
+    assert main(["run", *study, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"mean accuracy 0.8333 over 2 rep(s); baseline 0.9167; wrote {out}\n"
+    )
+    degrade = ["degrade", *study, "--counts", "0,1", "--budget", "4"]
+    assert main([*degrade, "--out", str(tmp_path / "d.json")]) == 0
+    assert capsys.readouterr().out == (
+        "ROSE means: 0.7917, 0.8056\nROSES means: 0.8333, 0.8056\n"
+    )
 
 
 def test_degrade_excessive_count_exits_3(tmp_path, capsys):

@@ -16,17 +16,23 @@ from spdrose import (
     ConfigError,
     DatasetManifest,
     ExperimentConfig,
+    FeatureImage,
     KernelParams,
     ManifestEntry,
     ProjectionModel,
     SynthesisConfig,
     TrainedClassifier,
+    box_downsample,
     build_projection_model,
     degradation_study,
     divergence_matrix,
+    grid_covariances,
     karcher_mean_info,
+    keyed_generator,
     make_benchmark,
+    make_cluster_centers,
     run_experiment,
+    sample_cluster,
     save_classifier,
     save_manifest,
     save_projection_model,
@@ -73,6 +79,14 @@ def _classifier(first_label):
         classes=(first_label, 1), weights=np.ones((2, 2)), biases=np.zeros(2),
         feature_mean=np.zeros(2), feature_scale=np.ones(2), regularization=0.1,
     )
+
+
+def _features():
+    return FeatureImage(np.random.default_rng(0).uniform(size=(8, 8, 2)), ("a", "b"))
+
+
+def _sample(count):
+    return sample_cluster(make_cluster_centers(1, 3, 0.0)[0], count, 0.1, keyed_generator(0))
 
 
 def _write_manifest(manifest, tmp_path):
@@ -135,6 +149,20 @@ SITES = [
     ("classifier-label", "class label", None, 0, lambda v, pool, model: _classifier(v),
      lambda c: c.classes[0],
      lambda c, tmp_path, pool: save_classifier(tmp_path / "c.json", c)),
+    # Sites that use the integer and store nothing.
+    ("cluster-centers", "n_classes", 1, 2,
+     lambda v, pool, model: make_cluster_centers(v, 3, 1.0), None, None),
+    ("sample-cluster", "count", 0, 2, lambda v, pool, model: _sample(v), None, None),
+    ("benchmark-train", "train_per_class", 0, 2,
+     lambda v, pool, model: make_benchmark(2, 3, v, 1), None, None),
+    ("benchmark-test", "test_per_class", 0, 1,
+     lambda v, pool, model: make_benchmark(2, 3, 2, v), None, None),
+    ("grid-rows", "rows", 1, 2,
+     lambda v, pool, model: grid_covariances(_features(), v, 2), None, None),
+    ("grid-cols", "cols", 1, 2,
+     lambda v, pool, model: grid_covariances(_features(), 2, v), None, None),
+    ("downsample-factor", "factor", 1, 2,
+     lambda v, pool, model: box_downsample(np.zeros((4, 4)), v), None, None),
 ]
 SITE_IDS = [site[0] for site in SITES]
 

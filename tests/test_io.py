@@ -15,7 +15,7 @@ from spdrose import (
     write_pgm,
     write_ppm,
 )
-from spdrose.io import write_json
+from spdrose.io import load_json, write_json
 
 from conftest import random_spd
 
@@ -315,3 +315,15 @@ def test_write_json_that_cannot_serialize_keeps_the_existing_file(tmp_path, payl
     with pytest.raises(TypeError):
         write_json(fresh, payload)
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_load_json_refuses(tmp_path, value):
+    # NaN and infinity used to be written as bare tokens that load_json rejects.
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(ValueError):
+        write_json(path, {"a": [1.0, value]})
+    assert path.read_bytes() == b'{"kept": true}\n'
+    write_json(path, {"a": [1.0, 2.5]})
+    assert load_json(path) == {"a": [1.0, 2.5]}

@@ -43,6 +43,7 @@ from spdrose import (
     save_dataset,
     save_manifest,
     save_report,
+    train_ova_svm,
     training_ball,
     write_matrix,
     write_pgm,
@@ -493,7 +494,8 @@ def test_run_experiment_record_contents():
     assert len(report.records) == 2
     for rep, record in enumerate(report.records):
         assert record.rep == rep
-        assert record.mode == "ROSE"
+        assert record.arm == "ROSE"
+        assert record.excluded == ()
         assert record.sigma == 0.5
         assert record.synthetic == 0
         assert record.k == 2 * 16
@@ -521,10 +523,12 @@ def test_report_statistics_recomputable():
     points, labels = benchmark_pool()
     report = run_experiment(points, labels, quick_config(reps=3))
     payload = json.loads(report.to_json())
-    parsed = [float(s) for s in payload["accuracies"]]
-    assert parsed == list(report.accuracies)
-    assert abs(float(payload["mean_accuracy"]) - np.mean(parsed)) <= 1e-12
-    assert abs(float(payload["std_accuracy"]) - np.std(parsed)) <= 1e-12
+    accuracies = [float(r["accuracy"]) for r in payload["records"]]
+    knn = [float(r["knn_accuracy"]) for r in payload["records"]]
+    assert payload["excluded_class_counts"] == [0]
+    assert payload["means"] == {"ROSE": [repr(report.mean_accuracy)]}
+    assert abs(float(payload["means"]["ROSE"][0]) - np.mean(accuracies)) <= 1e-12
+    assert abs(float(payload["mean_knn_accuracy"]) - np.mean(knn)) <= 1e-12
 
 
 def test_run_experiment_roses_mode():
@@ -532,7 +536,7 @@ def test_run_experiment_roses_mode():
     config = quick_config(synthetic=6)
     report = run_experiment(points, labels, config)
     record = report.records[0]
-    assert record.mode == "ROSES"
+    assert record.arm == "ROSES"
     assert record.synthetic == 6
     assert record.pool_size == 16 + 6
     assert record.k == 2 * 16
@@ -561,6 +565,8 @@ def test_run_experiment_guards():
     points, labels = benchmark_pool()
     with pytest.raises(EmptyData):
         run_experiment([], np.array([], dtype=int), quick_config())
+    with pytest.raises(EmptyData):
+        run_experiment([], [], quick_config())
     with pytest.raises(SingleClass):
         run_experiment(points[:5], np.zeros(5, dtype=int), quick_config())
     with pytest.raises(ConfigError):
@@ -866,8 +872,9 @@ def test_degradation_structure_and_c0_equality():
         r for r in study.records if r.arm == "ROSE" and r.excluded == ()
     )
     baseline = run_experiment(points, labels, config)
-    assert plain_c0.record.accuracy == baseline.records[0].accuracy
-    assert plain_c0.record.confusion == baseline.records[0].confusion
+    assert plain_c0.arm == baseline.records[0].arm
+    assert plain_c0.accuracy == baseline.records[0].accuracy
+    assert plain_c0.confusion == baseline.records[0].confusion
 
     augmented_c0 = next(
         r for r in study.records if r.arm == "ROSES" and r.excluded == ()
@@ -875,7 +882,8 @@ def test_degradation_structure_and_c0_equality():
     augmented_baseline = run_experiment(
         points, labels, replace(config, synthetic=(5,))
     )
-    assert augmented_c0.record.accuracy == augmented_baseline.records[0].accuracy
+    assert augmented_c0.arm == augmented_baseline.records[0].arm
+    assert augmented_c0.accuracy == augmented_baseline.records[0].accuracy
 
 
 def test_degradation_means_and_payload():
@@ -885,7 +893,7 @@ def test_degradation_means_and_payload():
         points, labels, config, excluded_class_counts=(0, 1), synthetic_budget=4
     )
     payload = json.loads(study.to_json())
-    assert payload["format"] == "spdrose.degradation_report"
+    assert payload["format"] == "spdrose.report"
     assert set(payload["means"]) == {"ROSE", "ROSES"}
     for arm in ("ROSE", "ROSES"):
         parsed = [float(s) for s in payload["means"][arm]]
@@ -894,6 +902,76 @@ def test_degradation_means_and_payload():
         points, labels, config, excluded_class_counts=(0, 1), synthetic_budget=4
     )
     assert study.to_json() == again.to_json()
+
+
+def test_both_studies_write_one_report_format():
+    points, labels = benchmark_pool()
+    run = json.loads(run_experiment(points, labels, quick_config()).to_json())
+    study = json.loads(degradation_study(
+        points, labels, quick_config(), excluded_class_counts=(0, 1), synthetic_budget=4
+    ).to_json())
+    assert set(run) == set(study) == {
+        "format", "version", "config", "records", "excluded_class_counts", "means",
+        "mean_knn_accuracy",
+    }
+    assert run["format"] == study["format"] == "spdrose.report"
+    assert run["version"] == study["version"] == 2
+    assert set(run["records"][0]) == set(study["records"][0]) | {"knn_accuracy"}
+    assert run["mean_knn_accuracy"] is not None and study["mean_knn_accuracy"] is None
+
+
+def test_a_zero_budget_study_reads_consistently():
+    # Its augmented arm is "ROSES" with no synthetic point in any record,
+    # so it repeats the plain arm's runs; no field says otherwise.
+    points, labels = benchmark_pool()
+    study = degradation_study(
+        points, labels, quick_config(), excluded_class_counts=(0, 1), synthetic_budget=0
+    )
+    assert study.synthetic_budget == 0
+    plain = [r for r in study.records if r.arm == "ROSE"]
+    augmented = [r for r in study.records if r.arm == "ROSES"]
+    assert len(plain) == len(augmented) == 3
+    for a, b in zip(plain, augmented):
+        assert a.synthetic == b.synthetic == 0
+        assert a.excluded == b.excluded
+        assert replace(a, arm="ROSES", stage_seconds=()) == replace(b, stage_seconds=())
+    assert study.arm_means("ROSE") == study.arm_means("ROSES")
+    for record in json.loads(study.to_json())["records"]:
+        assert "mode" not in record
+        assert record["synthetic"] == 0
+
+
+def test_run_experiment_arm_follows_its_candidates():
+    points, labels = benchmark_pool()
+    for synthetic, arm in ((0, "ROSE"), ("m", "ROSES"), ((0, 4), "ROSES")):
+        report = run_experiment(points, labels, quick_config(synthetic=synthetic))
+        assert report.records[0].arm == arm
+        assert report.arms == (arm,)
+
+
+def test_degradation_counts_run_once_each_and_in_order():
+    points, labels = benchmark_pool(n_classes=3, per_class=10)
+    config = quick_config(train_per_class=6)
+    twice = degradation_study(points, labels, config, excluded_class_counts=(1, 0, 1))
+    once = degradation_study(points, labels, config, excluded_class_counts=(1, 0))
+    assert twice.excluded_class_counts == (1, 0)
+    assert twice.to_json() == once.to_json()
+    with pytest.raises(ConfigError, match="excluded class counts must not be empty"):
+        degradation_study(points, labels, config, excluded_class_counts=())
+
+
+def _train_svm(points, labels, config):
+    return train_ova_svm(np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
+
+
+@pytest.mark.parametrize("train", [run_experiment, degradation_study, _train_svm],
+                         ids=["run_experiment", "degradation_study", "train_ova_svm"])
+def test_float_labels_are_rejected_not_truncated(train):
+    # Labels plus 0.6 used to be truncated back to the classes (0, 1).
+    points, labels = benchmark_pool()
+    for bad in (labels + 0.6, labels.astype(float), labels.astype(bool)):
+        with pytest.raises(ConfigError, match="^labels must be integers, got "):
+            train(points, bad, quick_config())
 
 
 def test_degradation_exclusion_bounds():
