@@ -36,7 +36,6 @@ from .manifold import (
     symmetrize,
     airm_exp_map,
     airm_log_map,
-    airm_norm,
     geodesic_distance,
     spd_log,
     spd_power,

@@ -276,10 +276,11 @@ def knn_stein(train_labels, n_neighbors: int, divergences) -> np.ndarray:
     resolved by training order (stable sort) and vote ties by the
     smaller label.
     """
-    labels = np.asarray(train_labels, dtype=np.int64)
+    labels = np.asarray(train_labels)
     divergences = np.asarray(divergences, dtype=np.float64)
     if labels.size == 0:
         raise EmptyData("no labeled points to vote with")
+    labels = require_integer_array(labels, "labels")
     if labels.ndim != 1 or divergences.ndim != 2 or divergences.shape[1] != labels.size:
         raise DimensionMismatch(
             f"divergences of shape {divergences.shape} for {labels.shape} labels"
@@ -314,14 +315,15 @@ class EvalResult:
 
 
 def evaluate_accuracy(true_labels, predicted_labels, class_labels=None) -> EvalResult:
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(predicted_labels, dtype=np.int64)
+    t, p = np.asarray(true_labels), np.asarray(predicted_labels)
     if t.shape != p.shape or t.ndim != 1:
         raise DimensionMismatch(
             f"label arrays have shapes {t.shape} and {p.shape}"
         )
     if t.size == 0:
         raise EmptyData("no labels to score")
+    t = require_integer_array(t, "true labels")
+    p = require_integer_array(p, "predicted labels")
     hits = t == p
     seen = set(t.tolist()) | set(p.tolist())
     if class_labels is None:

@@ -43,7 +43,7 @@ from .embedding import (
     load_projection_model,
     save_projection_model,
 )
-from .errors import ConfigError, SpdRoseError, require_integer
+from .errors import ConfigError, SpdRoseError, require_integer, require_real
 from .pipeline import FEATURE_MODES, ExperimentConfig
 from .stein import PSD_POLICIES, KernelParams, divergence_matrix
 from .synthesis import DIRECTION_MODES, SynthesisConfig, generate_synthetic
@@ -199,8 +199,7 @@ def _cmd_degrade(args):
 
 def _cmd_jl_check(args):
     ks = [require_integer(k, "k", least=1) for k in _ints(args.k, "k")]
-    if not 0.0 < args.epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon}")
+    require_real(args.epsilon, "epsilon", below=1)
     params = KernelParams(args.sigma, args.psd_policy)
     points, _ = pipeline.load_dataset(args.data)
     # Every width reuses the same pairwise divergences.

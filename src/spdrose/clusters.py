@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, require_integer
+from .errors import NotPositiveDefinite, require_integer, require_real
 from .manifold import SpdMatrix, _readonly_copy, _spd_or_errors, spd_stack, symmetrize
 from .seeding import keyed_generator
 
@@ -51,12 +51,8 @@ def make_cluster_centers(
     needs ``dim >= n_classes``.
     """
     n_classes = require_integer(n_classes, "n_classes", least=1)
-    if dim < n_classes:
-        raise ValueError(
-            f"{n_classes} orthonormal log-directions do not fit in dimension {dim}"
-        )
-    if separation < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {separation}")
+    dim = require_integer(dim, "dim", least=n_classes)
+    separation = require_real(separation, "separation", nonnegative=True)
     rng = keyed_generator(seed, 0)
     # Factor a full square so existing centers stay fixed when classes
     # are added; only the first n_classes columns are used.
@@ -74,8 +70,7 @@ def sample_cluster(center: SpdMatrix, count: int, spread: float, rng):
     stack; points and ``rng`` end as a point-by-point loop leaves them.
     """
     count = require_integer(count, "count", least=0)
-    if spread < 0.0:
-        raise ValueError(f"spread must be nonnegative, got {spread}")
+    spread = require_real(spread, "spread", nonnegative=True)
     a = center.sqrt_array
     points, rejected = [], 0
     while len(points) < count:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
-from .errors import SpdRoseError, TSampleTooLarge, require_integer
+from .errors import SpdRoseError, TSampleTooLarge, require_choice, require_integer, require_real
 from .io import json_floats, read_container, symmetric_from_upper
 from .manifold import _readonly_copy, matvecs, spd_stack
 from .seeding import keyed_generator, rekey
@@ -81,8 +81,7 @@ class ProjectionModel:
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if not 1 <= self.t <= p:
             raise ValueError(f"t={self.t} lies outside 1..p={p}")
-        if self.exponent_mode not in EXPONENT_MODES:
-            raise ValueError(f"unknown exponent_mode {self.exponent_mode!r}")
+        require_choice(self.exponent_mode, "exponent_mode", EXPONENT_MODES)
         if fitted is not None:
             self.__dict__["gram"], self.__dict__["kernel_power"] = fitted
 
@@ -146,8 +145,7 @@ def build_projection_model(
         Master seed; hyperplane ``j`` uses ``seed XOR j``.
     """
     points = tuple(reference_points)
-    if exponent_mode not in EXPONENT_MODES:
-        raise ValueError(f"unknown exponent_mode {exponent_mode!r}")
+    require_choice(exponent_mode, "exponent_mode", EXPONENT_MODES)
     p = len(points)
     if t is None:
         t = min(30, -(-p // 4))  # ceil(p / 4), in integers
@@ -255,8 +253,7 @@ def jl_distortion_report(model: ProjectionModel, divergences, epsilon: float) ->
     identically, so a degenerate cloud reports fraction 1).  The points
     enter as ``divergences``, one row each against the reference pool.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    epsilon = require_real(epsilon, "epsilon", below=1)
     kappas = _kernel_rows(model, divergences)
     embeddings = _project(model, kappas)
 

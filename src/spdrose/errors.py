@@ -137,9 +137,27 @@ def require_integer_array(values, name) -> np.ndarray:
     return array.astype(np.int64)
 
 
+def require_choice(value, name, choices) -> str:
+    """``value``; :class:`ConfigError` unless a string among ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def require_real(value, name, nonnegative=False, below=math.inf) -> float:
+    """``value`` as a float; :class:`ConfigError` unless a real number (not a bool)
+    above 0, or at least 0 when ``nonnegative``, and below ``below``.
+
+    NaN and infinities never pass.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (0 <= value if nonnegative else 0 < value) and value < below):
+        low = "nonnegative" if nonnegative else "positive"
+        bounds = f"{low} and finite" if below == math.inf else f"{low} and below {below}"
+        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
+    return float(value)
+
+
 def require_positive(value, name) -> float:
     """``value`` as a float; :class:`ConfigError` unless a positive, finite real (not a bool)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value < math.inf):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return require_real(value, name)

@@ -336,18 +336,13 @@ def airm_exp_map(tangent: TangentVector) -> SpdMatrix:
     return airm_exp_map_stack(tangent.pole, tangent.value[None])[0]
 
 
-def airm_norm(tangent: TangentVector) -> float:
-    """Metric norm of a tangent vector at its pole.
-
-    Equals the Frobenius norm of ``pole^{-1/2} v pole^{-1/2}``, which is
-    also the geodesic distance from the pole to the exponential of the
-    vector.
-    """
-    return _metric_norm(tangent.pole, tangent.value)
-
-
 def _metric_norm(pole: SpdMatrix, value: np.ndarray) -> float:
-    """:func:`airm_norm` of an exactly symmetric ``value`` not wrapped in a :class:`TangentVector`."""
+    """Metric norm at ``pole`` of an exactly symmetric tangent ``value``.
+
+    Equals the Frobenius norm of ``pole^{-1/2} value pole^{-1/2}``, which
+    is also the geodesic distance from the pole to the exponential of
+    ``value``.
+    """
     isq = pole.inv_sqrt_array
     return float(np.linalg.norm(isq @ value @ isq, "fro"))
 

@@ -90,9 +90,11 @@ from .errors import (
     SingleClass,
     SpdRoseError,
     StageFailure,
+    require_choice,
     require_integer,
     require_integer_array,
     require_positive,
+    require_real,
 )
 from .io import load_json, read_container, read_matrix, read_pgm, read_ppm
 from .io import write_json, write_matrix
@@ -155,11 +157,7 @@ class DatasetManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if not isinstance(self.feature_mode, str) or self.feature_mode not in FEATURE_MODES:
-            raise ConfigError(
-                f"feature_mode must be one of {sorted(FEATURE_MODES)}, "
-                f"got {self.feature_mode!r}"
-            )
+        require_choice(self.feature_mode, "feature_mode", FEATURE_MODES)
         if not self.entries:
             raise ConfigError("manifest lists no entries")
         suffix = FEATURE_MODES[self.feature_mode][0]
@@ -320,30 +318,23 @@ class ExperimentConfig:
         object.__setattr__(self, "sigma", tuple(kernel.sigma for kernel in kernels))
         policies = _normalize_candidates(self.k_policy, "k_policy")
         for policy in policies:
-            if not isinstance(policy, str) or policy not in K_POLICIES:
-                raise ConfigError(
-                    f"k_policy must be one of {sorted(K_POLICIES)}, got {policy!r}"
-                )
+            require_choice(policy, "k_policy", K_POLICIES)
         object.__setattr__(self, "k_policy", policies)
-        cleaned = []
-        for value in _normalize_candidates(self.synthetic, "synthetic"):
-            if isinstance(value, str):
-                if value not in SYNTH_TOKENS:
-                    raise ConfigError(f"synthetic symbols are {SYNTH_TOKENS}, got {value!r}")
-                cleaned.append(value)
-            else:
-                cleaned.append(require_integer(value, "synthetic count", least=0))
-        object.__setattr__(self, "synthetic", tuple(cleaned))
+        synthetic = tuple(
+            require_choice(v, "synthetic symbol", SYNTH_TOKENS) if isinstance(v, str)
+            else require_integer(v, "synthetic count", least=0)
+            for v in _normalize_candidates(self.synthetic, "synthetic")
+        )
+        object.__setattr__(self, "synthetic", synthetic)
         for name, least in (("seed", None), ("reps", 1), ("train_per_class", 2),
                             ("knn_neighbors", 1)):
             object.__setattr__(self, name, require_integer(getattr(self, name), name, least))
-        if self.exponent_mode not in EXPONENT_MODES:
-            raise ConfigError(f"unknown exponent_mode {self.exponent_mode!r}")
+        require_choice(self.exponent_mode, "exponent_mode", EXPONENT_MODES)
         if not isinstance(self.name, str):
             raise ConfigError(f"name must be a string, got {self.name!r}")
         require_positive(self.regularization, "regularization")
-        if require_positive(self.validation_fraction, "validation_fraction") >= 1:
-            raise ConfigError(f"validation_fraction must be below 1, got {self.validation_fraction}")
+        fraction = require_real(self.validation_fraction, "validation_fraction", below=1)
+        object.__setattr__(self, "validation_fraction", fraction)
 
 
 _CONFIG_FIELDS = set(ExperimentConfig.__dataclass_fields__)

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyInput, IndefiniteKernel, require_positive
+from .errors import DimensionMismatch, EmptyInput, IndefiniteKernel
+from .errors import require_choice, require_positive
 from .manifold import SpdMatrix, _cholesky_logdet, _readonly, _readonly_copy, symmetrize
 
 PSD_POLICIES = ("clamp", "strict")
@@ -63,8 +64,7 @@ class KernelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", require_positive(self.sigma, "sigma"))
-        if self.psd_policy not in PSD_POLICIES:
-            raise ConfigError(f"unknown psd_policy {self.psd_policy!r}")
+        require_choice(self.psd_policy, "psd_policy", PSD_POLICIES)
 
 
 def sigma_guarantees_psd(sigma: float, dim: int) -> bool:

@@ -16,23 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateDirection,
     DimensionMismatch,
     EmptyInput,
     NonConvergence,
+    require_choice,
     require_integer,
     require_positive,
+    require_real,
 )
 from .manifold import (
     SpdMatrix,
     _metric_norm,
-    TangentVector,
-    airm_exp_map,
     airm_exp_map_stack,
-    airm_log_map,
     airm_log_map_stack,
-    airm_norm,
     geodesic_distance_stack,
     symmetrize,
 )
@@ -67,8 +64,7 @@ class SynthesisConfig:
     def __post_init__(self):
         object.__setattr__(self, "count", require_integer(self.count, "count", least=0))
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
-        if self.direction_mode not in DIRECTION_MODES:
-            raise ConfigError(f"unknown direction_mode {self.direction_mode!r}")
+        require_choice(self.direction_mode, "direction_mode", DIRECTION_MODES)
 
 
 @dataclass(frozen=True)
@@ -145,12 +141,12 @@ def karcher_mean_info(points, tol: float = KARCHER_TOL, max_iter: int = KARCHER_
             return current, ConvergenceRecord(True, iterations, residual, halvings)
         if iterations >= max_iter:
             return current, ConvergenceRecord(False, iterations, residual, halvings)
-        rate = airm_norm(TangentVector(current, mean_tangent)) ** 2
+        rate = _metric_norm(current, mean_tangent) ** 2
         decrease = ARMIJO_SLOPE * rate
         isq = current.inv_sqrt_array
         pull = isq @ isq @ mean_tangent
         for _ in range(MAX_STEP_HALVINGS + 1):
-            trial = airm_exp_map(TangentVector(current, step * mean_tangent))
+            [trial] = airm_exp_map_stack(current, step * mean_tangent[None])
             trial_tangent, trial_objective = _mean_tangent_and_objective(trial, stack)
             trial_isq = trial.inv_sqrt_array
             trial_rate = float(np.sum((trial_isq @ trial_isq @ trial_tangent) * pull.T))
@@ -214,11 +210,10 @@ def geodesic_rescale(x: SpdMatrix, pole: SpdMatrix, zeta: float) -> SpdMatrix:
     """
     if x.dim != pole.dim:
         raise DimensionMismatch(f"dimensions differ: {x.dim} vs {pole.dim}")
-    zeta = float(zeta)
-    if zeta < 0.0:
-        raise ValueError(f"zeta must be nonnegative, got {zeta}")
-    step = _rescaled(pole, airm_log_map(pole, x).value, zeta)
-    return airm_exp_map(TangentVector(pole, step))
+    zeta = require_real(zeta, "zeta", nonnegative=True)
+    [direction], _ = airm_log_map_stack(pole, x.array[None])
+    [point] = airm_exp_map_stack(pole, _rescaled(pole, direction, zeta)[None])
+    return point
 
 
 def _rescaled(pole: SpdMatrix, direction: np.ndarray, zeta: float) -> np.ndarray:

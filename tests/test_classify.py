@@ -10,6 +10,7 @@ import pytest
 
 import spdrose.classify
 from spdrose import (
+    ConfigError,
     DimensionMismatch,
     EmptyData,
     NonConvergence,
@@ -368,6 +369,17 @@ def test_evaluate_validation():
         evaluate_accuracy([], [])
     with pytest.raises(DimensionMismatch):
         evaluate_accuracy([0, 1], [0])
+
+
+def test_float_labels_are_rejected_not_truncated(rng):
+    # Cast to int64, these labels used to score 1.0 and vote as (0, 1).
+    with pytest.raises(ConfigError, match="^true labels must be integers, got float64"):
+        evaluate_accuracy([0.6, 1.6, 1.2], [0, 1, 1])
+    with pytest.raises(ConfigError, match="^predicted labels must be integers, got float64"):
+        evaluate_accuracy([0, 1, 1], [0.6, 1.6, 1.2])
+    train = [random_spd(rng, 2) for _ in range(2)]
+    with pytest.raises(ConfigError, match="^labels must be integers, got float64"):
+        knn(train, [0.6, 1.7], [train[0]], 1)
 
 
 def test_evaluate_rejects_labels_outside_class_labels():
