@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, EmptyData, NonConvergence, NonFiniteEntry, ParseError
 from .errors import NotPositiveDefinite, SingleClass, require_integer, require_integer_array
-from .errors import require_positive
+from .errors import ConfigError, require_positive
 from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy, matvecs
 
@@ -285,10 +285,9 @@ def knn_stein(train_labels, n_neighbors: int, divergences) -> np.ndarray:
         raise DimensionMismatch(
             f"divergences of shape {divergences.shape} for {labels.shape} labels"
         )
-    if not 1 <= n_neighbors <= labels.size:
-        raise ValueError(
-            f"n_neighbors must lie in [1, {labels.size}], got {n_neighbors}"
-        )
+    n_neighbors = require_integer(n_neighbors, "n_neighbors", least=1)
+    if n_neighbors > labels.size:
+        raise ConfigError(f"n_neighbors must be at most {labels.size}, got {n_neighbors}")
     out = np.empty(len(divergences), dtype=np.int64)
     for i, row in enumerate(divergences):
         nearest = np.argsort(row, kind="stable")[:n_neighbors]

@@ -12,12 +12,13 @@ Conventions
 * Eigendecomposition (``numpy.linalg.eigh``) is the numeric backend for
   matrix functions, spectra and the conditioning-floor check.
 * Log-determinants are the one exception: they come from a Cholesky
-  factor (LAPACK ``dpotrf``) as ``2 * sum(log(diag(L)))``, which needs
-  no eigensolve.  Every log-determinant in the package, the Stein
-  midpoint's included, goes through that one factorization, so a
-  matrix and a content-identical copy get the same bits.  It factors a
-  scratch array in place: a point's copy of its own array, or a fresh
-  midpoint ``x.half + y.half`` (:attr:`SpdMatrix.half`).
+  factor (LAPACK ``dpotrf``) as ``2 * fsum(log(diag(L)))``, which needs
+  no eigensolve.  ``math.fsum`` rounds the sum exactly, so it does not
+  depend on the order of the diagonal.  Every log-determinant in the
+  package, the Stein midpoint's included, goes through that one
+  factorization, so a matrix and a content-identical copy get the same
+  bits.  It factors a scratch array in place: a point's copy of its own
+  array, or a fresh midpoint ``x.half + y.half`` (:attr:`SpdMatrix.half`).
 * Matrices whose eigenvalue ratio ``lambda_min / lambda_max`` falls at
   or below ``EIGENVALUE_FLOOR_RTOL`` are rejected instead of silently
   regularized.
@@ -95,19 +96,19 @@ def _spectrum_error(lo: float, hi: float):
 
 
 def _cholesky_logdet(a: np.ndarray) -> float:
-    """Log-determinant ``2 * sum(log(diag(L)))`` of an exactly symmetric matrix ``a = L L^T``.
+    """Log-determinant ``2 * fsum(log(diag(L)))`` of an exactly symmetric matrix ``a = L L^T``.
 
-    Factors ``a`` in place and so overwrites it: pass an array the caller
-    owns, never a point's own array (f2py writes even through a read-only
-    one).  Raises ``NotPositiveDefinite`` when the Cholesky factorization
-    breaks down.
+    The sum is exactly rounded, so the diagonal's order does not matter.
+    Factors ``a`` in place, overwriting it: pass an array the caller owns,
+    never a point's own array (f2py writes even through a read-only one).
+    Raises ``NotPositiveDefinite`` when the Cholesky factorization fails.
     """
     # a.T of a C-contiguous a is Fortran-ordered, so f2py hands LAPACK its
     # memory without a copy; by symmetry it holds the same matrix as a.
     factor, info = dpotrf(a.T, 1, 0, 1)  # lower=1, clean=0: only diag(L) is read; overwrite
     if info != 0:
         raise NotPositiveDefinite(f"Cholesky factorization failed (dpotrf info {info})")
-    return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
+    return 2.0 * math.fsum(np.log(factor.diagonal()).tolist())
 
 
 def matvecs(a: np.ndarray, vectors) -> np.ndarray:

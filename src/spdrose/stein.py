@@ -11,11 +11,11 @@ is an integer between 1 and ``d - 1`` or ``sigma > (d - 1) / 2`` (Sra,
 other values are useful in practice, so Gram assembly carries an
 explicit repair policy for indefinite spectra.
 
-Log-determinants are always computed as twice the sum of the logs of
-the diagonal of a Cholesky factor, never through raw determinants, so
-they stay finite and accurate for the matrix sizes this package
-targets.  The midpoint and both points go through the same
-factorization, so a point paired with a content-identical copy of
+Log-determinants are always twice the exactly rounded sum (``math.fsum``)
+of the logs of a Cholesky factor's diagonal, never raw determinants, so
+they stay finite and accurate at this package's sizes and do not depend
+on the diagonal's order.  The midpoint and both points go through the
+same factorization, so a point paired with a content-identical copy of
 itself has divergence exactly zero.  Each point keeps its log-det and
 its half (:attr:`~spdrose.manifold.SpdMatrix.half`), so a pair costs
 one sum ``x.half + y.half``, factored in place, and no other array.

@@ -333,7 +333,7 @@ def test_knn_validation(rng):
     with pytest.raises(EmptyData):
         knn([], [], [random_spd(rng, 2)])
     train = [random_spd(rng, 2) for _ in range(3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^n_neighbors must be at most 3, got 4$"):
         knn(train, [0, 1, 0], [train[0]], 4)
     with pytest.raises(DimensionMismatch):
         knn(train, [0, 1], [train[0]])

@@ -29,6 +29,7 @@ from spdrose import (
     grid_covariances,
     karcher_mean_info,
     keyed_generator,
+    knn_stein,
     make_benchmark,
     make_cluster_centers,
     run_experiment,
@@ -163,6 +164,8 @@ SITES = [
      lambda v, pool, model: grid_covariances(_features(), 2, v), None, None),
     ("downsample-factor", "factor", 1, 2,
      lambda v, pool, model: box_downsample(np.zeros((4, 4)), v), None, None),
+    ("knn-neighbors", "n_neighbors", 1, 2,
+     lambda v, pool, model: knn_stein([0, 1, 0], v, np.zeros((1, 3))), None, None),
 ]
 SITE_IDS = [site[0] for site in SITES]
 

@@ -463,10 +463,10 @@ def test_property_cholesky_logdet_matches_slogdet(seed, dim, log_spread, log_sca
 
 
 def reference_logdet(a):
-    """``2 * sum(log(diag(L)))`` from ``dpotrf`` of a copy of ``a``."""
+    """``2 * fsum(log(diag(L)))`` from ``dpotrf`` of a copy of ``a``."""
     factor, info = dpotrf(a, 1, 0)  # overwrite_a=0: f2py factors a copy
     assert info == 0
-    return 2.0 * float(np.add.reduce(np.log(factor.diagonal())))
+    return 2.0 * math.fsum(np.log(factor.diagonal()))
 
 
 def reference_divergence(x, y):
@@ -503,6 +503,27 @@ def test_property_divergence_equals_the_fresh_midpoint_formula(seed, dim, first,
     assert value.hex() == reference_divergence(x, y).hex()
     assert value.hex() == stein_divergence(y, x).hex()
     assert stein_divergence(x, SpdMatrix(x.array.copy())).hex() == (0.0).hex()
+
+
+@st.composite
+def _diagonals_and_order(draw):
+    dim = draw(st.integers(2, 43))
+    entries = st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)
+    order = draw(st.permutations(range(dim)))
+    return np.array(draw(entries)), np.array(draw(entries)), np.array(order)
+
+
+@settings(max_examples=80)
+@given(diagonals=_diagonals_and_order())
+@example(diagonals=(np.array([0.1, 0.2, 0.5]), np.array([1.0, 2.0, 5.0]), np.array([1, 2, 0])))
+def test_property_logdets_do_not_depend_on_the_diagonal_order(diagonals):
+    # Each log-det is an exactly rounded sum, so permuting the diagonal of a
+    # diagonal point, and of its partner by the same order, keeps every bit.
+    v, w, order = diagonals
+    x, y = SpdMatrix(np.diag(v)), SpdMatrix(np.diag(w))
+    xp, yp = SpdMatrix(np.diag(v[order])), SpdMatrix(np.diag(w[order]))
+    assert xp.logdet.hex() == x.logdet.hex()
+    assert stein_divergence(xp, yp).hex() == stein_divergence(x, y).hex()
 
 
 # Points at least this AIRM distance apart have J bounded away from zero.
