@@ -28,8 +28,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import DimensionMismatch, EmptyData, NonConvergence, NonFiniteEntry, ParseError
-from .errors import NotPositiveDefinite, SingleClass, require_integer, require_integer_array
-from .errors import ConfigError, require_positive
+from .errors import NotPositiveDefinite, SingleClass, SpdRoseError, require_integer
+from .errors import ConfigError, require_array, require_integer_array, require_positive
 from .io import json_floats, read_container, write_json
 from .manifold import _readonly_copy, matvecs
 
@@ -67,19 +67,15 @@ class TrainedClassifier:
     convergence: tuple = ()
 
     def __post_init__(self):
-        for name in _ARRAYS:
-            object.__setattr__(self, name, _readonly_copy(getattr(self, name)))
-        w, b, mu, sc = (getattr(self, name) for name in _ARRAYS)
-        if w.ndim != 2 or w.shape[0] != len(self.classes):
-            raise ValueError(f"weight matrix has shape {w.shape}")
-        if b.shape != (len(self.classes),):
-            raise ValueError(f"bias vector has shape {b.shape}")
-        if mu.shape != (w.shape[1],) or sc.shape != (w.shape[1],):
-            raise ValueError("standardization statistics do not match weights")
-        # JSON reads an overflowing number such as 1e999 as inf, and
+        n = len(self.classes)
+        k = require_array(self.weights, "weights", (n, None)).shape[1]
+        # JSON reads an overflowing number such as 1e999 as inf.
+        for name, shape in zip(_ARRAYS, ((n, k), (n,), (k,), (k,))):
+            array = require_array(getattr(self, name), name, shape)
+            object.__setattr__(self, name, _readonly_copy(array))
         # decision_scores divides by the scale, which training never sets to 0.
-        if not all(np.isfinite(a).all() for a in (w, b, mu, sc)) or (sc <= 0.0).any():
-            raise ValueError("classifier arrays must be finite, feature_scale positive")
+        if (self.feature_scale <= 0.0).any():
+            raise ValueError("feature_scale must be positive")
         classes = tuple(require_integer(c, "class label") for c in self.classes)
         object.__setattr__(self, "classes", classes)
         # predict sends a score tie to the earlier class, the smaller label.
@@ -91,22 +87,6 @@ class TrainedClassifier:
     @property
     def n_features(self) -> int:
         return self.weights.shape[1]
-
-
-def _check_features(features, labels=None):
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"feature array has shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-    if labels is None:
-        return x, None
-    y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise DimensionMismatch(
-            f"{x.shape[0]} feature rows but {y.shape} labels"
-        )
-    return x, require_integer_array(y, "labels")
 
 
 def _step_length(gap, along, slope, curvature, n):
@@ -219,7 +199,10 @@ def train_ova_svm(
     1).  Each class is solved as the module docstring states, with
     ``lam = regularization``, and keeps its :class:`SolverRecord`.
     """
-    x, y = _check_features(features, labels)
+    x = require_array(features, "features", (None, None))
+    if np.shape(labels) != (len(x),):
+        raise DimensionMismatch(f"{len(x)} feature rows but {np.shape(labels)} labels")
+    y = require_integer_array(labels, "labels")
     if x.shape[0] == 0:
         raise EmptyData("no training vectors")
     classes = tuple(sorted(set(y.tolist())))
@@ -248,11 +231,7 @@ def train_ova_svm(
 
 def decision_scores(model: TrainedClassifier, features) -> np.ndarray:
     """Per-class margins of an (n, k) feature batch, shape (n, n_classes)."""
-    x, _ = _check_features(features)
-    if x.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"{x.shape[1]} features but the model expects {model.n_features}"
-        )
+    x = require_array(features, "features", (None, model.n_features))
     # Finite weights can still overflow; the check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         z = (x - model.feature_mean) / model.feature_scale
@@ -277,14 +256,12 @@ def knn_stein(train_labels, n_neighbors: int, divergences) -> np.ndarray:
     smaller label.
     """
     labels = np.asarray(train_labels)
-    divergences = np.asarray(divergences, dtype=np.float64)
     if labels.size == 0:
         raise EmptyData("no labeled points to vote with")
     labels = require_integer_array(labels, "labels")
-    if labels.ndim != 1 or divergences.ndim != 2 or divergences.shape[1] != labels.size:
-        raise DimensionMismatch(
-            f"divergences of shape {divergences.shape} for {labels.shape} labels"
-        )
+    if labels.ndim != 1:
+        raise DimensionMismatch(f"labels must be one-dimensional, got shape {labels.shape}")
+    divergences = require_array(divergences, "divergences", (None, labels.size))
     n_neighbors = require_integer(n_neighbors, "n_neighbors", least=1)
     if n_neighbors > labels.size:
         raise ConfigError(f"n_neighbors must be at most {labels.size}, got {n_neighbors}")
@@ -327,7 +304,7 @@ def evaluate_accuracy(true_labels, predicted_labels, class_labels=None) -> EvalR
     seen = set(t.tolist()) | set(p.tolist())
     if class_labels is None:
         class_labels = sorted(seen)
-    class_labels = tuple(int(c) for c in class_labels)
+    class_labels = tuple(require_integer_array(class_labels, "class_labels").tolist())
     index = {cls: i for i, cls in enumerate(class_labels)}
     outside = sorted(seen - set(index))
     if outside:
@@ -364,5 +341,5 @@ def load_classifier(path) -> TrainedClassifier:
         for name in _ARRAYS:
             fields[name] = json_floats(fields[name])
         return TrainedClassifier(**fields)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed classifier payload") from exc
+    except (KeyError, TypeError, ValueError, SpdRoseError) as exc:
+        raise ParseError(f"{path}: malformed classifier payload ({exc})") from exc

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft
 
-from .errors import GridTooFine, ImageTooSmall, require_integer
+from .errors import GridTooFine, ImageTooSmall, require_array, require_integer
 from .manifold import _readonly_copy, spd_stack, symmetrize
 
 RELATIVE_RIDGE = 1e-5
@@ -47,14 +47,10 @@ class _Image:
     _channel_shape = ()
 
     def __post_init__(self):
-        a = _readonly_copy(self.pixels)
-        if a.ndim < 2 or a.shape[2:] != self._channel_shape:
-            raise ValueError(f"pixel array has shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("pixel values must be finite")
+        a = require_array(self.pixels, "pixels", (None, None, *self._channel_shape))
         if a.size and (a.min() < 0.0 or a.max() > 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "pixels", a)
+        object.__setattr__(self, "pixels", _readonly_copy(a))
 
     @property
     def height(self) -> int:
@@ -83,16 +79,8 @@ class FeatureImage:
     channel_tags: tuple
 
     def __post_init__(self):
-        v = _readonly_copy(self.values)
-        if v.ndim != 3:
-            raise ValueError(f"feature tensor has shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature values must be finite")
-        if v.shape[2] != len(self.channel_tags):
-            raise ValueError(
-                f"{v.shape[2]} channels but {len(self.channel_tags)} tags"
-            )
-        object.__setattr__(self, "values", v)
+        values = require_array(self.values, "values", (None, None, len(self.channel_tags)))
+        object.__setattr__(self, "values", _readonly_copy(values))
         object.__setattr__(self, "channel_tags", tuple(self.channel_tags))
 
     @property

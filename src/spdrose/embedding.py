@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, EmptyInput, NonFiniteEntry, ParseError
-from .errors import SpdRoseError, TSampleTooLarge, require_choice, require_integer, require_real
+from .errors import ConfigError, EmptyInput, NonFiniteEntry, ParseError, SpdRoseError
+from .errors import TSampleTooLarge, require_array, require_choice, require_integer, require_real
 from .io import json_floats, read_container, symmetric_from_upper
 from .manifold import _readonly_copy, matvecs, spd_stack
 from .seeding import keyed_generator, rekey
@@ -69,14 +69,13 @@ class ProjectionModel:
 
     def __post_init__(self, fitted):
         object.__setattr__(self, "reference_points", tuple(self.reference_points))
-        object.__setattr__(self, "weights", _readonly_copy(self.weights))
-        p, w = self.p, self.weights
+        p = self.p
         if p < 2:
             raise EmptyInput(f"a projection model needs two reference points, got {p}")
-        if w.ndim != 2 or len(w) != p:
-            raise ValueError(f"weights of shape {w.shape} do not fit {p} reference points")
-        if w.shape[1] < 1 or not np.isfinite(w).all():
-            raise ValueError(f"weights must be finite with k >= 1 columns, got shape {w.shape}")
+        weights = require_array(self.weights, f"weights for {p} reference points", (p, None))
+        object.__setattr__(self, "weights", _readonly_copy(weights))
+        if self.k < 1:
+            raise ValueError(f"weights must have k >= 1 columns, got shape {weights.shape}")
         object.__setattr__(self, "t", require_integer(self.t, "t"))
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if not 1 <= self.t <= p:
@@ -152,14 +151,11 @@ def build_projection_model(
     t = require_integer(t, "t", least=1)
     if t > p:
         raise TSampleTooLarge(f"t={t} exceeds the reference pool size p={p}")
+    k = require_integer(k, "k", least=1)
     if p * k > MAX_WEIGHTS:
         raise ConfigError(f"k={k} hyperplanes on {p} points exceed {MAX_WEIGHTS} weights")
 
-    if np.shape(divergences) != (p, p):
-        raise DimensionMismatch(
-            f"divergences have shape {np.shape(divergences)}, expected {(p, p)}"
-        )
-    gram = gram_matrix(divergences, params)
+    gram = gram_matrix(require_array(divergences, "divergences", (p, p)), params)
     powered = gram_power(gram, EXPONENTS[exponent_mode])
 
     alphas = np.full((k, p), -1.0 / p)  # row j: hyperplane j's selection vector
@@ -181,11 +177,7 @@ def build_projection_model(
 
 def _kernel_rows(model: ProjectionModel, divergences) -> np.ndarray:
     """Kernel values of each point against the reference pool, one row per point."""
-    divergences = np.asarray(divergences, dtype=np.float64)
-    if divergences.ndim != 2 or divergences.shape[1] != model.p:
-        raise DimensionMismatch(
-            f"divergences have shape {divergences.shape}, expected (n, {model.p})"
-        )
+    divergences = require_array(divergences, "divergences", (None, model.p))
     return np.exp(-model.kernel_params.sigma * divergences)
 
 

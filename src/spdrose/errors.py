@@ -137,6 +137,19 @@ def require_integer_array(values, name) -> np.ndarray:
     return array.astype(np.int64)
 
 
+def require_array(value, name, shape) -> np.ndarray:
+    """``value`` as a float64 array; :class:`DimensionMismatch` unless its shape
+    matches ``shape``, in which ``None`` matches any length, and
+    :class:`NonFiniteEntry` if an entry is NaN or infinite."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        wanted = str(tuple(shape)).replace("None", "*")
+        raise DimensionMismatch(f"{name} must have shape {wanted}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise NonFiniteEntry(f"{name} must be finite")
+    return array
+
+
 def require_choice(value, name, choices) -> str:
     """``value``; :class:`ConfigError` unless a string among ``choices``."""
     if not (isinstance(value, str) and value in choices):

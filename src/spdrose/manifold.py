@@ -42,6 +42,7 @@ from .errors import (
     NonFiniteEntry,
     NotPositiveDefinite,
     NotSquare,
+    require_array,
 )
 
 SYMMETRY_RTOL = 1e-10
@@ -261,11 +262,7 @@ class TangentVector:
 
 def _whitened(pole: SpdMatrix, stack) -> np.ndarray:
     """Exactly symmetric ``pole^{-1/2} a pole^{-1/2}`` for each ``a`` of an ``(n, d, d)`` stack."""
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1:] != (pole.dim, pole.dim):
-        raise DimensionMismatch(
-            f"expected a stack of {pole.dim}x{pole.dim} matrices, got shape {stack.shape}"
-        )
+    stack = require_array(stack, "stack", (None, pole.dim, pole.dim))
     isq = pole.inv_sqrt_array
     return symmetrize(isq @ stack @ isq)
 

@@ -430,11 +430,6 @@ class Report:
         return tuple(dict.fromkeys(len(r.excluded) for r in self.records))
 
     @property
-    def synthetic_budget(self) -> int:
-        """The most synthetic points a record used: a degradation study's budget."""
-        return max(r.synthetic for r in self.records)
-
-    @property
     def mean_accuracy(self) -> float:
         return float(np.mean([r.accuracy for r in self.records]))
 

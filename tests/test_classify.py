@@ -225,9 +225,9 @@ def test_scores_shapes_and_dimension_check():
     assert batch.shape == (20, 2)
     assert np.array_equal(decision_scores(model, coords[:1]), batch[:1])
     # Scores and predictions take a batch only; one vector is a (1, k) batch.
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^features must have shape \(\*, 1\)"):
         decision_scores(model, coords[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         predict(model, coords[0])
     with pytest.raises(DimensionMismatch):
         decision_scores(model, np.zeros((1, 3)))
@@ -382,6 +382,15 @@ def test_float_labels_are_rejected_not_truncated(rng):
         knn(train, [0.6, 1.7], [train[0]], 1)
 
 
+@pytest.mark.parametrize(
+    "class_labels, dtype", [([0.6, 1.7], "float64"), (["0", "1"], "<U1")], ids=["float", "str"]
+)
+def test_class_labels_must_be_integers(class_labels, dtype):
+    # int() truncated these: [0.6, 1.7] scored as the classes (0, 1).
+    with pytest.raises(ConfigError, match=f"^class_labels must be integers, got {dtype}"):
+        evaluate_accuracy([0, 1], [0, 1], class_labels=class_labels)
+
+
 def test_evaluate_rejects_labels_outside_class_labels():
     # This was a bare KeyError from the confusion matrix index.
     with pytest.raises(ValueError, match=r"labels \[2\] are not in class_labels"):
@@ -501,4 +510,7 @@ def test_classifier_load_rejects_non_finite_numbers(tmp_path, field, value):
     path.write_text(json.dumps(payload).replace('"NUMBER"', token))
     with pytest.raises(ParseError) as info:
         load_classifier(path)
-    assert isinstance(info.value.__cause__, ValueError)
+    assert str(path) in str(info.value)
+    # load_json refuses the tokens NaN and Infinity; the array rule refuses an inf.
+    cause = NonFiniteEntry if isinstance(value, str) else ValueError
+    assert isinstance(info.value.__cause__, cause)

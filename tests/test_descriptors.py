@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from spdrose import (
     ColorImage,
+    DimensionMismatch,
     FeatureImage,
     GrayImage,
     GridTooFine,
@@ -46,9 +47,9 @@ def test_image_validation():
         GrayImage(np.array([[0.5, 1.5], [0.0, 0.2]]))
     with pytest.raises(ValueError):
         GrayImage(np.array([[0.5, -0.1], [0.0, 0.2]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^pixels must have shape \(\*, \*\)"):
         GrayImage(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^pixels must have shape \(\*, \*, 3\)"):
         ColorImage(np.zeros((2, 2)))
     img = gray(np.full((3, 4), 0.25))
     assert (img.height, img.width) == (3, 4)
@@ -74,7 +75,7 @@ def test_images_leave_the_callers_array_writable(make, shape):
 
 
 def test_feature_image_tag_count_must_match():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^values must have shape \(\*, \*, 2\)"):
         FeatureImage(np.zeros((2, 2, 3)), ("a", "b"))
 
 

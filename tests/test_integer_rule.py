@@ -129,7 +129,7 @@ SITES = [
      lambda r: r.excluded_class_counts[0], _write_report),
     ("degradation-budget", "synthetic budget", 0, 0,
      lambda v, pool, model: _study(pool, excluded_class_counts=(0,), synthetic_budget=v),
-     lambda r: r.synthetic_budget, _write_report),
+     lambda r: max(record.synthetic for record in r.records), _write_report),
     ("synthesis-count", "count", 0, 2, lambda v, pool, model: SynthesisConfig(count=v),
      lambda c: c.count, None),
     ("synthesis-seed", "seed", None, 2, lambda v, pool, model: SynthesisConfig(seed=v),
@@ -142,6 +142,12 @@ SITES = [
                                                    model.reference_points),
          k=3, params=model.kernel_params, t=v),
      lambda m: m.t, lambda m, tmp_path, pool: save_projection_model(tmp_path / "m.json", m)),
+    ("build-model-k", "k", 1, 3,
+     lambda v, pool, model: build_projection_model(
+         model.reference_points, divergence_matrix(model.reference_points,
+                                                   model.reference_points),
+         k=v, params=model.kernel_params),
+     lambda m: m.k, lambda m, tmp_path, pool: save_projection_model(tmp_path / "m.json", m)),
     ("model-t", "t", None, 2, lambda v, pool, model: _model_with(model, t=v),
      lambda m: m.t, lambda m, tmp_path, pool: save_projection_model(tmp_path / "m.json", m)),
     ("model-seed", "seed", None, 7, lambda v, pool, model: _model_with(model, seed=v),
