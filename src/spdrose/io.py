@@ -25,7 +25,7 @@ import re
 import numpy as np
 
 from .descriptors import ColorImage, GrayImage
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError, require_array
 from .manifold import SpdMatrix
 
 
@@ -171,13 +171,14 @@ def read_ppm(path) -> ColorImage:
 
 
 def _quantize(pixels):
-    return np.clip(np.rint(np.asarray(pixels) * 255.0), 0, 255).astype(np.uint8)
+    return np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
 
 
 def _write_netpbm(path, magic, pixels, channel_shape) -> None:
+    pixels = require_array(pixels, "pixels", (None, None, *channel_shape))
+    if 0 in pixels.shape[:2]:
+        raise DimensionMismatch(f"{magic.decode('ascii')} raster has shape {pixels.shape}")
     q = _quantize(pixels)
-    if q.ndim < 2 or q.shape[2:] != channel_shape or 0 in q.shape[:2]:
-        raise ValueError(f"{magic.decode('ascii')} raster has shape {q.shape}")
     with open(path, "wb") as fh:
         fh.write(b"%s\n%d %d\n255\n" % (magic, q.shape[1], q.shape[0]))
         fh.write(q.tobytes())

@@ -1,11 +1,13 @@
 """Unit tests for feature maps and grid covariance descriptors."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import fft
 
 from spdrose import (
     ColorImage,
@@ -27,6 +29,7 @@ from spdrose.descriptors import (
     GABOR_TRUNCATE,
     GABOR_WAVELENGTHS,
     _bandwidth_sigma_factor,
+    _factor_spectra,
     _gabor_factors,
     gabor_support,
 )
@@ -324,6 +327,67 @@ def test_gabor_magnitudes_match_spatial_window_sums(shape):
 )
 def test_gabor_magnitudes_match_spatial_window_sums_any_size(h, w, seed):
     check_gabor_magnitudes(np.random.default_rng(seed).uniform(size=(h, w)))
+
+
+def per_channel_gabor_reference(pixels):
+    """The Gabor bank with each magnitude stored straight into its own strided channel."""
+    h, w = pixels.shape
+    n = GABOR_ORIENTATIONS
+    values = np.empty((h, w, 3 + len(GABOR_WAVELENGTHS) * n))
+    values[:, :, 0] = pixels
+    values[:, :, 1], values[:, :, 2] = np.meshgrid(
+        np.arange(w) / (w - 1), np.arange(h) / (h - 1)
+    )
+    for u in range(len(GABOR_WAVELENGTHS)):
+        rows, dc = _gabor_factors(u)
+        at = rows.shape[1] - 1
+        fy, fx = (_factor_spectra(u, fft.next_fast_len(m + at)) for m in (h, w))
+        padded = np.pad(pixels, at // 2, mode="edge")
+        spectrum = fft.fft2(padded, s=(fy.shape[1], fx.shape[1]))
+        envelope = spectrum * fy[0, :, None] * fx[0]
+        product, correction = np.empty_like(spectrum), np.empty_like(spectrum)
+        for v, d in enumerate(dc):
+            np.multiply(spectrum, fy[1 + n + v, :, None], out=product)
+            product *= fx[1 + v]
+            product -= np.multiply(envelope, d, out=correction)
+            response = fft.ifft2(product, overwrite_x=True)[at : at + h, at : at + w]
+            np.abs(response, out=values[:, :, 3 + n * u + v])
+    return values
+
+
+@settings(max_examples=25)
+@given(
+    h=st.integers(47, 160),  # 47 is gabor_support()
+    w=st.integers(47, 160),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=47, w=47, seed=0)
+@example(h=160, w=47, seed=1)
+def test_gabor_tensor_equals_the_per_channel_loop_bit_for_bit(h, w, seed):
+    pixels = np.random.default_rng(seed).uniform(size=(h, w))
+    expected = per_channel_gabor_reference(pixels)
+    assert gabor_feature_map(gray(pixels)).values.tobytes() == expected.tobytes()
+
+
+def test_gabor_tensor_is_kept_without_a_copy():
+    values = gabor_feature_map(gray(np.random.default_rng(3).uniform(size=(64, 80)))).values
+    assert values.flags.c_contiguous
+    assert not values.flags.writeable
+    assert values.base is None
+
+
+def test_gabor_peak_memory_stays_near_the_tensor_size():
+    # Keeping all 40 magnitudes in one (40, H, W) buffer peaks near 2.3x the
+    # tensor; one scale's (8, H, W) block and its released spectra stay below 1.6x.
+    image = gray(np.random.default_rng(5).uniform(size=(128, 128)))
+    gabor_feature_map(image)  # fills the spectrum caches, which outlive the call
+    tracemalloc.start()
+    try:
+        values = gabor_feature_map(image).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * values.nbytes, peak / values.nbytes
 
 
 def test_region_covariance_constant_region():

@@ -1,11 +1,15 @@
 """Unit tests for matrix text files and binary PGM/PPM parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spdrose import (
+    DimensionMismatch,
+    NonFiniteEntry,
     ParseError,
     SpdMatrix,
     read_matrix,
@@ -286,19 +290,33 @@ def test_write_quantization_clips():
 
 
 def test_write_shape_validation(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         write_ppm(tmp_path / "bad.ppm", np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
 def test_write_rejects_a_zero_side_before_opening_the_file(tmp_path, shape):
     # The readers reject a zero width or height, so the writers must not write one.
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         write_pgm(tmp_path / "empty.pgm", np.zeros(shape))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         write_ppm(tmp_path / "empty.ppm", np.zeros((*shape, 3)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_a_non_finite_pixel_before_opening_the_file(tmp_path, bad):
+    # Quantizing would write NaN as 0 and +inf as 255.
+    gray_pixels, color_pixels = np.full((3, 4), 0.5), np.full((3, 4, 3), 0.5)
+    gray_pixels[1, 2] = color_pixels[1, 2, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry, match="^pixels must be finite"):
+            write_pgm(tmp_path / "bad.pgm", gray_pixels)
+        with pytest.raises(NonFiniteEntry, match="^pixels must be finite"):
+            write_ppm(tmp_path / "bad.ppm", color_pixels)
     assert list(tmp_path.iterdir()) == []
 
 
